@@ -235,21 +235,22 @@ def _verify_planted(g: WeightedDigraph, depth: Dict[int, int], spec: InstanceSpe
         return
     check_rng = random.Random(f"planted-check-{spec.seed}")
     cap = 2 * g.n
+    flat = g.flat
     for _ in range(SPOT_CHECK_WALKS):
-        totals = [0, 0, 0, 0]
+        t0 = t1 = t2 = t3 = 0
         u = SOURCE
         for _ in range(check_rng.randrange(1, cap)):
             succ = g.successors(u)
             if not succ:
                 break
             v = succ[check_rng.randrange(len(succ))]
-            w1, w2 = g.weights(u, v)
-            totals[0] += w1[0]
-            totals[1] += w1[1]
-            totals[2] += w2[0]
-            totals[3] += w2[1]
+            w0, w1, w2, w3 = flat[(u, v)]
+            t0 += w0
+            t1 += w1
+            t2 += w2
+            t3 += w3
             u = v
-            if any(t < depth[u] for t in totals):
+            if min(t0, t1, t2, t3) < depth[u]:
                 raise ValueError(f"random walk beats tree path at vertex {u}")
 
 

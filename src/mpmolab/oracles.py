@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import MultiPartyObjectives
 from .pseudoboolean import BitString, PseudoBooleanProblem
@@ -174,11 +174,12 @@ def epsilon_of_solution(
     Closed form: the largest ratio of an objective of x to the matching
     objective of a common member, over all members, parties, and objectives,
     minus one, clamped at zero. Common members are real paths, so their
-    objective values are at least 1.
+    objective values are at least 1, and the ratios are compared by integer
+    cross-multiplication.
     """
     if not common_objectives:
         raise ValueError("common set for the endpoint is empty")
-    worst: Optional[Fraction] = None
+    wx = wz = None  # the worst ratio so far is wx / wz
     for member in common_objectives:
         if len(member) != len(objectives):
             raise ValueError("party count mismatch against common member")
@@ -188,10 +189,9 @@ def epsilon_of_solution(
             for x, z in zip(vec_x, vec_z):
                 if z < 1:
                     raise ValueError("common member has an objective below 1")
-                ratio = Fraction(x, z)
-                if worst is None or ratio > worst:
-                    worst = ratio
-    return max(worst - 1, Fraction(0))
+                if wz is None or x * wz > wx * z:
+                    wx, wz = x, z
+    return Fraction(wx - wz, wz) if wx > wz else Fraction(0)
 
 
 def epsilon_bisection(

@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import MultiPartyObjectives, Sense
@@ -43,7 +44,8 @@ class WeightedDigraph:
 
     ``edges`` maps (u, v) to a pair of weight tuples, one tuple per party.
     Every vertex must be reachable from the source; weight arities must agree
-    across edges.
+    across edges. ``flat`` maps each edge to its weights as one vector, party
+    1's first (``w1 + w2``); it is for reading only.
     """
 
     def __init__(self, n: int, edges: Dict[Tuple[int, int], Tuple[Tuple[int, ...], Tuple[int, ...]]]):
@@ -76,6 +78,8 @@ class WeightedDigraph:
         self.k = arity
         self._edges = {uv: (tuple(ws[0]), tuple(ws[1])) for uv, ws in edges.items()}
         self._succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
+        self.flat = {uv: w1 + w2 for uv, (w1, w2) in self._edges.items()}
+        self._bridges: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         seen = {SOURCE}
         frontier = [SOURCE]
         while frontier:
@@ -98,6 +102,15 @@ class WeightedDigraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edges
+
+    def bridges(self, u: int, w: int) -> Tuple[int, ...]:
+        """The vertices v with edges u->v and v->w, in ``successors(u)`` order."""
+        out = self._bridges.get((u, w))
+        if out is None:
+            edges = self._edges
+            out = tuple(v for v in self.successors(u) if (v, w) in edges)
+            self._bridges[(u, w)] = out
+        return out
 
     def weights(self, u: int, v: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         try:
@@ -254,6 +267,44 @@ class ApproxParams:
         return cls(e1, e2, as_fraction(eps_2_max) if eps_2_max is not None else e2, r)
 
 
+# An edit is (child, sign, u, v, w): the child path, +1 for an Add or -1 for
+# a Delete, and the edges it changes. With w set, v was inserted between u
+# and w or cut from between them; with w None, the end edge u->v was appended
+# or dropped.
+_Edit = Tuple[Path, int, int, int, Optional[int]]
+
+
+def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) -> Optional[_Edit]:
+    """The mutation of ``mutate_path`` on a valid tuple path, with its edit."""
+    last = len(p) - 1
+    if rng.random() < 0.5:
+        if len(p) >= max_len:
+            return None
+        i = rng.randrange(last + 1)
+        u = p[i]
+        if i == last:
+            succ = g.successors(u)
+            if not succ:
+                return None
+            v = succ[rng.randrange(len(succ))]
+            return p + (v,), 1, u, v, None
+        w = p[i + 1]
+        candidates = g.bridges(u, w)
+        if not candidates:
+            return None
+        v = candidates[rng.randrange(len(candidates))]
+        return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
+    if last < 2:
+        return None
+    i = 1 + rng.randrange(last - 1)
+    if i == last - 1:
+        return p[:-1], -1, p[i], p[last], None
+    u, w = p[i], p[i + 2]
+    if g.has_edge(u, w):
+        return p[: i + 1] + p[i + 2 :], -1, u, p[i + 1], w
+    return None
+
+
 def mutate_path(
     g: WeightedDigraph, p: Sequence[int], rng: random.Random, *, max_len: Optional[int] = None
 ) -> Optional[Path]:
@@ -261,41 +312,21 @@ def mutate_path(
 
     A fair coin picks Add or Delete. Add draws a uniform position i in 0..l:
     interior positions insert a uniformly chosen vertex v' with both bridging
-    edges present, position l appends a uniform successor of the last vertex.
-    Delete draws a uniform interior index i in 1..l-1: for i <= l-2 the vertex
-    after position i is cut if the shortcut edge exists, i = l-1 drops the last
-    vertex. A draw with no valid completion returns None without consuming
-    further randomness; Add on a path already at ``max_len`` vertices (default
-    2n) returns None before the position draw.
+    edges present (``g.bridges``), position l appends a uniform successor of
+    the last vertex. Delete draws a uniform interior index i in 1..l-1: for
+    i <= l-2 the vertex after position i is cut if the shortcut edge exists,
+    i = l-1 drops the last vertex. A draw with no valid completion returns
+    None without consuming further randomness; Add on a path already at
+    ``max_len`` vertices (default 2n) returns None before the position draw.
+
+    The archive step calls the same edit core, which also reports the edges
+    the edit changed, so both make the same draws and the same children.
     """
     p = tuple(p)
     if not p or p[0] != SOURCE:
         raise ValueError("path must start at the source vertex")
-    if max_len is None:
-        max_len = 2 * g.n
-    last = len(p) - 1
-    if rng.random() < 0.5:
-        if len(p) >= max_len:
-            return None
-        i = rng.randrange(last + 1)
-        if i == last:
-            succ = g.successors(p[last])
-            if not succ:
-                return None
-            return p + (succ[rng.randrange(len(succ))],)
-        candidates = [v for v in g.successors(p[i]) if g.has_edge(v, p[i + 1])]
-        if not candidates:
-            return None
-        v = candidates[rng.randrange(len(candidates))]
-        return p[: i + 1] + (v,) + p[i + 1 :]
-    if last < 2:
-        return None
-    i = 1 + rng.randrange(last - 1)
-    if i == last - 1:
-        return p[:-1]
-    if g.has_edge(p[i], p[i + 2]):
-        return p[: i + 1] + p[i + 2 :]
-    return None
+    edit = _edit_path(g, p, rng, 2 * g.n if max_len is None else max_len)
+    return None if edit is None else edit[0]
 
 
 @dataclass(frozen=True)
@@ -334,23 +365,17 @@ class SpRunResult:
 
 
 class _Rec:
-    __slots__ = ("path", "endpoint", "objectives", "lanes", "boxes", "birth", "zero")
+    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "zero")
 
-    def __init__(self, path, endpoint, objectives, lanes, boxes, birth, zero):
+    def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth, zero):
         self.path = path
         self.endpoint = endpoint
+        self.flat = flat
         self.objectives = objectives
         self.lanes = lanes
         self.boxes = boxes
         self.birth = birth
         self.zero = zero
-
-
-def _weak_le(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
 
 
 class _BoxArchive:
@@ -363,6 +388,17 @@ class _BoxArchive:
     lanes are dropped. The bare source path is the permanent first pool entry;
     it takes part in parent selection only, and walks that return to the
     source are rejected outright since the empty path already dominates them.
+
+    ``step`` mutates through the edit core of ``mutate_path`` and computes the
+    child's objectives from its parent's: the parent's flat vector (both
+    parties' objectives, concatenated) plus or minus the weights of the one
+    or three edges the edit changed, with exactly the sums ``eval_path``
+    would give. The per-party objectives, lanes and box tuples of a flat
+    vector are memoised per archive (one entry per distinct vector
+    evaluated), so ``floor_log`` runs only for vectors not seen before.
+    Since ``floor_log`` is monotone, an incumbent whose objectives weakly
+    dominate a lane also does so in boxes, so the rejection scan compares
+    boxes first and objectives only where the boxes are equal.
     """
 
     def __init__(
@@ -380,9 +416,10 @@ class _BoxArchive:
         self.max_len = max_len
         self.target_fn = target_fn
         self.targets = frozenset(target_endpoints)
+        self._views_of: Dict[Tuple[int, ...], tuple] = {}
         k1, k2 = g.k
-        zero_obj = (tuple([0] * k1), tuple([0] * k2))
-        src = _Rec((SOURCE,), SOURCE, zero_obj, (), (), 0, False)
+        zero = (0,) * (k1 + k2)
+        src = _Rec((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, False)
         self.pool: List[_Rec] = [src]
         self.buckets: Dict[int, List[_Rec]] = {}
         self.evaluations = 0
@@ -391,19 +428,27 @@ class _BoxArchive:
         self.zero_counts: Dict[int, int] = {}
         self.covered = 0
 
-    def _make_rec(self, path: Path, obj: MultiPartyObjectives, birth: int) -> _Rec:
-        flat = obj[0] + obj[1]
-        lanes = tuple(flat[a:b] for a, b in self.slices)
-        boxes = tuple(
-            tuple(base.floor_log(c) for c in lane) for lane, base in zip(lanes, self.bases)
-        )
+    def _views(self, flat: Tuple[int, ...]):
+        """The (objectives, lanes, boxes) of a flat vector, memoised."""
+        views = self._views_of.get(flat)
+        if views is None:
+            k1 = self.g.k[0]
+            lanes = tuple([flat[a:b] for a, b in self.slices])
+            boxes = tuple(
+                [tuple([base.floor_log(c) for c in lane]) for lane, base in zip(lanes, self.bases)]
+            )
+            views = self._views_of[flat] = ((flat[:k1], flat[k1:]), lanes, boxes)
+        return views
+
+    def _make_rec(self, path: Path, flat: Tuple[int, ...], birth: int) -> _Rec:
+        obj, lanes, boxes = self._views(flat)
         endpoint = path[-1]
         zero = bool(
             self.target_fn is not None
             and endpoint in self.targets
             and self.target_fn(endpoint, obj)
         )
-        return _Rec(path, endpoint, obj, lanes, boxes, birth, zero)
+        return _Rec(path, endpoint, flat, obj, lanes, boxes, birth, zero)
 
     def _enroll(self, rec: _Rec) -> None:
         self.buckets.setdefault(rec.endpoint, []).append(rec)
@@ -433,43 +478,54 @@ class _BoxArchive:
         if len(path) > 1 and path[-1] == SOURCE:
             raise ValueError("cannot seed a walk that returns to the source")
         if len(path) > 1:
-            self._enroll(self._make_rec(path, obj, 0))
+            self._enroll(self._make_rec(path, obj[0] + obj[1], 0))
 
     def step(self, rng: random.Random, generation: int) -> bool:
         parent = self.pool[rng.randrange(len(self.pool))]
-        child = mutate_path(self.g, parent.path, rng, max_len=self.max_len)
-        if child is None:
+        edit = _edit_path(self.g, parent.path, rng, self.max_len)
+        if edit is None:
             self.no_change += 1
             return False
-        obj = eval_path(self.g, child)
+        child, sign, u, v, w = edit
         self.evaluations += 1
-        if child[-1] == SOURCE:
+        endpoint = child[-1]
+        if endpoint == SOURCE:
             return False
-        rec = self._make_rec(child, obj, generation)
-        bucket = self.buckets.get(rec.endpoint)
+        weights = self.g.flat
+        delta = weights[(u, v)]
+        if w is not None:
+            delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
+        flat = tuple(map(add if sign > 0 else sub, parent.flat, delta))
+        _, lanes, boxes = self._views(flat)
+        bucket = self.buckets.get(endpoint)
         if bucket:
-            accepted = False
-            for li in range(len(self.slices)):
-                lane, box = rec.lanes[li], rec.boxes[li]
-                clean = True
+            # accept at the first lane where no incumbent strictly dominates
+            # the child in boxes or, with equal boxes, in objectives
+            for li in range(len(lanes)):
+                lane, box = lanes[li], boxes[li]
                 for z in bucket:
-                    zl, zb = z.lanes[li], z.boxes[li]
-                    if (_weak_le(zl, lane) and zl != lane) or (_weak_le(zb, box) and zb != box):
-                        clean = False
+                    zb = z.boxes[li]
+                    if zb == box:
+                        zl = z.lanes[li]
+                        if zl != lane and not any(map(gt, zl, lane)):
+                            break
+                    elif not any(map(gt, zb, box)):
                         break
-                if clean:
-                    accepted = True
+                else:
                     break
-            if not accepted:
+            else:
                 return False
-            doomed = [
-                z
-                for z in bucket
-                if all(_weak_le(rec.boxes[li], z.boxes[li]) for li in range(len(self.slices)))
-            ]
+            # drop the incumbents whose boxes the child weakly dominates in every lane
+            doomed = []
+            for z in bucket:
+                for box, zb in zip(boxes, z.boxes):
+                    if any(map(gt, box, zb)):
+                        break
+                else:
+                    doomed.append(z)
             for z in doomed:
                 self._drop(z)
-        self._enroll(rec)
+        self._enroll(self._make_rec(child, flat, generation))
         return True
 
     @property
@@ -515,8 +571,8 @@ def _drive(
     gen = 0
     sampled_at = -1
     for gen in range(1, budget + 1):
-        arch.step(rng, gen)
-        if hit_gen is None and arch.all_covered:
+        # only an accepted offspring can complete the coverage
+        if arch.step(rng, gen) and hit_gen is None and arch.all_covered:
             hit_gen, hit_evals = gen, arch.evaluations
             if stop_on_hit:
                 if metric_fn is not None:

@@ -1,5 +1,6 @@
 """Fixture graph, planted generator, and the instance file format."""
 
+import random
 from collections import deque
 
 import pytest
@@ -8,6 +9,8 @@ from mpmolab.instances import (
     KIND_FIXTURE,
     KIND_PLANTED,
     InstanceSpec,
+    _build_planted,
+    _verify_planted,
     fixture_graph,
     generate_planted_uav,
     instance_for,
@@ -189,3 +192,12 @@ def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ValueError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+def test_spot_check_rejects_a_tree_path_beaten_by_a_walk():
+    spec = InstanceSpec(KIND_PLANTED, 16, seed=2)
+    g, depth = _build_planted(spec, random.Random(spec.seed))
+    _verify_planted(g, depth, spec)
+    raised = {v: d + 1 for v, d in depth.items()}
+    with pytest.raises(ValueError, match="random walk beats tree path at vertex"):
+        _verify_planted(g, raised, spec)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mpmolab.core import Sense, weakly_dominates
 from mpmolab.instances import fixture_graph
@@ -120,6 +121,64 @@ def test_epsilon_of_solution_validation():
         epsilon_of_solution(((1, 2), (3,)), [((1, 2), (3, 4))])
     with pytest.raises(ValueError):
         epsilon_of_solution(((1, 2), (3, 4)), [((1, 0), (3, 4))])
+
+
+def fraction_epsilon(objectives, common_objectives):
+    """The all-Fraction definition of epsilon_of_solution, as the reference."""
+    if not common_objectives:
+        raise ValueError("common set for the endpoint is empty")
+    worst = None
+    for member in common_objectives:
+        if len(member) != len(objectives):
+            raise ValueError("party count mismatch against common member")
+        for vec_x, vec_z in zip(objectives, member):
+            if len(vec_x) != len(vec_z):
+                raise ValueError("objective count mismatch against common member")
+            for x, z in zip(vec_x, vec_z):
+                if z < 1:
+                    raise ValueError("common member has an objective below 1")
+                ratio = Fraction(x, z)
+                if worst is None or ratio > worst:
+                    worst = ratio
+    return max(worst - 1, Fraction(0))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def epsilon_cases(draw):
+    """An (x, members) pair; now and then a member is malformed."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    def vector(k, low):
+        return tuple(draw(st.lists(st.integers(low, 300), min_size=k, max_size=k)))
+
+    x = tuple(vector(k, 0) for k in shape)
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("ok", "ok", "ok", "parties", "objectives", "zero")))
+        member = [vector(k, 1) for k in shape]
+        if kind == "parties":
+            member = member[:1]
+        elif kind == "objectives":
+            member[1] = member[1] + (draw(st.integers(1, 300)),)
+        elif kind == "zero":
+            member[0] = (0,) + member[0][1:]
+        members.append(tuple(member))
+    return x, members
+
+
+@given(epsilon_cases())
+def test_epsilon_of_solution_matches_fraction_definition(case):
+    x, members = case
+    got = outcome(epsilon_of_solution, x, members)
+    want = outcome(fraction_epsilon, x, members)
+    assert got == want
+    assert type(got) is type(want)
 
 
 def test_epsilon_closed_form_agrees_with_bisection():

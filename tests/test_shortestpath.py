@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpmolab.harness import endpoint_commons, make_metric_fn
-from mpmolab.instances import fixture_graph
+from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import exact_party_fronts
 from mpmolab.shortestpath import (
     ApproxParams,
@@ -382,3 +382,72 @@ def test_simple_sp_rejects_seeded_walks_back_to_source():
             initial_archives=([(1, 2, 1)], []),
             party2_fronts=exact_party_fronts(g, 1),
         )
+
+
+@pytest.fixture(scope="module")
+def property_graphs():
+    return {
+        "fixture": fixture_graph(),
+        "planted10": generate_planted_uav(InstanceSpec(KIND_PLANTED, 10, seed=3)),
+        "planted30": generate_planted_uav(InstanceSpec(KIND_PLANTED, 30, seed=4)),
+    }
+
+
+@pytest.mark.parametrize("name", ["fixture", "planted10", "planted30"])
+def test_bridges_match_the_successor_scan(property_graphs, name):
+    g = property_graphs[name]
+    for u in range(1, g.n + 1):
+        for w in range(1, g.n + 1):
+            assert g.bridges(u, w) == tuple(v for v in g.successors(u) if g.has_edge(v, w))
+
+
+def check_members(g, members, lane_bases):
+    """Stored objectives and boxes equal a full evaluation of the path."""
+    for m in members:
+        assert m.objectives == eval_path(g, m.path), m.path
+        if m.path == (1,):
+            continue
+        flat = m.objectives[0] + m.objectives[1]
+        want = tuple(
+            tuple(base.floor_log(c) for c in flat[a:b]) for (a, b), base in lane_bases
+        )
+        assert m.boxes == want, m.path
+
+
+@pytest.mark.parametrize("name", ["fixture", "planted10", "planted30"])
+def test_incremental_objectives_equal_eval_path(property_graphs, name):
+    g = property_graphs[name]
+    k1, k2 = g.k
+    params = ApproxParams.consensus(g.n, 1, Fraction(1, 2), 2)
+    both = ((0, k1), params.r), ((k1, k1 + k2), params.r)
+    joint = (((0, k1 + k2), params.r),)
+    party = (
+        (((0, k1), BoxBase.power(2, g.n - 1)),),
+        (((k1, k1 + k2), BoxBase.power(Fraction(3, 2), g.n - 1)),),
+    )
+    generations = 3000
+
+    def watch(lanes):
+        def observer(gen, pool):
+            if gen % 500 == 0:
+                check_members(g, pool, lanes)
+        return observer
+
+    res = run_empmo_cons_sp(g, params, generations, 0, observer=watch(both))
+    check_members(g, res.archive, both)
+    res = run_demo_sp(g, params.r, generations, 1, observer=watch(joint))
+    check_members(g, res.archive, joint)
+
+    # injected members are evaluated in full; their offspring incrementally
+    seeds = [
+        p for p in ((1, 2), (1, 2, 3), (1, 2, 1, 2)) if all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
+    ]
+    assert seeds
+    watch_parties = lambda gen, pools: [watch(lanes)(gen, pool) for lanes, pool in zip(party, pools)]
+    res = run_empmo_simple_sp(
+        g, params, generations, 2,
+        initial_archives=(seeds, seeds), party2_fronts={}, observer=watch_parties,
+    )
+    assert res.evaluations >= 2 * len(seeds)
+    for lanes, members in zip(party, res.party_archives):
+        check_members(g, members, lanes)
