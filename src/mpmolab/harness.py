@@ -139,9 +139,16 @@ def compute_run_id(cells: Dict[str, str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def endpoint_commons(g: WeightedDigraph) -> Dict[int, Tuple]:
-    """Exact common-set objectives per endpoint, for metrics and hit targets."""
-    cat = oracles.exact_path_catalog(g)
+def endpoint_commons(
+    g: WeightedDigraph, cat: Optional[oracles.PathCatalog] = None
+) -> Dict[int, Tuple]:
+    """Exact common-set objectives per endpoint, for metrics and hit targets.
+
+    ``cat``, if given, is the graph's exact path catalog, reused instead of
+    enumerating the paths again.
+    """
+    if cat is None:
+        cat = oracles.exact_path_catalog(g)
     return {e: tuple(cat.common_objectives(e)) for e in cat.per_endpoint}
 
 
@@ -235,7 +242,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
         else:
             g = load_graph(config.instance)
             cells["n"] = _cell(g.n)
-            refs = endpoint_commons(g) if g.n <= ORACLE_N_LIMIT else {}
+            cat = oracles.exact_path_catalog(g) if g.n <= ORACLE_N_LIMIT else None
+            refs = endpoint_commons(g, cat) if cat is not None else {}
             metric_fn = make_metric_fn(refs) if refs else None
             target_fn = make_target_fn(refs) if refs else None
             params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
@@ -256,8 +264,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
                 hit = result.hit_evaluations
             else:
                 fronts = None
-                if g.n <= ORACLE_N_LIMIT:
-                    cat = oracles.exact_path_catalog(g)
+                if cat is not None:
                     fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
                 result = run_empmo_simple_sp(
                     g, params, config.budget, seed,

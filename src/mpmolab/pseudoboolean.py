@@ -140,10 +140,6 @@ class PseudoBooleanProblem:
         return (_joint(half, i, j),)
 
 
-def eval_problem(problem: PseudoBooleanProblem, x: BitString) -> MultiPartyObjectives:
-    return problem.evaluate(x)
-
-
 def analytic_fronts(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
     """Closed-form Pareto fronts, one frozenset of vectors per party.
 
@@ -222,6 +218,13 @@ def run_semo(
     ``stop="budget"`` runs out the evaluation budget. ``observer``, if given,
     is called as ``observer(iteration, archive)`` with the live archive (a list
     of ``(vector, word, i, j, birth)`` tuples; treat it as read-only).
+
+    The vector is a function of the cell (i, j), so the archive remembers the
+    cells whose offspring it rejected and skips the scan when one comes back.
+    This is exact and the memo is never cleared: let D(A) be the set of
+    vectors some member of A weakly dominates. An accepted v removes only
+    members e with v >= e, and everything such an e dominated v dominates
+    too, so D(A) only grows and a rejected cell stays rejected.
     """
     if problem.parties != 1:
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
@@ -241,6 +244,8 @@ def run_semo(
     archive = [(vec, word, i, j, 0)]
     evaluations = 1
     iterations = 0
+    stride = half + 1
+    rejected = bytearray(stride * stride)
 
     target = analytic_fronts(problem)[0] if stop == "target" else None
     covered = set()
@@ -260,21 +265,25 @@ def run_semo(
             i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
         else:
             i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
-        w2 = pw ^ (1 << b)
-        v2 = vec_of(half, i2, j2)
         evaluations += 1
-        accepted = True
-        for e in archive:
-            if _weak_ge(e[0], v2):
-                accepted = False
-                break
-        if accepted:
-            archive = [e for e in archive if not _weak_ge(v2, e[0])]
-            archive.append((v2, w2, i2, j2, iterations))
-            if target is not None and v2 in target:
-                covered.add(v2)
-                if len(covered) == len(target):
-                    hit = evaluations
+        cell = i2 * stride + j2
+        if not rejected[cell]:
+            w2 = pw ^ (1 << b)
+            v2 = vec_of(half, i2, j2)
+            accepted = True
+            for e in archive:
+                if _weak_ge(e[0], v2):
+                    accepted = False
+                    break
+            if accepted:
+                archive = [e for e in archive if not _weak_ge(v2, e[0])]
+                archive.append((v2, w2, i2, j2, iterations))
+                if target is not None and v2 in target:
+                    covered.add(v2)
+                    if len(covered) == len(target):
+                        hit = evaluations
+            else:
+                rejected[cell] = 1
         if observer is not None:
             observer(iterations, archive)
 
@@ -318,6 +327,12 @@ def run_empmo_simple(
     per-party fronts; ``stop="budget"`` runs out the budget. ``observer`` is
     called as ``observer(iteration, (P1, P2))`` with live archives of
     ``(vector, word, i, j, birth)`` tuples.
+
+    Each archive remembers the cells (i, j) whose offspring it rejected and
+    skips the scan when one comes back, as in ``run_semo``. Each archive is
+    judged only by its own party, so the set of vectors its members weakly
+    dominate only grows (an accepted v removes only members it weakly
+    dominates), and a cell rejected once stays rejected for the whole run.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_simple requires the bi-party problem")
@@ -340,6 +355,8 @@ def run_empmo_simple(
     vec_of = (_party1, _party2)
     evaluations = 2
     iterations = 0
+    stride = half + 1
+    rejected = (bytearray(stride * stride), bytearray(stride * stride))
     has_ones = [word == ones_word, word == ones_word]
 
     fronts = analytic_fronts(problem) if stop == "fronts" else None
@@ -372,24 +389,29 @@ def run_empmo_simple(
                 i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
             else:
                 i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
+            evaluations += 1
+            cell = i2 * stride + j2
+            if rejected[m][cell]:
+                continue
             w2 = pw ^ (1 << b)
             v2 = vec_of[m](half, i2, j2)
-            evaluations += 1
             accepted = True
             for e in P:
                 if _weak_ge(e[0], v2):
                     accepted = False
                     break
-            if accepted:
-                archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
-                archives[m].append((v2, w2, i2, j2, iterations))
-                if w2 == ones_word:
-                    has_ones[m] = True
-                if fronts is not None and v2 in fronts[m]:
-                    covered[m].add(v2)
-                if done():
-                    hit = evaluations
-                    break
+            if not accepted:
+                rejected[m][cell] = 1
+                continue
+            archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
+            archives[m].append((v2, w2, i2, j2, iterations))
+            if w2 == ones_word:
+                has_ones[m] = True
+            if fronts is not None and v2 in fronts[m]:
+                covered[m].add(v2)
+            if done():
+                hit = evaluations
+                break
         if observer is not None:
             observer(iterations, (archives[0], archives[1]))
 
@@ -460,8 +482,14 @@ def run_empmo_random(
 
     ``stop="target"`` ends the run once the all-ones string is accepted into
     the archive; it is never removed afterwards. ``observer`` is called as
-    ``observer(iteration, archive)`` with live ``(v1, v2, word, birth)``
+    ``observer(iteration, archive)`` with live ``(v1, v2, word, i, j, birth)``
     entries.
+
+    Unlike ``run_semo`` and ``run_empmo_simple`` this runner scans the archive
+    for every offspring and keeps no memo of rejected cells: a removal under
+    one party can drop the member that dominated a cell under the other, and
+    the prune changes the archive without any accept, so the set of vectors
+    the archive dominates under a party can shrink.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_random requires the bi-party problem")

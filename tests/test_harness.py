@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mpmolab import oracles
 from mpmolab.harness import (
     AGGREGATE_COLUMNS,
     ExperimentConfig,
@@ -91,6 +92,22 @@ def test_run_single_graph_row_fills_n_and_metrics():
     for m in rec.metrics:
         assert float(m["mean_eps_members"]) >= float(m["mean_eps_endpoints"]) >= 0.0
         assert float(m["max_eps"]) >= float(m["mean_eps_members"])
+
+
+@pytest.mark.parametrize("algorithm", ["empmo-cons-sp", "demo-sp", "empmo-simple-sp"])
+def test_run_single_builds_the_path_catalog_once(algorithm, monkeypatch):
+    built = []
+    exact = oracles.exact_path_catalog
+
+    def counting(g, **kwargs):
+        built.append(g.n)
+        return exact(g, **kwargs)
+
+    monkeypatch.setattr(oracles, "exact_path_catalog", counting)
+    cfg = ExperimentConfig(algorithm, instance="fixture", eps1=1, eps2=1, eps2max=2, budget=300)
+    rec = run_single(cfg, 0)
+    assert rec.summary["error"] == ""
+    assert built == [5]
 
 
 def test_run_single_captures_failures_as_error_rows():

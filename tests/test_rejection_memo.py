@@ -1,0 +1,198 @@
+"""The rejection memo of ``run_semo`` and ``run_empmo_simple`` is exact.
+
+The references below are the full-scan loops the runners used before the
+memo: every offspring is judged by a scan of its archive. For any seed, size,
+kind and stop mode the memoised runners must show the observer the same
+archive at every iteration and return the same trace, apart from wall time.
+"""
+
+import dataclasses
+import random
+
+from hypothesis import Phase, given, settings, strategies as st
+
+from mpmolab.pseudoboolean import (
+    PseudoBooleanProblem,
+    RunTrace,
+    _entry,
+    _joint,
+    _party1,
+    _party2,
+    _weak_ge,
+    analytic_fronts,
+    run_empmo_simple,
+    run_semo,
+)
+
+
+def _child(half, pw, pi, pj, b):
+    if b < half:
+        return pi + (1 if not (pw >> b) & 1 else -1), pj
+    return pi, pj + (1 if not (pw >> b) & 1 else -1)
+
+
+def full_scan_semo(problem, seed, *, budget, stop, observer):
+    rng = random.Random(seed)
+    n, half = problem.n, problem.half
+    vec_of = {"aorz": _party1, "aofz": _party2, "aoaz": _joint}[problem.kind]
+    word = rng.getrandbits(n)
+    i, j = (word & ((1 << half) - 1)).bit_count(), (word >> half).bit_count()
+    archive = [(vec_of(half, i, j), word, i, j, 0)]
+    evaluations, iterations = 1, 0
+    target = analytic_fronts(problem)[0] if stop == "target" else None
+    covered = set()
+    hit = None
+    if target is not None and archive[0][0] in target:
+        covered.add(archive[0][0])
+        if len(covered) == len(target):
+            hit = evaluations
+    while hit is None and evaluations < budget:
+        iterations += 1
+        k = rng.randrange(len(archive))
+        b = rng.randrange(n)
+        _, pw, pi, pj, _ = archive[k]
+        i2, j2 = _child(half, pw, pi, pj, b)
+        w2 = pw ^ (1 << b)
+        v2 = vec_of(half, i2, j2)
+        evaluations += 1
+        if not any(_weak_ge(e[0], v2) for e in archive):
+            archive = [e for e in archive if not _weak_ge(v2, e[0])]
+            archive.append((v2, w2, i2, j2, iterations))
+            if target is not None and v2 in target:
+                covered.add(v2)
+                if len(covered) == len(target):
+                    hit = evaluations
+        observer(iterations, archive)
+    return RunTrace(
+        algorithm="semo", problem=problem.kind, n=n, phi=None, seed=seed,
+        evaluations=evaluations, iterations=iterations, hit_time=hit,
+        final_population=[_entry(problem, e[1], e[4]) for e in archive], wall_ms=0.0,
+    )
+
+
+def full_scan_empmo_simple(problem, seed, *, budget, stop, observer):
+    rng = random.Random(seed)
+    n, half = problem.n, problem.half
+    ones_word = (1 << n) - 1
+    word = rng.getrandbits(n)
+    i0, j0 = (word & ((1 << half) - 1)).bit_count(), (word >> half).bit_count()
+    archives = [
+        [(_party1(half, i0, j0), word, i0, j0, 0)],
+        [(_party2(half, i0, j0), word, i0, j0, 0)],
+    ]
+    vec_of = (_party1, _party2)
+    evaluations, iterations = 2, 0
+    has_ones = [word == ones_word] * 2
+    fronts = analytic_fronts(problem)
+    covered = [{P[0][0]} & fronts[m] for m, P in enumerate(archives)]
+
+    def done():
+        if stop == "target":
+            return all(has_ones)
+        if stop == "fronts":
+            return all(len(covered[m]) == len(fronts[m]) for m in (0, 1))
+        return False
+
+    hit = evaluations if done() else None
+    while hit is None and evaluations < budget:
+        iterations += 1
+        for m in (0, 1):
+            if evaluations >= budget:
+                break
+            P = archives[m]
+            k = rng.randrange(len(P))
+            b = rng.randrange(n)
+            _, pw, pi, pj, _ = P[k]
+            i2, j2 = _child(half, pw, pi, pj, b)
+            w2 = pw ^ (1 << b)
+            v2 = vec_of[m](half, i2, j2)
+            evaluations += 1
+            if any(_weak_ge(e[0], v2) for e in P):
+                continue
+            archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
+            archives[m].append((v2, w2, i2, j2, iterations))
+            has_ones[m] = has_ones[m] or w2 == ones_word
+            if v2 in fronts[m]:
+                covered[m].add(v2)
+            if done():
+                hit = evaluations
+                break
+        observer(iterations, (archives[0], archives[1]))
+    seen = {}
+    for P in archives:
+        for e in P:
+            if e[1] not in seen or e[4] < seen[e[1]]:
+                seen[e[1]] = e[4]
+    return RunTrace(
+        algorithm="empmo-simple", problem="bpaoaz", n=n, phi=None, seed=seed,
+        evaluations=evaluations, iterations=iterations, hit_time=hit,
+        final_population=[_entry(problem, w, birth) for w, birth in sorted(seen.items())],
+        wall_ms=0.0,
+        archives=tuple([_entry(problem, e[1], e[4]) for e in P] for P in archives),
+    )
+
+
+def recorded(runner, problem, seed, budget, stop):
+    frames = []
+
+    def observer(iteration, archive):
+        # Every iteration spends an evaluation, so a runner past this point
+        # has stopped counting them and would never end.
+        assert iteration < budget
+        if isinstance(archive, tuple):
+            archive = tuple(list(P) for P in archive)
+        else:
+            archive = list(archive)
+        frames.append((iteration, archive))
+
+    trace = runner(problem, seed, budget=budget, stop=stop, observer=observer)
+    return frames, dataclasses.replace(trace, wall_ms=0.0)
+
+
+def assert_same_run(runner, reference, problem, seed, budget, stop):
+    # Frame by frame, so a failure reports one small archive, not the run.
+    frames, trace = recorded(runner, problem, seed, budget, stop)
+    want_frames, want_trace = recorded(reference, problem, seed, budget, stop)
+    for got, want in zip(frames, want_frames):
+        assert got == want
+    assert len(frames) == len(want_frames)
+    assert trace == want_trace
+
+
+sizes = st.integers(2, 10).map(lambda h: 2 * h)
+budgets = st.integers(1, 1500)
+# Target and fronts runs at n <= 20 hit within about 4,000 evaluations; one
+# that reaches the cap ends as a budget run in both loops and still compares.
+# The cap makes a memo that loses the target fail fast instead of hang, and
+# the explain phase, which reruns a failing example many times, is left out.
+STOP_CAP = 5_000
+QUICK = settings(
+    max_examples=150, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+)
+
+
+@QUICK
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=sizes,
+    kind=st.sampled_from(["aoaz", "aorz", "aofz"]),
+    stop=st.sampled_from(["target", "budget"]),
+    budget=budgets,
+)
+def test_semo_memo_matches_full_scan(seed, n, kind, stop, budget):
+    problem = PseudoBooleanProblem(kind, n)
+    budget = budget if stop == "budget" else STOP_CAP
+    assert_same_run(run_semo, full_scan_semo, problem, seed, budget, stop)
+
+
+@QUICK
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=sizes,
+    stop=st.sampled_from(["target", "fronts", "budget"]),
+    budget=budgets,
+)
+def test_empmo_simple_memo_matches_full_scan(seed, n, stop, budget):
+    problem = PseudoBooleanProblem("bpaoaz", n)
+    budget = budget if stop == "budget" else STOP_CAP
+    assert_same_run(run_empmo_simple, full_scan_empmo_simple, problem, seed, budget, stop)
