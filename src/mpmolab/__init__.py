@@ -20,7 +20,6 @@ from .shortestpath import (
     ApproxParams,
     BoxBase,
     WeightedDigraph,
-    box_index,
     consensus_archive_bound,
     epsilon_dominates,
     eval_path,
@@ -32,7 +31,6 @@ from .shortestpath import (
 )
 from .oracles import (
     brute_force_pseudoboolean,
-    epsilon_bisection,
     epsilon_of_solution,
     exact_path_catalog,
     payoff_runtime_predictor,
@@ -54,11 +52,9 @@ __all__ = [
     "Sense",
     "WeightedDigraph",
     "analytic_fronts",
-    "box_index",
     "brute_force_pseudoboolean",
     "consensus_archive_bound",
     "dominance_compare",
-    "epsilon_bisection",
     "epsilon_dominates",
     "epsilon_of_solution",
     "eval_path",

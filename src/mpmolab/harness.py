@@ -13,6 +13,7 @@ for the bit-flip optimizers, generations for the graph searches.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -22,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import oracles
 from .instances import fixture_graph, parse_instance
@@ -67,6 +69,9 @@ CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
 DEFAULT_CADENCE = 100
 DEFAULT_PB_BUDGET = 10**8
 ORACLE_N_LIMIT = 12
+# A sweep file names one instance; the headroom covers pool workers whose rows
+# interleave several files.
+GRAPH_SETUP_CACHE_SIZE = 8
 
 
 def _cell(value) -> str:
@@ -218,8 +223,31 @@ class RunRecord:
     trace: Dict[str, str]
 
 
+@functools.lru_cache(maxsize=GRAPH_SETUP_CACHE_SIZE)
+def _graph_setup(text: Optional[str]) -> Tuple[WeightedDigraph, Mapping, Optional[Mapping]]:
+    """The graph of an instance file's text (None: the fixture) and its oracles.
+
+    Returns (graph, endpoint references, party-2 fronts). The references and
+    fronts come from one exact path catalog, built only when the graph has at
+    most ORACLE_N_LIMIT vertices; above it they are empty and None. Both are
+    read-only, since every row of the process shares them. Exceptions are not
+    cached, so a malformed file fails the same way on every row.
+    """
+    g = fixture_graph() if text is None else parse_instance(text)
+    if g.n > ORACLE_N_LIMIT:
+        return g, MappingProxyType({}), None
+    cat = oracles.exact_path_catalog(g)
+    fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
+    return g, MappingProxyType(endpoint_commons(g, cat)), MappingProxyType(fronts)
+
+
 def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
-    """Execute one (config, seed) pair; failures land in the error column."""
+    """Execute one (config, seed) pair; failures land in the error column.
+
+    Graph rows of one process share one parse and one exact path catalog per
+    distinct instance content: the file is read on every row, and a file
+    rewritten between rows is set up afresh.
+    """
     cells = _config_cells(config, seed)
     evaluations = generations = 0
     hit: Optional[int] = None
@@ -240,10 +268,9 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
             evaluations, generations = trace.evaluations, trace.iterations
             hit, wall = trace.hit_time, trace.wall_ms
         else:
-            g = load_graph(config.instance)
+            text = None if config.instance == "fixture" else FsPath(config.instance).read_text()
+            g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
-            cat = oracles.exact_path_catalog(g) if g.n <= ORACLE_N_LIMIT else None
-            refs = endpoint_commons(g, cat) if cat is not None else {}
             metric_fn = make_metric_fn(refs) if refs else None
             target_fn = make_target_fn(refs) if refs else None
             params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
@@ -263,9 +290,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
                 )
                 hit = result.hit_evaluations
             else:
-                fronts = None
-                if cat is not None:
-                    fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
                 result = run_empmo_simple_sp(
                     g, params, config.budget, seed,
                     party2_fronts=fronts, metric_fn=metric_fn, cadence=config.cadence,

@@ -194,38 +194,6 @@ def epsilon_of_solution(
     return Fraction(wx - wz, wz) if wx > wz else Fraction(0)
 
 
-def epsilon_bisection(
-    objectives: MultiPartyObjectives,
-    common_objectives: Sequence[MultiPartyObjectives],
-    tol: float = 1e-9,
-) -> float:
-    """Bisection cross-check for epsilon_of_solution, accurate to ``tol``."""
-    if not common_objectives:
-        raise ValueError("common set for the endpoint is empty")
-
-    def dominates_all(eps: float) -> bool:
-        factor = 1.0 + eps
-        for member in common_objectives:
-            for vec_x, vec_z in zip(objectives, member):
-                for x, z in zip(vec_x, vec_z):
-                    if x > factor * z:
-                        return False
-        return True
-
-    if dominates_all(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while not dominates_all(hi):
-        lo, hi = hi, hi * 2.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if dominates_all(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def payoff_runtime_predictor(n: int, initial_zero_count: int) -> Fraction:
     """Expected evaluations for the payoff-gated climb from z zero bits: sum n/i."""
     if not 0 <= initial_zero_count <= n:

@@ -229,20 +229,6 @@ class BoxBase:
 
 
 @dataclass(frozen=True)
-class BoxIndex:
-    endpoint: int
-    per_party: Tuple[Tuple[int, ...], ...]
-
-
-def box_index(objectives: MultiPartyObjectives, r: BoxBase, endpoint: int) -> BoxIndex:
-    """Per-party tuples of floored log_r objective values."""
-    return BoxIndex(
-        endpoint=endpoint,
-        per_party=tuple(tuple(r.floor_log(f) for f in vec) for vec in objectives),
-    )
-
-
-@dataclass(frozen=True)
 class ApproxParams:
     """Approximation slacks and the box base a consensus run works at."""
 

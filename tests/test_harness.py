@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpmolab import oracles
+from mpmolab import harness, oracles
 from mpmolab.harness import (
     AGGREGATE_COLUMNS,
     ExperimentConfig,
@@ -94,8 +94,19 @@ def test_run_single_graph_row_fills_n_and_metrics():
         assert float(m["max_eps"]) >= float(m["mean_eps_members"])
 
 
+@pytest.fixture
+def fresh_graph_setup():
+    harness._graph_setup.cache_clear()
+    yield
+    harness._graph_setup.cache_clear()
+
+
+def planted_text(seed):
+    return write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, 10, seed=seed)))
+
+
 @pytest.mark.parametrize("algorithm", ["empmo-cons-sp", "demo-sp", "empmo-simple-sp"])
-def test_run_single_builds_the_path_catalog_once(algorithm, monkeypatch):
+def test_run_single_builds_the_path_catalog_once(algorithm, monkeypatch, fresh_graph_setup):
     built = []
     exact = oracles.exact_path_catalog
 
@@ -108,6 +119,62 @@ def test_run_single_builds_the_path_catalog_once(algorithm, monkeypatch):
     rec = run_single(cfg, 0)
     assert rec.summary["error"] == ""
     assert built == [5]
+
+
+def test_run_many_builds_each_graph_setup_once(tmp_path, monkeypatch, fresh_graph_setup):
+    built, parsed = [], []
+    exact, parse = oracles.exact_path_catalog, harness.parse_instance
+
+    def counting_catalog(g, **kwargs):
+        built.append(g.n)
+        return exact(g, **kwargs)
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(oracles, "exact_path_catalog", counting_catalog)
+    monkeypatch.setattr(harness, "parse_instance", counting_parse)
+    path = tmp_path / "planted10.bpm"
+    path.write_text(planted_text(0))
+    configs = [
+        ExperimentConfig(algorithm, instance=instance, eps1=1, eps2=1, eps2max=2, seeds=(0, 1, 2), budget=300)
+        for instance in ("fixture", str(path))
+        for algorithm in ("empmo-cons-sp", "demo-sp", "empmo-simple-sp")
+    ]
+    result = run_many(configs)
+    assert len(result.summary_rows) == 18
+    assert all(row["error"] == "" for row in result.summary_rows)
+    assert built == [5, 10]
+    assert len(parsed) == 1
+
+
+def test_graph_setup_is_keyed_by_content(tmp_path, fresh_graph_setup):
+    path = tmp_path / "inst.bpm"
+    cfg = ExperimentConfig("empmo-cons-sp", instance=str(path), eps1=1, eps2=1, budget=2000)
+    path.write_text(planted_text(0))
+    row_a = run_single(cfg, 0)
+    path.write_text(planted_text(1))
+    row_b = run_single(cfg, 0)
+    harness._graph_setup.cache_clear()
+    fresh_b = run_single(cfg, 0)
+    assert (row_b.summary, row_b.metrics) == (fresh_b.summary, fresh_b.metrics)
+    assert (row_b.summary, row_b.metrics) != (row_a.summary, row_a.metrics)
+
+    path.write_text("this is not an instance\n")
+    first, second = run_single(cfg, 0), run_single(cfg, 0)
+    assert first.summary["error"] != ""
+    assert first.summary == second.summary
+
+
+def test_graph_setup_is_read_only(fresh_graph_setup):
+    _, refs, fronts = harness._graph_setup(None)
+    assert set(refs) == set(fronts) == {2, 3, 4, 5}
+    with pytest.raises(TypeError):
+        refs[2] = ()
+    with pytest.raises(TypeError):
+        fronts[2] = ()
+    assert all(isinstance(v, tuple) for v in (*refs.values(), *fronts.values()))
 
 
 def test_run_single_captures_failures_as_error_rows():

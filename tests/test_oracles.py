@@ -10,7 +10,6 @@ from mpmolab.core import Sense, weakly_dominates
 from mpmolab.instances import fixture_graph
 from mpmolab.oracles import (
     brute_force_pseudoboolean,
-    epsilon_bisection,
     epsilon_of_solution,
     exact_party_fronts,
     exact_path_catalog,
@@ -179,6 +178,34 @@ def test_epsilon_of_solution_matches_fraction_definition(case):
     want = outcome(fraction_epsilon, x, members)
     assert got == want
     assert type(got) is type(want)
+
+
+def epsilon_bisection(objectives, common_objectives, tol=1e-9):
+    """Bisection reference for epsilon_of_solution, accurate to ``tol``."""
+    if not common_objectives:
+        raise ValueError("common set for the endpoint is empty")
+
+    def dominates_all(eps):
+        factor = 1.0 + eps
+        for member in common_objectives:
+            for vec_x, vec_z in zip(objectives, member):
+                for x, z in zip(vec_x, vec_z):
+                    if x > factor * z:
+                        return False
+        return True
+
+    if dominates_all(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while not dominates_all(hi):
+        lo, hi = hi, hi * 2.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if dominates_all(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_epsilon_closed_form_agrees_with_bisection():
