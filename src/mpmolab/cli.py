@@ -12,11 +12,9 @@ directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 OUT_ENV = "MPMOLAB_OUT"
-DEFAULT_SP_BUDGET = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,29 +50,6 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(OUT_ENV, "."))
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _print_rows(columns, rows) -> None:
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _frac(value: str) -> Fraction:
-    return Fraction(value)
-
-
 def cmd_run(args) -> int:
     eps1, eps2 = args.eps1, args.eps2
     if args.eps is not None:
@@ -84,7 +58,7 @@ def cmd_run(args) -> int:
         eps1 = eps2 = args.eps
     budget = args.budget
     if budget is None:
-        budget = harness.DEFAULT_PB_BUDGET if args.alg in harness.PSEUDOBOOLEAN_ALGORITHMS else DEFAULT_SP_BUDGET
+        budget = harness.FAMILY_BUDGETS[harness.RUNNERS[args.alg].family]
     config = harness.ExperimentConfig(
         algorithm=args.alg,
         problem=args.problem or "",
@@ -99,7 +73,7 @@ def cmd_run(args) -> int:
         cadence=args.cadence,
     )
     record = harness.run_single(config, args.seed)
-    _print_rows(harness.SUMMARY_COLUMNS, [record.summary])
+    harness.write_rows(sys.stdout, harness.SUMMARY_COLUMNS, [record.summary])
     out = _out_dir(args)
     run_id = record.summary["run_id"]
     harness.write_csv(out / f"{run_id}_summary.csv", harness.SUMMARY_COLUMNS, [record.summary])
@@ -150,7 +124,8 @@ def cmd_gen(args) -> int:
     )
     g = generate_planted_uav(spec)
     text = write_instance(g, comment=provenance_comment(spec))
-    _write_text(Path(args.out_file), text)
+    with harness.atomic_open(args.out_file) as fh:
+        fh.write(text)
     print(f"wrote {args.out_file} (n={g.n}, edges={g.edge_count})")
     return EXIT_OK
 
@@ -205,10 +180,10 @@ def build_parser() -> _Parser:
     p_run.add_argument("--n", type=int, help="problem size for pseudo-Boolean kinds")
     p_run.add_argument("--phi", type=float, help="party-1 selection probability (empmo-random)")
     p_run.add_argument("--instance", help="'fixture' or an instance file path")
-    p_run.add_argument("--eps", type=_frac, help="sets both eps1 and eps2")
-    p_run.add_argument("--eps1", type=_frac, help="party-1 approximation parameter")
-    p_run.add_argument("--eps2", type=_frac, help="party-2 approximation parameter")
-    p_run.add_argument("--eps2-max", type=_frac, help="consensus relaxation cap (default eps2)")
+    p_run.add_argument("--eps", type=Fraction, help="sets both eps1 and eps2")
+    p_run.add_argument("--eps1", type=Fraction, help="party-1 approximation parameter")
+    p_run.add_argument("--eps2", type=Fraction, help="party-2 approximation parameter")
+    p_run.add_argument("--eps2-max", type=Fraction, help="consensus relaxation cap (default eps2)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--budget", type=int, help="evaluations (bit-flip) or generations (graphs); defaults 1e8 / 1e6")
     p_run.add_argument("--cadence", type=int, default=harness.DEFAULT_CADENCE, help="generations between metric samples")

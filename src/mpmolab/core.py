@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import ge, le
 from typing import Sequence, Tuple
 
 ObjectiveVector = Tuple[float, ...]
@@ -73,9 +74,7 @@ def dominance_compare(a: Sequence[float], b: Sequence[float], sense: Sense) -> D
 def weakly_dominates(a: Sequence[float], b: Sequence[float], sense: Sense) -> bool:
     """True when ``a`` is no worse than ``b`` in every component."""
     _check_pair(a, b)
-    if sense is Sense.MAXIMIZE:
-        return all(x >= y for x, y in zip(a, b))
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(ge if sense is Sense.MAXIMIZE else le, a, b))
 
 
 def payoff_component(before: Sequence[float], after: Sequence[float], sense: Sense) -> int:

@@ -12,6 +12,7 @@ for the bit-flip optimizers, generations for the graph searches.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path as FsPath
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import oracles
+from .core import Sense, weakly_dominates
 from .instances import fixture_graph, parse_instance
 from .pseudoboolean import (
     KINDS,
@@ -38,17 +40,12 @@ from .pseudoboolean import (
 )
 from .shortestpath import (
     ApproxParams,
-    BoxBase,
     WeightedDigraph,
     as_fraction,
     run_demo_sp,
     run_empmo_cons_sp,
     run_empmo_simple_sp,
 )
-
-PSEUDOBOOLEAN_ALGORITHMS = ("semo", "empmo-simple", "empmo-random", "empmo-payoff")
-GRAPH_ALGORITHMS = ("empmo-cons-sp", "empmo-simple-sp", "demo-sp")
-ALGORITHMS = PSEUDOBOOLEAN_ALGORITHMS + GRAPH_ALGORITHMS
 
 SUMMARY_COLUMNS = [
     "run_id", "algorithm", "problem", "instance", "n", "phi",
@@ -68,10 +65,58 @@ ID_FIELDS = ("algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "ep
 CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
 DEFAULT_CADENCE = 100
 DEFAULT_PB_BUDGET = 10**8
+DEFAULT_SP_BUDGET = 10**6
 ORACLE_N_LIMIT = 12
 # A sweep file names one instance; the headroom covers pool workers whose rows
 # interleave several files.
 GRAPH_SETUP_CACHE_SIZE = 8
+
+
+class GraphRow(NamedTuple):
+    """A graph adapter's inputs; ``measure`` and ``stop`` are runner keyword arguments."""
+
+    g: WeightedDigraph
+    params: ApproxParams
+    fronts: Optional[Mapping]
+    measure: dict  # metric_fn and cadence, for every graph runner
+    stop: dict  # target_fn, target_endpoints and stop_on_hit, for the runners that stop at coverage
+
+
+class Runner(NamedTuple):
+    """An algorithm's family, the adapter that runs one row, and whether it takes phi."""
+
+    family: str
+    run: Callable
+    phi: bool = False
+
+
+PB, GRAPH = "pseudoboolean", "graph"
+# The default budget of ``mpmolab run`` per family, in the family's native unit.
+FAMILY_BUDGETS = {PB: DEFAULT_PB_BUDGET, GRAPH: DEFAULT_SP_BUDGET}
+
+# The one table of algorithms. A pseudo-Boolean adapter is called as
+# run(problem, config, seed), a graph adapter as run(GraphRow, config, seed).
+# The adapters name the runners as module globals, so each call looks them
+# up when it runs: replacing ``harness.run_semo`` replaces what rows call.
+RUNNERS: Dict[str, Runner] = {
+    "semo": Runner(PB, lambda p, c, s: run_semo(p, s, budget=c.budget)),
+    "empmo-simple": Runner(PB, lambda p, c, s: run_empmo_simple(p, s, budget=c.budget)),
+    "empmo-random": Runner(PB, lambda p, c, s: run_empmo_random(p, c.phi, s, budget=c.budget), phi=True),
+    "empmo-payoff": Runner(PB, lambda p, c, s: run_empmo_payoff(p, s, budget=c.budget)),
+    "empmo-cons-sp": Runner(
+        GRAPH, lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, **r.measure, **r.stop)
+    ),
+    "empmo-simple-sp": Runner(
+        GRAPH,
+        lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, **r.measure),
+    ),
+    # the consensus base (1+min eps)^(1/(n-1)) is demo-sp's box base too
+    "demo-sp": Runner(GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params.r, c.budget, s, **r.measure, **r.stop)),
+}
+ALGORITHMS = tuple(RUNNERS)
+PSEUDOBOOLEAN_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].family == PB)
+GRAPH_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].family == GRAPH)
+PHI_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].phi)
 
 
 def _cell(value) -> str:
@@ -99,7 +144,7 @@ class ExperimentConfig:
     cadence: int = DEFAULT_CADENCE
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         for name in ("eps1", "eps2", "eps2max"):
@@ -112,25 +157,23 @@ class ExperimentConfig:
             raise ValueError("budget must be positive")
         if self.cadence < 1:
             raise ValueError("cadence must be positive")
-        if self.algorithm in PSEUDOBOOLEAN_ALGORITHMS:
+        runner = RUNNERS[self.algorithm]
+        if runner.family == PB:
             if self.problem not in KINDS:
                 raise ValueError(f"algorithm {self.algorithm} needs problem in {KINDS}")
             if self.instance:
                 raise ValueError("bit-flip algorithms take a problem kind, not an instance")
-            if self.algorithm == "empmo-random":
-                if self.phi is None:
-                    raise ValueError("empmo-random needs phi")
-            elif self.phi is not None:
-                raise ValueError("phi is only meaningful for empmo-random")
         else:
             if not self.instance:
                 raise ValueError(f"algorithm {self.algorithm} needs an instance")
             if self.problem:
                 raise ValueError("graph algorithms take an instance, not a problem kind")
-            if self.phi is not None:
-                raise ValueError("phi is only meaningful for empmo-random")
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError(f"algorithm {self.algorithm} needs eps1 and eps2")
+        if runner.phi and self.phi is None:
+            raise ValueError(f"{self.algorithm} needs phi")
+        if not runner.phi and self.phi is not None:
+            raise ValueError(f"phi is only meaningful for {', '.join(PHI_ALGORITHMS)}")
 
 
 def load_graph(instance: str) -> WeightedDigraph:
@@ -190,13 +233,11 @@ def make_metric_fn(refs: Dict[int, Tuple]):
 def make_target_fn(refs: Dict[int, Tuple]):
     """True iff the member weakly dominates every common member of its endpoint."""
 
+    flat_refs = {e: [m[0] + m[1] for m in members] for e, members in refs.items()}
+
     def target(endpoint: int, obj) -> bool:
         flat = obj[0] + obj[1]
-        for member in refs[endpoint]:
-            mflat = member[0] + member[1]
-            if any(x > z for x, z in zip(flat, mflat)):
-                return False
-        return True
+        return all(weakly_dominates(flat, m, Sense.MINIMIZE) for m in flat_refs[endpoint])
 
     return target
 
@@ -255,48 +296,25 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     error = ""
     metric_samples = []
     try:
-        if config.algorithm in PSEUDOBOOLEAN_ALGORITHMS:
-            problem = PseudoBooleanProblem(config.problem, config.n)
-            if config.algorithm == "semo":
-                trace = run_semo(problem, seed, budget=config.budget)
-            elif config.algorithm == "empmo-simple":
-                trace = run_empmo_simple(problem, seed, budget=config.budget)
-            elif config.algorithm == "empmo-random":
-                trace = run_empmo_random(problem, config.phi, seed, budget=config.budget)
-            else:
-                trace = run_empmo_payoff(problem, seed, budget=config.budget)
+        family, run, _ = RUNNERS[config.algorithm]
+        if family == PB:
+            trace = run(PseudoBooleanProblem(config.problem, config.n), config, seed)
             evaluations, generations = trace.evaluations, trace.iterations
             hit, wall = trace.hit_time, trace.wall_ms
         else:
             text = None if config.instance == "fixture" else FsPath(config.instance).read_text()
             g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
-            metric_fn = make_metric_fn(refs) if refs else None
-            target_fn = make_target_fn(refs) if refs else None
             params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
-            if config.algorithm == "empmo-cons-sp":
-                result = run_empmo_cons_sp(
-                    g, params, config.budget, seed,
-                    metric_fn=metric_fn, cadence=config.cadence,
-                    target_fn=target_fn, target_endpoints=refs.keys(), stop_on_hit=True,
-                )
-                hit = result.hit_evaluations
-            elif config.algorithm == "demo-sp":
-                r = BoxBase.power(1 + min(params.eps_1, params.eps_2), g.n - 1)
-                result = run_demo_sp(
-                    g, r, config.budget, seed,
-                    metric_fn=metric_fn, cadence=config.cadence,
-                    target_fn=target_fn, target_endpoints=refs.keys(), stop_on_hit=True,
-                )
-                hit = result.hit_evaluations
-            else:
-                result = run_empmo_simple_sp(
-                    g, params, config.budget, seed,
-                    party2_fronts=fronts, metric_fn=metric_fn, cadence=config.cadence,
-                )
-                hit = result.hit_evaluations
+            measure = {"metric_fn": make_metric_fn(refs) if refs else None, "cadence": config.cadence}
+            stop = {
+                "target_fn": make_target_fn(refs) if refs else None,
+                "target_endpoints": refs.keys(),
+                "stop_on_hit": True,
+            }
+            result = run(GraphRow(g, params, fronts, measure, stop), config, seed)
             evaluations, generations = result.evaluations, result.generations
-            wall = result.wall_ms
+            hit, wall = result.hit_evaluations, result.wall_ms
             metric_samples = result.metrics
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
@@ -454,21 +472,31 @@ def summarize(summary_rows: Sequence[Dict[str, str]]) -> Dict[str, dict]:
     return report
 
 
-def write_csv(path, columns: Sequence[str], rows: Sequence[Dict[str, str]]) -> None:
+@contextlib.contextmanager
+def atomic_open(path, newline: Optional[str] = None):
     """Write through a temp file in the target directory, then rename over."""
     path = FsPath(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_rows(fh, columns: Sequence[str], rows: Sequence[Dict[str, str]]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+
+
+def write_csv(path, columns: Sequence[str], rows: Sequence[Dict[str, str]]) -> None:
+    with atomic_open(path, newline="") as fh:
+        write_rows(fh, columns, rows)
 
 
 def read_csv(path) -> List[Dict[str, str]]:

@@ -12,33 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .core import MultiPartyObjectives
+from .core import MultiPartyObjectives, Sense, weakly_dominates
 from .pseudoboolean import BitString, PseudoBooleanProblem
 from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 
 PathObj = Tuple[Path, MultiPartyObjectives]
 
 
-def _pareto_distinct(vectors, maximize: bool) -> frozenset:
+def _pareto_distinct(vectors, sense: Sense) -> frozenset:
     """Non-dominated subset of a collection of distinct vectors."""
     vecs = list(vectors)
-    out = []
-    for v in vecs:
-        dominated = False
-        for u in vecs:
-            if u == v:
-                continue
-            if maximize:
-                if all(a >= b for a, b in zip(u, v)):
-                    dominated = True
-                    break
-            else:
-                if all(a <= b for a, b in zip(u, v)):
-                    dominated = True
-                    break
-        if not dominated:
-            out.append(v)
-    return frozenset(out)
+    return frozenset(
+        v for v in vecs if not any(u != v and weakly_dominates(u, v, sense) for u in vecs)
+    )
 
 
 @dataclass(frozen=True)
@@ -75,7 +61,7 @@ def brute_force_pseudoboolean(problem: PseudoBooleanProblem, *, max_n: int = 16)
     solutions = []
     for m in range(parties):
         distinct = {obj[m] for obj in groups}
-        front = _pareto_distinct(distinct, maximize=True)
+        front = _pareto_distinct(distinct, Sense.MAXIMIZE)
         fronts.append(front)
         members = set()
         for obj, words in groups.items():
@@ -150,11 +136,11 @@ def exact_path_catalog(g: WeightedDigraph, *, max_n: int = 12) -> PathCatalog:
         entries = sorted(by_endpoint[endpoint])
         party_sets = []
         for m in (0, 1):
-            front = _pareto_distinct({obj[m] for _, obj in entries}, maximize=False)
+            front = _pareto_distinct({obj[m] for _, obj in entries}, Sense.MINIMIZE)
             party_sets.append(tuple(pe for pe in entries if pe[1][m] in front))
         in_both = set(p for p, _ in party_sets[0]) & set(p for p, _ in party_sets[1])
         common = tuple(pe for pe in entries if pe[0] in in_both)
-        joint_front = _pareto_distinct({obj[0] + obj[1] for _, obj in entries}, maximize=False)
+        joint_front = _pareto_distinct({obj[0] + obj[1] for _, obj in entries}, Sense.MINIMIZE)
         joint = tuple(pe for pe in entries if pe[1][0] + pe[1][1] in joint_front)
         catalogs[endpoint] = EndpointCatalog(endpoint, tuple(party_sets), common, joint)
     return PathCatalog(n=g.n, per_endpoint=catalogs)

@@ -99,6 +99,10 @@ def _joint(half: int, i: int, j: int) -> Tuple[int, int, int, int]:
     return (j, i + half - j, half - i + j, i)
 
 
+# A lane maps a cell (i, j) to one party's vector; a kind has one lane per party.
+_LANES = {"aorz": (_party1,), "aofz": (_party2,), "aoaz": (_joint,), "bpaoaz": (_party1, _party2)}
+
+
 @dataclass(frozen=True)
 class PseudoBooleanProblem:
     """One of the four benchmark kinds at a given even length n >= 4."""
@@ -114,7 +118,7 @@ class PseudoBooleanProblem:
 
     @property
     def parties(self) -> int:
-        return 2 if self.kind == "bpaoaz" else 1
+        return len(_LANES[self.kind])
 
     @property
     def half(self) -> int:
@@ -130,14 +134,7 @@ class PseudoBooleanProblem:
 
     def evaluate(self, x: BitString) -> MultiPartyObjectives:
         i, j = self.counts(x)
-        half = self.half
-        if self.kind == "bpaoaz":
-            return (_party1(half, i, j), _party2(half, i, j))
-        if self.kind == "aorz":
-            return (_party1(half, i, j),)
-        if self.kind == "aofz":
-            return (_party2(half, i, j),)
-        return (_joint(half, i, j),)
+        return tuple(lane(self.half, i, j) for lane in _LANES[self.kind])
 
 
 def analytic_fronts(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
@@ -149,17 +146,14 @@ def analytic_fronts(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
     in the tests.
     """
     half, n = problem.half, problem.n
-    front1 = frozenset((j, n - j) for j in range(half + 1))
-    front2 = frozenset((n - i, i) for i in range(half + 1))
-    if problem.kind == "aorz":
-        return (front1,)
-    if problem.kind == "aofz":
-        return (front2,)
-    if problem.kind == "bpaoaz":
-        return (front1, front2)
     joint = {(j, n - j, j, half) for j in range(half + 1)}
     joint |= {(half, i, n - i, i) for i in range(half + 1)}
-    return (frozenset(joint),)
+    fronts = {
+        _party1: frozenset((j, n - j) for j in range(half + 1)),
+        _party2: frozenset((n - i, i) for i in range(half + 1)),
+        _joint: frozenset(joint),
+    }
+    return tuple(fronts[lane] for lane in _LANES[problem.kind])
 
 
 @dataclass(frozen=True)
@@ -198,6 +192,126 @@ def _entry(problem: PseudoBooleanProblem, word: int, birth: int) -> PopulationEn
     return PopulationEntry(x, problem.evaluate(x), birth)
 
 
+def _check_stop(stop: str, modes: Tuple[str, ...]) -> None:
+    if stop not in modes:
+        raise ValueError(f"unknown stop mode {stop!r}")
+
+
+def _start(problem: PseudoBooleanProblem, rng: random.Random, initial: Optional[BitString]) -> Tuple[int, int, int]:
+    """The initial word and its cell (i, j); with no ``initial`` the word is ``rng.getrandbits(n)``."""
+    x = initial if initial is not None else BitString(problem.n, rng.getrandbits(problem.n))
+    return (x.word,) + problem.counts(x)
+
+
+def _finish(
+    algorithm: str,
+    problem: PseudoBooleanProblem,
+    seed: int,
+    t0: float,
+    evaluations: int,
+    iterations: int,
+    hit: Optional[int],
+    population: List[PopulationEntry],
+    *,
+    phi: Optional[float] = None,
+    archives: Optional[Tuple[List[PopulationEntry], ...]] = None,
+) -> RunTrace:
+    """The trace of a run that started at ``time.perf_counter()`` reading ``t0``."""
+    return RunTrace(
+        algorithm=algorithm,
+        problem=problem.kind,
+        n=problem.n,
+        phi=phi,
+        seed=seed,
+        evaluations=evaluations,
+        iterations=iterations,
+        hit_time=hit,
+        final_population=population,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        archives=archives,
+    )
+
+
+def _memo_search(
+    problem: PseudoBooleanProblem,
+    rng: random.Random,
+    initial: Optional[BitString],
+    targets: Optional[Tuple[frozenset, ...]],
+    budget: int,
+    observer: Optional[Callable],
+) -> Tuple[List[list], int, int, Optional[int]]:
+    """One archive per lane of the kind, evolved side by side.
+
+    Every archive starts from the initial word, evaluated once per lane. Each
+    while-iteration mutates once inside each archive in lane order, one
+    evaluation each, drawing the parent index ``randrange(len(A))`` and then
+    the bit index ``randrange(n)``. An offspring enters iff no member weakly
+    dominates it under the lane (equal vectors are rejected too); every
+    member it weakly dominates is removed.
+
+    ``targets`` holds one set of vectors per lane, or None for a budget run.
+    The run hits, and stops, at the evaluation where every lane has accepted
+    every vector of its set. ``observer``, if given, sees the live archive of
+    a one-lane kind after each iteration, or the tuple of archives. Members
+    are ``(vector, word, i, j, birth)`` tuples. Returns (archives,
+    evaluations, iterations, hit).
+
+    The vector is a function of the cell, so each archive remembers the cells
+    whose offspring it rejected and skips the scan when one comes back. This
+    is exact and the memo is never cleared: let D(A) be the set of vectors
+    some member of A weakly dominates. An accepted v removes only members e
+    with v >= e, and everything such an e dominated v dominates too, so D(A)
+    only grows and a rejected cell stays rejected.
+    """
+    n, half = problem.n, problem.half
+    lanes = _LANES[problem.kind]
+    word, i, j = _start(problem, rng, initial)
+    stride = half + 1
+    archives = [[(lane(half, i, j), word, i, j, 0)] for lane in lanes]
+    memos = [bytearray(stride * stride) for _ in lanes]
+    evaluations = len(lanes)
+    iterations = 0
+    # the target vectors each lane has yet to accept
+    left = None if targets is None else [set(t) - {A[0][0]} for t, A in zip(targets, archives)]
+    hit = evaluations if left is not None and not any(left) else None
+    order = range(len(lanes))
+
+    while hit is None and evaluations < budget:
+        iterations += 1
+        for m in order:
+            if evaluations >= budget:
+                break
+            P = archives[m]
+            k = rng.randrange(len(P))
+            b = rng.randrange(n)
+            _, pw, pi, pj, _ = P[k]
+            if b < half:
+                i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
+            else:
+                i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
+            evaluations += 1
+            cell = i2 * stride + j2
+            rejected = memos[m]
+            if rejected[cell]:
+                continue
+            v2 = lanes[m](half, i2, j2)
+            for e in P:
+                if _weak_ge(e[0], v2):
+                    rejected[cell] = 1
+                    break
+            else:
+                P = archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
+                P.append((v2, pw ^ (1 << b), i2, j2, iterations))
+                if left is not None and v2 in left[m]:
+                    left[m].discard(v2)
+                    if not any(left):
+                        hit = evaluations
+                        break
+        if observer is not None:
+            observer(iterations, archives[0] if len(archives) == 1 else tuple(archives))
+    return archives, evaluations, iterations, hit
+
+
 def run_semo(
     problem: PseudoBooleanProblem,
     seed: int,
@@ -219,87 +333,18 @@ def run_semo(
     is called as ``observer(iteration, archive)`` with the live archive (a list
     of ``(vector, word, i, j, birth)`` tuples; treat it as read-only).
 
-    The vector is a function of the cell (i, j), so the archive remembers the
-    cells whose offspring it rejected and skips the scan when one comes back.
-    This is exact and the memo is never cleared: let D(A) be the set of
-    vectors some member of A weakly dominates. An accepted v removes only
-    members e with v >= e, and everything such an e dominated v dominates
-    too, so D(A) only grows and a rejected cell stays rejected.
+    This is the one-lane case of ``_memo_search``, with the analytic front as
+    the target; it skips the scan for cells (i, j) the archive once rejected.
     """
     if problem.parties != 1:
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
-    if stop not in ("target", "budget"):
-        raise ValueError(f"unknown stop mode {stop!r}")
+    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    n, half, kind = problem.n, problem.half, problem.kind
-    vec_of = {"aorz": _party1, "aofz": _party2, "aoaz": _joint}[kind]
-
-    word = initial.word if initial is not None else rng.getrandbits(n)
-    if initial is not None and initial.n != n:
-        raise ValueError("initial solution length does not match problem")
-    lo_mask = (1 << half) - 1
-    i, j = (word & lo_mask).bit_count(), (word >> half).bit_count()
-    vec = vec_of(half, i, j)
-    archive = [(vec, word, i, j, 0)]
-    evaluations = 1
-    iterations = 0
-    stride = half + 1
-    rejected = bytearray(stride * stride)
-
-    target = analytic_fronts(problem)[0] if stop == "target" else None
-    covered = set()
-    hit: Optional[int] = None
-    if target is not None:
-        if vec in target:
-            covered.add(vec)
-        if len(covered) == len(target):
-            hit = evaluations
-
-    while hit is None and evaluations < budget:
-        iterations += 1
-        k = rng.randrange(len(archive))
-        b = rng.randrange(n)
-        _, pw, pi, pj, _ = archive[k]
-        if b < half:
-            i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
-        else:
-            i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
-        evaluations += 1
-        cell = i2 * stride + j2
-        if not rejected[cell]:
-            w2 = pw ^ (1 << b)
-            v2 = vec_of(half, i2, j2)
-            accepted = True
-            for e in archive:
-                if _weak_ge(e[0], v2):
-                    accepted = False
-                    break
-            if accepted:
-                archive = [e for e in archive if not _weak_ge(v2, e[0])]
-                archive.append((v2, w2, i2, j2, iterations))
-                if target is not None and v2 in target:
-                    covered.add(v2)
-                    if len(covered) == len(target):
-                        hit = evaluations
-            else:
-                rejected[cell] = 1
-        if observer is not None:
-            observer(iterations, archive)
-
+    targets = analytic_fronts(problem) if stop == "target" else None
+    (archive,), evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     population = [_entry(problem, e[1], e[4]) for e in archive]
-    return RunTrace(
-        algorithm="semo",
-        problem=kind,
-        n=n,
-        phi=None,
-        seed=seed,
-        evaluations=evaluations,
-        iterations=iterations,
-        hit_time=hit,
-        final_population=population,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _finish("semo", problem, seed, t0, evaluations, iterations, hit, population)
 
 
 def run_empmo_simple(
@@ -328,93 +373,21 @@ def run_empmo_simple(
     called as ``observer(iteration, (P1, P2))`` with live archives of
     ``(vector, word, i, j, birth)`` tuples.
 
-    Each archive remembers the cells (i, j) whose offspring it rejected and
-    skips the scan when one comes back, as in ``run_semo``. Each archive is
-    judged only by its own party, so the set of vectors its members weakly
-    dominate only grows (an accepted v removes only members it weakly
-    dominates), and a cell rejected once stays rejected for the whole run.
+    This is the two-lane case of ``_memo_search``, so each archive skips the
+    scan for cells it once rejected. The all-ones string is the one word whose
+    vector is (n/2, n/2) under either party, so that vector is each lane's
+    target under ``stop="target"``.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_simple requires the bi-party problem")
-    if stop not in ("target", "fronts", "budget"):
-        raise ValueError(f"unknown stop mode {stop!r}")
+    _check_stop(stop, ("target", "fronts", "budget"))
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    n, half = problem.n, problem.half
-    ones_word = (1 << n) - 1
-    lo_mask = (1 << half) - 1
-
-    word = initial.word if initial is not None else rng.getrandbits(n)
-    if initial is not None and initial.n != n:
-        raise ValueError("initial solution length does not match problem")
-    i0, j0 = (word & lo_mask).bit_count(), (word >> half).bit_count()
-    archives = [
-        [(_party1(half, i0, j0), word, i0, j0, 0)],
-        [(_party2(half, i0, j0), word, i0, j0, 0)],
-    ]
-    vec_of = (_party1, _party2)
-    evaluations = 2
-    iterations = 0
-    stride = half + 1
-    rejected = (bytearray(stride * stride), bytearray(stride * stride))
-    has_ones = [word == ones_word, word == ones_word]
-
-    fronts = analytic_fronts(problem) if stop == "fronts" else None
-    covered = [set(), set()]
-    if fronts is not None:
-        for m in (0, 1):
-            v = archives[m][0][0]
-            if v in fronts[m]:
-                covered[m].add(v)
-
-    def done() -> bool:
-        if stop == "target":
-            return has_ones[0] and has_ones[1]
-        if stop == "fronts":
-            return len(covered[0]) == len(fronts[0]) and len(covered[1]) == len(fronts[1])
-        return False
-
-    hit = evaluations if done() else None
-
-    while hit is None and evaluations < budget:
-        iterations += 1
-        for m in (0, 1):
-            if evaluations >= budget:
-                break
-            P = archives[m]
-            k = rng.randrange(len(P))
-            b = rng.randrange(n)
-            _, pw, pi, pj, _ = P[k]
-            if b < half:
-                i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
-            else:
-                i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
-            evaluations += 1
-            cell = i2 * stride + j2
-            if rejected[m][cell]:
-                continue
-            w2 = pw ^ (1 << b)
-            v2 = vec_of[m](half, i2, j2)
-            accepted = True
-            for e in P:
-                if _weak_ge(e[0], v2):
-                    accepted = False
-                    break
-            if not accepted:
-                rejected[m][cell] = 1
-                continue
-            archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
-            archives[m].append((v2, w2, i2, j2, iterations))
-            if w2 == ones_word:
-                has_ones[m] = True
-            if fronts is not None and v2 in fronts[m]:
-                covered[m].add(v2)
-            if done():
-                hit = evaluations
-                break
-        if observer is not None:
-            observer(iterations, (archives[0], archives[1]))
-
+    if stop == "target":
+        targets = (frozenset({(problem.half, problem.half)}),) * 2
+    else:
+        targets = analytic_fronts(problem) if stop == "fronts" else None
+    archives, evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     seen = {}
     for P in archives:
         for e in P:
@@ -424,18 +397,8 @@ def run_empmo_simple(
     per_party = tuple(
         [_entry(problem, e[1], e[4]) for e in P] for P in archives
     )
-    return RunTrace(
-        algorithm="empmo-simple",
-        problem="bpaoaz",
-        n=n,
-        phi=None,
-        seed=seed,
-        evaluations=evaluations,
-        iterations=iterations,
-        hit_time=hit,
-        final_population=population,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        archives=per_party,
+    return _finish(
+        "empmo-simple", problem, seed, t0, evaluations, iterations, hit, population, archives=per_party
     )
 
 
@@ -495,18 +458,12 @@ def run_empmo_random(
         raise ValueError("run_empmo_random requires the bi-party problem")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    if stop not in ("target", "budget"):
-        raise ValueError(f"unknown stop mode {stop!r}")
+    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     n, half = problem.n, problem.half
     ones_word = (1 << n) - 1
-    lo_mask = (1 << half) - 1
-
-    word = initial.word if initial is not None else rng.getrandbits(n)
-    if initial is not None and initial.n != n:
-        raise ValueError("initial solution length does not match problem")
-    i0, j0 = (word & lo_mask).bit_count(), (word >> half).bit_count()
+    word, i0, j0 = _start(problem, rng, initial)
     archive = [(_party1(half, i0, j0), _party2(half, i0, j0), word, i0, j0, 0)]
     evaluations = 1
     iterations = 0
@@ -528,12 +485,10 @@ def run_empmo_random(
         v2 = (_party1(half, i2, j2), _party2(half, i2, j2))
         evaluations += 1
         vm = v2[m]
-        accepted = True
         for z in archive:
             if _weak_ge(z[m], vm):
-                accepted = False
                 break
-        if accepted:
+        else:
             archive = [z for z in archive if not _weak_ge(vm, z[m])]
             archive.append((v2[0], v2[1], w2, i2, j2, iterations))
             pruned = [False, False]
@@ -563,18 +518,7 @@ def run_empmo_random(
             observer(iterations, archive)
 
     population = [_entry(problem, z[2], z[5]) for z in archive]
-    return RunTrace(
-        algorithm="empmo-random",
-        problem="bpaoaz",
-        n=n,
-        phi=phi,
-        seed=seed,
-        evaluations=evaluations,
-        iterations=iterations,
-        hit_time=hit,
-        final_population=population,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _finish("empmo-random", problem, seed, t0, evaluations, iterations, hit, population, phi=phi)
 
 
 def run_empmo_payoff(
@@ -598,18 +542,12 @@ def run_empmo_payoff(
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_payoff requires the bi-party problem")
-    if stop not in ("target", "budget"):
-        raise ValueError(f"unknown stop mode {stop!r}")
+    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     n, half = problem.n, problem.half
     ones_word = (1 << n) - 1
-    lo_mask = (1 << half) - 1
-
-    word = initial.word if initial is not None else rng.getrandbits(n)
-    if initial is not None and initial.n != n:
-        raise ValueError("initial solution length does not match problem")
-    i, j = (word & lo_mask).bit_count(), (word >> half).bit_count()
+    word, i, j = _start(problem, rng, initial)
     v1, v2 = _party1(half, i, j), _party2(half, i, j)
     evaluations = 1
     iterations = 0
@@ -633,15 +571,5 @@ def run_empmo_payoff(
         if observer is not None:
             observer(iterations, word)
 
-    return RunTrace(
-        algorithm="empmo-payoff",
-        problem="bpaoaz",
-        n=n,
-        phi=None,
-        seed=seed,
-        evaluations=evaluations,
-        iterations=iterations,
-        hit_time=hit,
-        final_population=[_entry(problem, word, iterations)],
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    population = [_entry(problem, word, iterations)]
+    return _finish("empmo-payoff", problem, seed, t0, evaluations, iterations, hit, population)

@@ -392,14 +392,14 @@ class _BoxArchive:
         g: WeightedDigraph,
         slices: Tuple[Tuple[int, int], ...],
         bases: Tuple[BoxBase, ...],
-        max_len: int,
+        max_len: Optional[int] = None,
         target_fn: Optional[Callable[[int, MultiPartyObjectives], bool]] = None,
         target_endpoints: Iterable[int] = (),
     ):
         self.g = g
         self.slices = slices
         self.bases = bases
-        self.max_len = max_len
+        self.max_len = max_len if max_len is not None else 2 * g.n
         self.target_fn = target_fn
         self.targets = frozenset(target_endpoints)
         self._views_of: Dict[Tuple[int, ...], tuple] = {}
@@ -531,15 +531,55 @@ class _BoxArchive:
 MetricFn = Callable[[List[Tuple[int, MultiPartyObjectives]]], Tuple[float, float, float]]
 
 
-def _sample(metric_fn: MetricFn, recs: List[_Rec], gen: int, evals: int) -> Optional[MetricSample]:
-    view = [(r.endpoint, r.objectives) for r in recs]
-    if not view:
-        return None
-    mx, mm, me = metric_fn(view)
-    return MetricSample(gen, evals, mx, mm, me)
-
-
 def _drive(
+    archs: Tuple[_BoxArchive, ...],
+    budget: int,
+    rng: random.Random,
+    metric_fn: Optional[MetricFn],
+    cadence: int,
+    stop_on_hit: bool,
+    observer: Optional[Callable],
+) -> Tuple[int, List[MetricSample], Optional[int], Optional[int]]:
+    """Step the archives in order once per generation, for up to ``budget``.
+
+    The hit is the first generation at which every archive covers its target
+    endpoints (never, if one has none); with ``stop_on_hit`` the run ends
+    after that generation's step. ``metric_fn`` is sampled over the real
+    members of all archives every ``cadence`` generations and once at the
+    end. ``observer(generation, pools)`` sees the live pool of a single
+    archive, or the tuple of pools. Returns (generations, metric samples, hit
+    generation, evaluations at the hit).
+    """
+    metrics: List[MetricSample] = []
+    hit_gen: Optional[int] = None
+    hit_evals: Optional[int] = None
+    pools = archs[0].pool if len(archs) == 1 else tuple(a.pool for a in archs)
+
+    def sample(gen: int) -> None:
+        recs = [r for a in archs for r in a.real_entries()]
+        if recs:
+            mx, mm, me = metric_fn([(r.endpoint, r.objectives) for r in recs])
+            metrics.append(MetricSample(gen, sum(a.evaluations for a in archs), mx, mm, me))
+
+    gen = sampled_at = 0
+    for gen in range(1, budget + 1):
+        for arch in archs:
+            # only an accepted offspring can complete the coverage, and only in its own archive
+            if arch.step(rng, gen) and hit_gen is None and arch.all_covered and all(a.all_covered for a in archs):
+                hit_gen, hit_evals = gen, sum(a.evaluations for a in archs)
+        if stop_on_hit and hit_gen == gen:
+            break
+        if metric_fn is not None and gen % cadence == 0:
+            sample(gen)
+            sampled_at = gen
+        if observer is not None:
+            observer(gen, pools)
+    if metric_fn is not None and gen > 0 and sampled_at != gen:
+        sample(gen)
+    return gen, metrics, hit_gen, hit_evals
+
+
+def _search(
     algorithm: str,
     arch: _BoxArchive,
     budget: int,
@@ -549,35 +589,11 @@ def _drive(
     stop_on_hit: bool,
     observer: Optional[Callable],
 ) -> SpRunResult:
-    rng = random.Random(seed)
+    """One archive driven by ``_drive`` from ``random.Random(seed)``."""
     t0 = time.perf_counter()
-    metrics: List[MetricSample] = []
-    hit_gen: Optional[int] = None
-    hit_evals: Optional[int] = None
-    gen = 0
-    sampled_at = -1
-    for gen in range(1, budget + 1):
-        # only an accepted offspring can complete the coverage
-        if arch.step(rng, gen) and hit_gen is None and arch.all_covered:
-            hit_gen, hit_evals = gen, arch.evaluations
-            if stop_on_hit:
-                if metric_fn is not None:
-                    s = _sample(metric_fn, arch.real_entries(), gen, arch.evaluations)
-                    if s is not None:
-                        metrics.append(s)
-                        sampled_at = gen
-                break
-        if metric_fn is not None and gen % cadence == 0:
-            s = _sample(metric_fn, arch.real_entries(), gen, arch.evaluations)
-            if s is not None:
-                metrics.append(s)
-                sampled_at = gen
-        if observer is not None:
-            observer(gen, arch.pool)
-    if metric_fn is not None and gen > 0 and sampled_at != gen:
-        s = _sample(metric_fn, arch.real_entries(), gen, arch.evaluations)
-        if s is not None:
-            metrics.append(s)
+    gen, metrics, hit_gen, hit_evals = _drive(
+        (arch,), budget, random.Random(seed), metric_fn, cadence, stop_on_hit, observer
+    )
     return SpRunResult(
         algorithm=algorithm,
         n=arch.g.n,
@@ -626,15 +642,8 @@ def run_empmo_cons_sp(
     if params.r != expected:
         raise ValueError("params.r must be (1+min(eps_1,eps_2))^(1/(n-1)) for the consensus run")
     k1, k2 = g.k
-    arch = _BoxArchive(
-        g,
-        slices=((0, k1), (k1, k1 + k2)),
-        bases=(params.r, params.r),
-        max_len=max_len if max_len is not None else 2 * g.n,
-        target_fn=target_fn,
-        target_endpoints=target_endpoints,
-    )
-    return _drive("empmo-cons-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
+    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), max_len, target_fn, target_endpoints)
+    return _search("empmo-cons-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
 
 
 def run_demo_sp(
@@ -656,16 +665,8 @@ def run_demo_sp(
     Party attributions are ignored; dominance and box tests use the joint
     (k_1+k_2)-objective vector at box base ``r``.
     """
-    k1, k2 = g.k
-    arch = _BoxArchive(
-        g,
-        slices=((0, k1 + k2),),
-        bases=(r,),
-        max_len=max_len if max_len is not None else 2 * g.n,
-        target_fn=target_fn,
-        target_endpoints=target_endpoints,
-    )
-    return _drive("demo-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
+    arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), max_len, target_fn, target_endpoints)
+    return _search("demo-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
 
 
 def consensus_archive_bound(g: WeightedDigraph, r: BoxBase) -> int:
@@ -846,45 +847,24 @@ def run_empmo_simple_sp(
     the loop (each is evaluated and counted); with ``budget=0`` this replays
     the consensus round on exactly those archives. ``party2_fronts`` supplies
     each endpoint's exact party-2 Pareto vectors; when omitted they are
-    computed by the exhaustive oracle, which caps the graph size.
+    computed by the exhaustive oracle before stage 1, so a graph above its
+    size cap fails before any generation is spent.
     """
-    rng = random.Random(seed)
     t0 = time.perf_counter()
+    if party2_fronts is None:
+        from .oracles import exact_party_fronts
+
+        party2_fronts = exact_party_fronts(g, 1)
     k1, k2 = g.k
-    cap = max_len if max_len is not None else 2 * g.n
     archs = (
-        _BoxArchive(g, ((0, k1),), (BoxBase.power(1 + params.eps_1, g.n - 1),), cap),
-        _BoxArchive(g, ((k1, k1 + k2),), (BoxBase.power(1 + params.eps_2, g.n - 1),), cap),
+        _BoxArchive(g, ((0, k1),), (BoxBase.power(1 + params.eps_1, g.n - 1),), max_len),
+        _BoxArchive(g, ((k1, k1 + k2),), (BoxBase.power(1 + params.eps_2, g.n - 1),), max_len),
     )
     if initial_archives is not None:
         for arch, paths in zip(archs, initial_archives):
             for path in paths:
                 arch.seed_path(path)
-
-    metrics: List[MetricSample] = []
-    gen = 0
-    sampled_at = -1
-    for gen in range(1, budget + 1):
-        archs[0].step(rng, gen)
-        archs[1].step(rng, gen)
-        if metric_fn is not None and gen % cadence == 0:
-            recs = archs[0].real_entries() + archs[1].real_entries()
-            s = _sample(metric_fn, recs, gen, archs[0].evaluations + archs[1].evaluations)
-            if s is not None:
-                metrics.append(s)
-                sampled_at = gen
-        if observer is not None:
-            observer(gen, (archs[0].pool, archs[1].pool))
-    if metric_fn is not None and gen > 0 and sampled_at != gen:
-        recs = archs[0].real_entries() + archs[1].real_entries()
-        s = _sample(metric_fn, recs, gen, archs[0].evaluations + archs[1].evaluations)
-        if s is not None:
-            metrics.append(s)
-
-    if party2_fronts is None:
-        from .oracles import exact_party_fronts
-
-        party2_fronts = exact_party_fronts(g, 1)
+    gen, metrics, _, _ = _drive(archs, budget, random.Random(seed), metric_fn, cadence, False, observer)
     outcomes = ultimatum_consensus(
         g,
         [(r.path, r.objectives) for r in archs[0].real_entries()],

@@ -373,3 +373,98 @@ def test_aggregate_rows_report_errors_separately():
     error_agg = next(a for a in aggs if a["algorithm"] == "empmo-cons-sp")
     assert error_agg["errors"] == "1"
     assert error_agg["mean_evaluations"] == ""
+
+
+RUNNER_ATTRS = {
+    "semo": "run_semo",
+    "empmo-simple": "run_empmo_simple",
+    "empmo-random": "run_empmo_random",
+    "empmo-payoff": "run_empmo_payoff",
+    "empmo-cons-sp": "run_empmo_cons_sp",
+    "empmo-simple-sp": "run_empmo_simple_sp",
+    "demo-sp": "run_demo_sp",
+}
+
+
+def small_config(algorithm):
+    if not algorithm.endswith("-sp"):
+        problem = "aoaz" if algorithm == "semo" else "bpaoaz"
+        phi = 0.5 if algorithm == "empmo-random" else None
+        return ExperimentConfig(algorithm, problem=problem, n=8, phi=phi, budget=300)
+    return ExperimentConfig(algorithm, instance="fixture", eps1=1, eps2=1, eps2max=2, budget=300)
+
+
+@pytest.mark.parametrize("algorithm", sorted(RUNNER_ATTRS))
+def test_run_single_calls_the_runner_through_the_module(algorithm, monkeypatch):
+    # The benchmark tracer replaces harness.run_* by name, so rows must look
+    # the runners up when they run.
+    cfg = small_config(algorithm)
+    want = run_single(cfg, 3)
+    calls = []
+    for name, attr in RUNNER_ATTRS.items():
+        runner = getattr(harness, attr)
+        monkeypatch.setattr(
+            harness, attr, lambda *a, _name=name, _runner=runner, **k: calls.append(_name) or _runner(*a, **k)
+        )
+    got = run_single(cfg, 3)
+    assert calls == [algorithm]
+    assert got.summary == want.summary and got.metrics == want.metrics
+    assert got.summary["error"] == ""
+
+
+def test_algorithm_lists_cli_choices_and_budgets_come_from_the_table(monkeypatch, tmp_path):
+    from mpmolab import cli
+
+    table = harness.RUNNERS
+    assert harness.ALGORITHMS == tuple(table) == tuple(RUNNER_ATTRS)
+    assert harness.PSEUDOBOOLEAN_ALGORITHMS == ("semo", "empmo-simple", "empmo-random", "empmo-payoff")
+    assert harness.GRAPH_ALGORITHMS == ("empmo-cons-sp", "empmo-simple-sp", "demo-sp")
+    assert [a for a in table if table[a].phi] == ["empmo-random"]
+    assert harness.FAMILY_BUDGETS == {harness.PB: 10**8, harness.GRAPH: 10**6}
+
+    run_parser = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+    (alg,) = [a for a in run_parser._actions if a.dest == "alg"]
+    assert tuple(alg.choices) == harness.ALGORITHMS
+
+    # swapping the table swaps what config validation and the CLI accept
+    monkeypatch.setitem(table, "semo-copy", table["semo"])
+    ExperimentConfig("semo-copy", problem="aoaz", n=8)
+    with pytest.raises(ValueError, match="needs problem"):
+        ExperimentConfig("semo-copy", instance="fixture")
+
+    budgets = {}
+
+    def record(config, seed):
+        budgets[config.algorithm] = config.budget
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(harness, "run_single", record)
+    for name in RUNNER_ATTRS:
+        cfg = small_config(name)
+        argv = ["run", "--alg", name, "--out", str(tmp_path)]
+        if cfg.problem:
+            argv += ["--problem", cfg.problem, "--n", "8"]
+        else:
+            argv += ["--instance", "fixture", "--eps", "1"]
+        if cfg.phi is not None:
+            argv += ["--phi", "0.5"]
+        assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert budgets == {name: harness.FAMILY_BUDGETS[table[name].family] for name in RUNNER_ATTRS}
+
+
+def test_simple_sp_row_above_the_oracle_limit_fails_before_searching(tmp_path, monkeypatch, fresh_graph_setup):
+    from mpmolab import shortestpath
+
+    steps = []
+    step = shortestpath._BoxArchive.step
+    monkeypatch.setattr(
+        shortestpath._BoxArchive, "step", lambda self, rng, gen: steps.append(gen) or step(self, rng, gen)
+    )
+    path = tmp_path / "planted13.txt"
+    path.write_text(write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, 13, seed=0))))
+    cfg = ExperimentConfig("empmo-simple-sp", instance=str(path), eps1=1, eps2=1, budget=100_000)
+    rec = run_single(cfg, 0)
+    assert steps == []
+    assert rec.summary["error"] == "ValueError: exhaustive path catalog refused for n > 12"
+    assert (rec.summary["n"], rec.summary["evaluations"], rec.summary["generations"]) == ("13", "0", "0")
+    assert rec.summary["hit_time"] == "" and rec.metrics == []

@@ -272,3 +272,39 @@ def test_runners_respect_explicit_initial():
         assert trace.iterations == 0
     with pytest.raises(ValueError):
         run_empmo_payoff(p, 0, initial=BitString.ones(6))
+
+
+def test_runners_check_stop_mode_and_initial_length():
+    bp, single = PseudoBooleanProblem("bpaoaz", 8), PseudoBooleanProblem("aoaz", 8)
+    calls = [
+        (run_semo, single, ("target", "budget")),
+        (run_empmo_simple, bp, ("target", "fronts", "budget")),
+        (lambda p, s, **k: run_empmo_random(p, 0.5, s, **k), bp, ("target", "budget")),
+        (run_empmo_payoff, bp, ("target", "budget")),
+    ]
+    for runner, problem, modes in calls:
+        for stop in modes:
+            runner(problem, 0, budget=50, stop=stop)
+        for stop in {"target", "fronts", "budget", "nope"} - set(modes):
+            with pytest.raises(ValueError, match="unknown stop mode"):
+                runner(problem, 0, budget=50, stop=stop)
+        with pytest.raises(ValueError, match="does not match"):
+            runner(problem, 0, budget=50, initial=BitString.ones(10))
+
+
+def test_initial_word_replaces_the_first_draw():
+    # a budget spent on the start alone shows the start: the given word, or
+    # else the seed's first getrandbits(n) draw
+    bp = PseudoBooleanProblem("bpaoaz", 8)
+    x = BitString.from01("01100110")
+    drawn = BitString(8, random.Random(9).getrandbits(8))
+    assert drawn != x
+    for problem, runner, budget in (
+        (PseudoBooleanProblem("aorz", 8), run_semo, 1),
+        (bp, run_empmo_simple, 2),
+        (bp, run_empmo_payoff, 1),
+    ):
+        for initial, want in ((x, x), (None, drawn)):
+            trace = runner(problem, 9, budget=budget, initial=initial, stop="budget")
+            assert trace.iterations == 0
+            assert [e.solution for e in trace.final_population] == [want]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mpmolab.harness import endpoint_commons, make_metric_fn
+from mpmolab.harness import endpoint_commons, make_metric_fn, make_target_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import exact_party_fronts
 from mpmolab.shortestpath import (
@@ -455,3 +455,32 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
     assert res.evaluations >= 2 * len(seeds)
     for lanes, members in zip(party, res.party_archives):
         check_members(g, members, lanes)
+
+
+def test_drive_observer_payloads_and_hit_stop():
+    g = fixture_graph()
+    params = ApproxParams.consensus(5, 1, 1)
+    frames = []
+    run_empmo_cons_sp(g, params, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
+    run_demo_sp(g, params.r, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
+    assert frames == [(gen, list) for gen in range(1, 41)] * 2
+    pairs = []
+    res = run_empmo_simple_sp(
+        g, params, 40, 0, party2_fronts={},
+        observer=lambda gen, pools: pairs.append((gen, len(pools), [p[0].path for p in pools])),
+    )
+    assert pairs == [(gen, 2, [(1,), (1,)]) for gen in range(1, 41)]
+    assert res.generations == 40
+
+    # with stop_on_hit the run ends at the hit generation, before its observer call
+    refs = endpoint_commons(g)
+    seen = []
+    kwargs = dict(target_fn=make_target_fn(refs), target_endpoints=refs.keys(), stop_on_hit=True)
+    res = run_empmo_cons_sp(g, params, 100_000, 0, observer=lambda gen, pool: seen.append(gen), **kwargs)
+    assert res.hit_generation == res.generations
+    assert seen == list(range(1, res.hit_generation))
+    full = run_empmo_cons_sp(
+        g, params, res.generations + 50, 0, target_fn=kwargs["target_fn"], target_endpoints=refs.keys()
+    )
+    assert (full.hit_generation, full.hit_evaluations) == (res.hit_generation, res.hit_evaluations)
+    assert full.generations == res.generations + 50
