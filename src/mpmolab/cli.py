@@ -56,9 +56,6 @@ def cmd_run(args) -> int:
         if eps1 is not None or eps2 is not None:
             raise ValueError("give either --eps or --eps1/--eps2, not both")
         eps1 = eps2 = args.eps
-    budget = args.budget
-    if budget is None:
-        budget = harness.FAMILY_BUDGETS[harness.RUNNERS[args.alg].family]
     config = harness.ExperimentConfig(
         algorithm=args.alg,
         problem=args.problem or "",
@@ -69,7 +66,7 @@ def cmd_run(args) -> int:
         eps2=eps2,
         eps2max=args.eps2_max,
         seeds=(args.seed,),
-        budget=budget,
+        budget=args.budget,
         cadence=args.cadence,
     )
     record = harness.run_single(config, args.seed)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import ge, le
 from typing import Sequence, Tuple
 
 ObjectiveVector = Tuple[float, ...]
@@ -71,10 +70,18 @@ def dominance_compare(a: Sequence[float], b: Sequence[float], sense: Sense) -> D
     return Dominance.EQUAL
 
 
+def weak_ge(a: Sequence[float], b: Sequence[float]) -> bool:
+    """True when ``a >= b`` componentwise; unchecked, for optimizer hot loops."""
+    for x, y in zip(a, b):
+        if x < y:
+            return False
+    return True
+
+
 def weakly_dominates(a: Sequence[float], b: Sequence[float], sense: Sense) -> bool:
     """True when ``a`` is no worse than ``b`` in every component."""
     _check_pair(a, b)
-    return all(map(ge if sense is Sense.MAXIMIZE else le, a, b))
+    return weak_ge(a, b) if sense is Sense.MAXIMIZE else weak_ge(b, a)
 
 
 def payoff_component(before: Sequence[float], after: Sequence[float], sense: Sense) -> int:

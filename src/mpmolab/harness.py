@@ -28,9 +28,10 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import oracles
-from .core import Sense, weakly_dominates
+from .core import weak_ge
 from .instances import fixture_graph, parse_instance
 from .pseudoboolean import (
+    DEFAULT_BUDGET,
     KINDS,
     PseudoBooleanProblem,
     run_empmo_payoff,
@@ -64,7 +65,6 @@ AGGREGATE_COLUMNS = [
 ID_FIELDS = ("algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "eps2max", "seed", "budget")
 CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
 DEFAULT_CADENCE = 100
-DEFAULT_PB_BUDGET = 10**8
 DEFAULT_SP_BUDGET = 10**6
 ORACLE_N_LIMIT = 12
 # A sweep file names one instance; the headroom covers pool workers whose rows
@@ -91,8 +91,8 @@ class Runner(NamedTuple):
 
 
 PB, GRAPH = "pseudoboolean", "graph"
-# The default budget of ``mpmolab run`` per family, in the family's native unit.
-FAMILY_BUDGETS = {PB: DEFAULT_PB_BUDGET, GRAPH: DEFAULT_SP_BUDGET}
+# The default budget per family, in the family's native unit.
+FAMILY_BUDGETS = {PB: DEFAULT_BUDGET, GRAPH: DEFAULT_SP_BUDGET}
 
 # The one table of algorithms. A pseudo-Boolean adapter is called as
 # run(problem, config, seed), a graph adapter as run(GraphRow, config, seed).
@@ -140,7 +140,7 @@ class ExperimentConfig:
     eps2: Optional[Fraction] = None
     eps2max: Optional[Fraction] = None
     seeds: Tuple[int, ...] = (0,)
-    budget: int = DEFAULT_PB_BUDGET
+    budget: Optional[int] = None  # None: the family's default, FAMILY_BUDGETS
     cadence: int = DEFAULT_CADENCE
 
     def __post_init__(self) -> None:
@@ -153,6 +153,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, as_fraction(v))
         if self.phi is not None:
             object.__setattr__(self, "phi", float(self.phi))
+        if self.budget is None:
+            object.__setattr__(self, "budget", FAMILY_BUDGETS[RUNNERS[self.algorithm].family])
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if self.cadence < 1:
@@ -237,7 +239,7 @@ def make_target_fn(refs: Dict[int, Tuple]):
 
     def target(endpoint: int, obj) -> bool:
         flat = obj[0] + obj[1]
-        return all(weakly_dominates(flat, m, Sense.MINIMIZE) for m in flat_refs[endpoint])
+        return all(weak_ge(m, flat) for m in flat_refs[endpoint])
 
     return target
 

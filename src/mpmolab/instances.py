@@ -11,7 +11,8 @@ weights 1. Any path leaving the tree pays at least one weight >= 2, so for
 every endpoint the tree path strictly dominates every alternative in every
 objective of both parties. That makes the common Pareto set per endpoint
 nonempty by construction (it is exactly the tree path), which downstream
-consensus experiments rely on.
+consensus experiments rely on. Each generated graph is checked once against
+the exact ideal-point certificate ``oracles.ideal_points``, at every size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .oracles import exact_path_catalog
+from .oracles import ideal_points
 from .shortestpath import SOURCE, WeightedDigraph
 
 _FIXTURE_EDGES = {
@@ -46,9 +47,7 @@ ALT_REF = 40.0          # altitude softening scale for ground risk, m
 PSI_MU = math.log(35.0)  # lognormal noise-exposure peak altitude
 PSI_SIGMA = 0.5
 DENSITY_BASE = 0.2
-RETRY_BOUND = 5
 WEIGHT_SPAN = 8         # discretized weights fall in 2 .. 2 + WEIGHT_SPAN
-SPOT_CHECK_WALKS = 10_000
 
 
 def fixture_graph() -> WeightedDigraph:
@@ -142,8 +141,8 @@ def _discretize(raw: Dict[Tuple[int, int], float]) -> Dict[Tuple[int, int], int]
     return {uv: 2 + math.ceil((val - lo) / (hi - lo) * WEIGHT_SPAN) for uv, val in raw.items()}
 
 
-def _bfs_tree(spec: InstanceSpec, adjacency: Dict[int, List[int]]) -> Tuple[Dict[int, int], set]:
-    """First-visit BFS from the source over ascending neighbors."""
+def _bfs_tree(adjacency: Dict[int, List[int]]) -> Tuple[Dict[int, int], set]:
+    """First-visit BFS from the source over ascending neighbors (a grid prefix is connected)."""
     depth = {SOURCE: 0}
     tree_edges = set()
     frontier = [SOURCE]
@@ -156,8 +155,6 @@ def _bfs_tree(spec: InstanceSpec, adjacency: Dict[int, List[int]]) -> Tuple[Dict
                     tree_edges.add((u, v))
                     nxt.append(v)
         frontier = nxt
-    if len(depth) != spec.n:
-        raise ValueError("grid prefix not connected")
     return depth, tree_edges
 
 
@@ -203,7 +200,7 @@ def _build_planted(spec: InstanceSpec, rng: random.Random) -> Tuple[WeightedDigr
     for u, v in pairs:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    depth, tree_edges = _bfs_tree(spec, adjacency)
+    depth, tree_edges = _bfs_tree(adjacency)
 
     jitter_up = math.ceil(spec.jitter * 10)
     edges = {}
@@ -221,54 +218,22 @@ def _build_planted(spec: InstanceSpec, rng: random.Random) -> Tuple[WeightedDigr
     return WeightedDigraph(spec.n, edges), depth
 
 
-def _verify_planted(g: WeightedDigraph, depth: Dict[int, int], spec: InstanceSpec) -> None:
-    """Exhaustive check for small n, randomized spot check above that."""
-    if g.n <= 12:
-        cat = exact_path_catalog(g)
-        for endpoint, ec in cat.per_endpoint.items():
-            if not ec.common:
-                raise ValueError(f"endpoint {endpoint} has empty common set")
-            d = depth[endpoint]
-            want = ((d, d), (d, d))
-            if all(obj != want for _, obj in ec.common):
-                raise ValueError(f"tree path to {endpoint} missing from common set")
-        return
-    check_rng = random.Random(f"planted-check-{spec.seed}")
-    cap = 2 * g.n
-    flat = g.flat
-    for _ in range(SPOT_CHECK_WALKS):
-        t0 = t1 = t2 = t3 = 0
-        u = SOURCE
-        for _ in range(check_rng.randrange(1, cap)):
-            succ = g.successors(u)
-            if not succ:
-                break
-            v = succ[check_rng.randrange(len(succ))]
-            w0, w1, w2, w3 = flat[(u, v)]
-            t0 += w0
-            t1 += w1
-            t2 += w2
-            t3 += w3
-            u = v
-            if min(t0, t1, t2, t3) < depth[u]:
-                raise ValueError(f"random walk beats tree path at vertex {u}")
+def _verify_planted(g: WeightedDigraph, depth: Dict[int, int]) -> None:
+    """Every endpoint's certified ideal point must be its tree path, ((d, d), (d, d))."""
+    ideal = ideal_points(g)
+    for v in range(2, g.n + 1):
+        d = depth[v]
+        if ideal.get(v) != ((d, d), (d, d)):
+            raise ValueError(f"tree path to vertex {v} is not the certified ideal point")
 
 
 def generate_planted_uav(spec: InstanceSpec, rng: Optional[random.Random] = None) -> WeightedDigraph:
-    """Build a planted instance, revalidating and retrying a bounded number of times."""
+    """Build a planted instance and check it against the ideal-point certificate."""
     if spec.kind != KIND_PLANTED:
         raise ValueError(f"spec kind must be {KIND_PLANTED!r}")
-    rng = rng if rng is not None else random.Random(spec.seed)
-    failures = []
-    for _ in range(RETRY_BOUND):
-        g, depth = _build_planted(spec, rng)
-        try:
-            _verify_planted(g, depth, spec)
-        except ValueError as exc:
-            failures.append(str(exc))
-            continue
-        return g
-    raise RuntimeError(f"generator failed validation {RETRY_BOUND} times: {failures[-1]}")
+    g, depth = _build_planted(spec, rng if rng is not None else random.Random(spec.seed))
+    _verify_planted(g, depth)
+    return g
 
 
 def instance_for(spec: InstanceSpec) -> WeightedDigraph:

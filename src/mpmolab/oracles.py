@@ -4,12 +4,19 @@ Everything here is deliberately brute force: the optimizers and their analytic
 target sets are validated against these functions, so they must stay simple
 enough to trust by inspection. Size guards are hard errors rather than silent
 truncation.
+
+The one exception is ``ideal_points``, exact at any size where it answers. At
+an endpoint it certifies, one path attains every objective's least value, so it
+weakly dominates every other path there under each party and jointly: both
+party fronts, the joint front and the common set are that one ideal point.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 from .core import MultiPartyObjectives, Sense, weakly_dominates
@@ -150,6 +157,40 @@ def exact_party_fronts(g: WeightedDigraph, party: int) -> Dict[int, Tuple[Tuple[
     """Per-endpoint distinct Pareto vectors of one party, via the exact catalog."""
     cat = exact_path_catalog(g)
     return {e: cat.party_front(e, party) for e in cat.per_endpoint}
+
+
+def ideal_points(g: WeightedDigraph) -> Dict[int, MultiPartyObjectives]:
+    """The endpoints that a path reaches at their ideal point, with that point.
+
+    One Dijkstra per objective gives each vertex its least cost per objective.
+    A path attains every least cost iff each of its edges u->v is tight, i.e.
+    cost(u) + w(u, v) == cost(v) in every objective. The endpoints reached over
+    tight edges map, in ascending order, to the point as one vector per party.
+    """
+    flat = g.flat
+    costs = []
+    for k in range(sum(g.k)):
+        cost = {}
+        heap = [(0, SOURCE)]
+        while heap:
+            c, u = heapq.heappop(heap)
+            if u not in cost:
+                cost[u] = c
+                for v in g.successors(u):
+                    if v not in cost:
+                        heapq.heappush(heap, (c + flat[(u, v)][k], v))
+        costs.append(cost)
+    ideal = {v: tuple(cost[v] for cost in costs) for v in costs[0]}
+    reached = {SOURCE}
+    stack = [SOURCE]
+    while stack:
+        u = stack.pop()
+        for v in g.successors(u):
+            if v not in reached and tuple(map(add, ideal[u], flat[(u, v)])) == ideal[v]:
+                reached.add(v)
+                stack.append(v)
+    k1 = g.k[0]
+    return {v: (ideal[v][:k1], ideal[v][k1:]) for v in sorted(reached - {SOURCE})}
 
 
 def epsilon_of_solution(

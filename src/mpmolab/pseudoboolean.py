@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .core import MultiPartyObjectives, Sense, payoff_component
+from .core import MultiPartyObjectives, Sense, payoff_component, weak_ge
 
 KINDS = ("aorz", "aofz", "aoaz", "bpaoaz")
 SENSE = Sense.MAXIMIZE
@@ -180,13 +180,6 @@ class RunTrace:
     archives: Optional[Tuple[List[PopulationEntry], ...]] = None
 
 
-def _weak_ge(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x < y:
-            return False
-    return True
-
-
 def _entry(problem: PseudoBooleanProblem, word: int, birth: int) -> PopulationEntry:
     x = BitString(problem.n, word)
     return PopulationEntry(x, problem.evaluate(x), birth)
@@ -296,11 +289,11 @@ def _memo_search(
                 continue
             v2 = lanes[m](half, i2, j2)
             for e in P:
-                if _weak_ge(e[0], v2):
+                if weak_ge(e[0], v2):
                     rejected[cell] = 1
                     break
             else:
-                P = archives[m] = [e for e in P if not _weak_ge(v2, e[0])]
+                P = archives[m] = [e for e in P if not weak_ge(v2, e[0])]
                 P.append((v2, pw ^ (1 << b), i2, j2, iterations))
                 if left is not None and v2 in left[m]:
                     left[m].discard(v2)
@@ -440,8 +433,9 @@ def run_empmo_random(
     with party 1 selected iff u < phi. Acceptance and the dominance-removal
     step use only the drawn party; afterwards the archive is pruned under that
     same party, keeping the earliest-born member among any equal-vector group
-    (the prune is skipped when the archive is already pruned under that party
-    and nothing was added since, which cannot change the outcome).
+    (the prune is skipped while the archive is pruned under that party: an
+    accept under a party keeps it so, as no member weakly dominated the
+    newcomer and the newcomer removed every member it weakly dominates).
 
     ``stop="target"`` ends the run once the all-ones string is accepted into
     the archive; it is never removed afterwards. ``observer`` is called as
@@ -486,33 +480,29 @@ def run_empmo_random(
         evaluations += 1
         vm = v2[m]
         for z in archive:
-            if _weak_ge(z[m], vm):
+            if weak_ge(z[m], vm):
                 break
         else:
-            archive = [z for z in archive if not _weak_ge(vm, z[m])]
+            archive = [z for z in archive if not weak_ge(vm, z[m])]
             archive.append((v2[0], v2[1], w2, i2, j2, iterations))
-            pruned = [False, False]
+            pruned[1 - m] = False
             if stop == "target" and w2 == ones_word:
                 hit = evaluations
         if not pruned[m]:
-            kept = []
-            for idx, z in enumerate(archive):
-                zm = z[m]
-                keep = True
-                for idx2, z2 in enumerate(archive):
-                    if idx2 == idx:
-                        continue
-                    f2 = z2[m]
-                    if f2 == zm:
-                        if z2[5] < z[5]:
-                            keep = False
-                            break
-                    elif _weak_ge(f2, zm):
-                        keep = False
-                        break
-                if keep:
-                    kept.append(z)
-            archive = kept
+            # Births ascend along the archive (appends follow iterations and
+            # filters keep order), so the first member per vector is the
+            # earliest-born. A distinct 2-vector, taken in descending order, is
+            # non-dominated iff its second component beats all earlier ones.
+            first = {}
+            for z in archive:
+                first.setdefault(z[m], z[5])
+            kept = set()
+            top = -1  # below every count
+            for v in sorted(first, reverse=True):
+                if v[1] > top:
+                    kept.add(first[v])
+                    top = v[1]
+            archive = [z for z in archive if z[5] in kept]
             pruned[m] = True
         if observer is not None:
             observer(iterations, archive)

@@ -202,9 +202,6 @@ class BoxBase:
         fr = as_fraction(base)
         return cls(fr.numerator, fr.denominator, root)
 
-    def approx(self) -> float:
-        return (self.num / self.den) ** (1.0 / self.root)
-
     def floor_log(self, f: int) -> int:
         """Largest t >= 0 with r^t <= f, for integer f >= 1."""
         cache = self._cache

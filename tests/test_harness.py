@@ -335,6 +335,14 @@ budget = 500
     assert listed[0].seeds == (3, 5, 9)
 
 
+def test_budget_default_comes_from_the_family():
+    (graph,) = parse_sweep_text("algorithm=empmo-cons-sp\ninstance=fixture\neps=1")
+    assert graph.budget == 10**6
+    (bits,) = parse_sweep_text("algorithm=semo\nproblem=aoaz\nn=8")
+    assert bits.budget == 10**8
+    assert ExperimentConfig("demo-sp", instance="fixture", eps1=1, eps2=1).budget == 10**6
+
+
 def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
     text = "algorithm=empmo-cons-sp\ninstance=graphs/g.bpm\neps=1\nbudget=100\n"
     (cfg,) = parse_sweep_text(text, base_dir=tmp_path)

@@ -18,8 +18,8 @@ from mpmolab.instances import (
     provenance_comment,
     write_instance,
 )
-from mpmolab.oracles import exact_path_catalog
-from mpmolab.shortestpath import eval_path
+from mpmolab.oracles import exact_path_catalog, ideal_points
+from mpmolab.shortestpath import WeightedDigraph, eval_path
 
 
 # objective totals for every source-rooted path of the reference graph,
@@ -132,10 +132,11 @@ def test_planted_zero_jitter_is_symmetric_off_tree():
             assert ws == back
 
 
-def test_planted_large_instance_passes_spot_check():
+def test_planted_large_instance_passes_the_certificate():
     g = generate_planted_uav(InstanceSpec(KIND_PLANTED, 16, seed=2))
     assert g.n == 16
     assert hop_distances(g).keys() == set(range(1, 17))
+    assert ideal_points(g) == {v: ((d, d), (d, d)) for v, d in hop_distances(g).items() if v != 1}
 
 
 def test_provenance_comment_format():
@@ -194,10 +195,21 @@ def test_parse_errors_name_the_line(text, fragment):
     assert fragment in str(err.value)
 
 
-def test_spot_check_rejects_a_tree_path_beaten_by_a_walk():
+def test_certificate_rejects_a_tree_path_that_is_not_the_ideal_point():
     spec = InstanceSpec(KIND_PLANTED, 16, seed=2)
     g, depth = _build_planted(spec, random.Random(spec.seed))
-    _verify_planted(g, depth, spec)
+    _verify_planted(g, depth)
     raised = {v: d + 1 for v, d in depth.items()}
-    with pytest.raises(ValueError, match="random walk beats tree path at vertex"):
-        _verify_planted(g, raised, spec)
+    with pytest.raises(ValueError, match="tree path to vertex 2 is not the certified ideal point"):
+        _verify_planted(g, raised)
+    # The tree edge into vertex 7 costing 2 in one objective: the tree path
+    # to 7 misses the ideal point there, and tree children carry larger
+    # numbers, so 7 is the first vertex named.
+    (parent,) = [u for u in depth if g.has_edge(u, 7) and g.weights(u, 7) == ((1, 1), (1, 1))]
+    for k in range(4):
+        edges = dict(g.edge_items())
+        flat = [1, 1, 1, 1]
+        flat[k] = 2
+        edges[(parent, 7)] = (tuple(flat[:2]), tuple(flat[2:]))
+        with pytest.raises(ValueError, match="tree path to vertex 7 is not the certified ideal point"):
+            _verify_planted(WeightedDigraph(g.n, edges), depth)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpmolab.core import Sense, weakly_dominates
-from mpmolab.instances import fixture_graph
+from mpmolab.instances import KIND_PLANTED, InstanceSpec, _build_planted, fixture_graph
 from mpmolab.oracles import (
     brute_force_pseudoboolean,
     epsilon_of_solution,
     exact_party_fronts,
     exact_path_catalog,
+    ideal_points,
     path_report,
     payoff_runtime_predictor,
     pseudoboolean_report,
@@ -102,6 +103,41 @@ def test_path_catalog_refuses_large_n():
     edges = {(u, u + 1): ((1,), (1,)) for u in range(1, 13)}
     with pytest.raises(ValueError, match="refused"):
         exact_path_catalog(WeightedDigraph(13, edges))
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_ideal_points_agree_with_the_catalog_on_planted_instances(n):
+    for seed in range(20):
+        spec = InstanceSpec(KIND_PLANTED, n, seed=seed)
+        g, _ = _build_planted(spec, random.Random(seed))
+        ideal = ideal_points(g)
+        cat = exact_path_catalog(g)
+        assert list(ideal) == sorted(cat.per_endpoint) == list(range(2, n + 1))
+        for e, point in ideal.items():
+            assert cat.common_objectives(e) == [point]
+            assert cat.party_front(e, 0) == (point[0],)
+            assert cat.party_front(e, 1) == (point[1],)
+            assert {obj for _, obj in cat.per_endpoint[e].joint} == {point}
+
+
+def test_ideal_points_decline_an_endpoint_with_a_trade_off():
+    g = fixture_graph()
+    cat = exact_path_catalog(g)
+    ideal = ideal_points(g)
+    assert list(ideal) == [2, 3, 4]
+    for e, point in ideal.items():
+        assert cat.common_objectives(e) == [point]
+    # endpoint 5's party fronts hold two vectors each, so no path is ideal
+    assert len(cat.party_front(5, 0)) == len(cat.party_front(5, 1)) == 2
+    cycle = WeightedDigraph(
+        3, {(1, 2): ((2,), (2,)), (2, 1): ((1,), (1,)), (2, 3): ((1,), (1,)), (1, 3): ((5,), (1,))}
+    )
+    assert ideal_points(cycle) == {2: ((2,), (2,))}
+    # party 1's ideal at 3 is attained via 2, party 2's only by the direct edge
+    split = WeightedDigraph(
+        3, {(1, 2): ((1, 1), (1, 1)), (2, 3): ((1, 1), (4, 4)), (1, 3): ((3, 3), (1, 1))}
+    )
+    assert ideal_points(split) == {2: ((1, 1), (1, 1))}
 
 
 def test_epsilon_of_solution_fixture_values():

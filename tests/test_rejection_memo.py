@@ -4,6 +4,8 @@ The references below are the full-scan loops the runners used before the
 memo: every offspring is judged by a scan of its archive. For any seed, size,
 kind and stop mode the memoised runners must show the observer the same
 archive at every iteration and return the same trace, apart from wall time.
+``run_empmo_random`` is held the same way to its all-pairs prune, run after
+every accept under either party.
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import random
 
 from hypothesis import Phase, given, settings, strategies as st
 
+from mpmolab.core import weak_ge as _weak_ge
 from mpmolab.pseudoboolean import (
     PseudoBooleanProblem,
     RunTrace,
@@ -18,8 +21,8 @@ from mpmolab.pseudoboolean import (
     _joint,
     _party1,
     _party2,
-    _weak_ge,
     analytic_fronts,
+    run_empmo_random,
     run_empmo_simple,
     run_semo,
 )
@@ -132,6 +135,61 @@ def full_scan_empmo_simple(problem, seed, *, budget, stop, observer):
     )
 
 
+def all_pairs_empmo_random(problem, phi, seed, *, budget, stop, observer):
+    rng = random.Random(seed)
+    n, half = problem.n, problem.half
+    ones_word = (1 << n) - 1
+    word = rng.getrandbits(n)
+    i0, j0 = (word & ((1 << half) - 1)).bit_count(), (word >> half).bit_count()
+    archive = [(_party1(half, i0, j0), _party2(half, i0, j0), word, i0, j0, 0)]
+    evaluations, iterations = 1, 0
+    pruned = [True, True]
+    hit = evaluations if (stop == "target" and word == ones_word) else None
+    while hit is None and evaluations < budget:
+        iterations += 1
+        k = rng.randrange(len(archive))
+        b = rng.randrange(n)
+        m = 0 if rng.random() < phi else 1
+        _, _, pw, pi, pj, _ = archive[k]
+        i2, j2 = _child(half, pw, pi, pj, b)
+        w2 = pw ^ (1 << b)
+        v2 = (_party1(half, i2, j2), _party2(half, i2, j2))
+        evaluations += 1
+        vm = v2[m]
+        if not any(_weak_ge(z[m], vm) for z in archive):
+            archive = [z for z in archive if not _weak_ge(vm, z[m])]
+            archive.append((v2[0], v2[1], w2, i2, j2, iterations))
+            pruned = [False, False]
+            if stop == "target" and w2 == ones_word:
+                hit = evaluations
+        if not pruned[m]:
+            kept = []
+            for idx, z in enumerate(archive):
+                zm = z[m]
+                keep = True
+                for idx2, z2 in enumerate(archive):
+                    if idx2 == idx:
+                        continue
+                    f2 = z2[m]
+                    if f2 == zm:
+                        if z2[5] < z[5]:
+                            keep = False
+                            break
+                    elif _weak_ge(f2, zm):
+                        keep = False
+                        break
+                if keep:
+                    kept.append(z)
+            archive = kept
+            pruned[m] = True
+        observer(iterations, archive)
+    return RunTrace(
+        algorithm="empmo-random", problem="bpaoaz", n=n, phi=phi, seed=seed,
+        evaluations=evaluations, iterations=iterations, hit_time=hit,
+        final_population=[_entry(problem, z[2], z[5]) for z in archive], wall_ms=0.0,
+    )
+
+
 def recorded(runner, problem, seed, budget, stop):
     frames = []
 
@@ -196,3 +254,23 @@ def test_empmo_simple_memo_matches_full_scan(seed, n, stop, budget):
     problem = PseudoBooleanProblem("bpaoaz", n)
     budget = budget if stop == "budget" else STOP_CAP
     assert_same_run(run_empmo_simple, full_scan_empmo_simple, problem, seed, budget, stop)
+
+
+@QUICK
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=sizes,
+    phi=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+    stop=st.sampled_from(["target", "budget"]),
+    budget=budgets,
+)
+def test_empmo_random_prune_matches_all_pairs(seed, n, phi, stop, budget):
+    problem = PseudoBooleanProblem("bpaoaz", n)
+    budget = budget if stop == "budget" else STOP_CAP
+    def runner(problem, seed, **kwargs):
+        return run_empmo_random(problem, phi, seed, **kwargs)
+
+    def reference(problem, seed, **kwargs):
+        return all_pairs_empmo_random(problem, phi, seed, **kwargs)
+
+    assert_same_run(runner, reference, problem, seed, budget, stop)
