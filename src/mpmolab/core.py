@@ -1,4 +1,4 @@
-"""Dominance and payoff primitives shared by every optimizer in the package.
+"""Dominance, payoff and draw primitives shared by every optimizer in the package.
 
 Objective vectors are plain tuples of numbers. A multi-party objective value is a
 tuple of such vectors, one per party; all parties share the same optimization
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 ObjectiveVector = Tuple[float, ...]
 MultiPartyObjectives = Tuple[ObjectiveVector, ...]
@@ -76,6 +76,26 @@ def weak_ge(a: Sequence[float], b: Sequence[float]) -> bool:
         if x < y:
             return False
     return True
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform integer in 0..n-1, equal to ``Random.randrange(n)`` for n >= 1.
+
+    This is CPython's ``randrange(n)`` written out: draw ``n.bit_length()``
+    bits and draw again while the result is n or more. It makes the same
+    ``getrandbits`` calls as ``randrange``, so given a bound method of the
+    same generator it returns the same value and leaves the same state, and
+    every trajectory is the one ``randrange`` would give. It skips the two
+    Python frames ``randrange`` runs around that one C call. CPython does not
+    promise ``randrange``'s algorithm across versions, so
+    ``tests/test_core.py`` checks value and state against ``randrange`` on
+    the running interpreter.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def weakly_dominates(a: Sequence[float], b: Sequence[float], sense: Sense) -> bool:

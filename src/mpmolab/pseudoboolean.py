@@ -15,7 +15,8 @@ string. ``aoaz`` concatenates all four objectives into one party; ``aorz`` and
 
 Every runner draws from a single ``random.Random(seed)``; the per-iteration
 draw order is documented on each runner so traces can be reproduced bit for
-bit.
+bit. Integer draws call ``getrandbits`` in ``randrange``'s exact pattern
+(``core.randbelow``), so they give ``randrange``'s values and RNG states.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .core import MultiPartyObjectives, Sense, payoff_component, weak_ge
+from .core import MultiPartyObjectives, Sense, payoff_component, randbelow, weak_ge
 
 KINDS = ("aorz", "aofz", "aoaz", "bpaoaz")
 SENSE = Sense.MAXIMIZE
@@ -268,6 +269,8 @@ def _memo_search(
     left = None if targets is None else [set(t) - {A[0][0]} for t, A in zip(targets, archives)]
     hit = evaluations if left is not None and not any(left) else None
     order = range(len(lanes))
+    getrandbits = rng.getrandbits
+    nk = n.bit_length()
 
     while hit is None and evaluations < budget:
         iterations += 1
@@ -275,8 +278,15 @@ def _memo_search(
             if evaluations >= budget:
                 break
             P = archives[m]
-            k = rng.randrange(len(P))
-            b = rng.randrange(n)
+            # both draws are core.randbelow written inline: randrange(len(P)), randrange(n)
+            size = len(P)
+            kb = size.bit_length()
+            k = getrandbits(kb)
+            while k >= size:
+                k = getrandbits(kb)
+            b = getrandbits(nk)
+            while b >= n:
+                b = getrandbits(nk)
             _, pw, pi, pj, _ = P[k]
             if b < half:
                 i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
@@ -432,10 +442,12 @@ def run_empmo_random(
     Draws per iteration: parent index, bit index, then one uniform float u
     with party 1 selected iff u < phi. Acceptance and the dominance-removal
     step use only the drawn party; afterwards the archive is pruned under that
-    same party, keeping the earliest-born member among any equal-vector group
-    (the prune is skipped while the archive is pruned under that party: an
-    accept under a party keeps it so, as no member weakly dominated the
-    newcomer and the newcomer removed every member it weakly dominates).
+    same party to its non-dominated members (the prune is skipped while the
+    archive is pruned under that party: an accept under a party keeps it so,
+    as no member weakly dominated the newcomer and the newcomer removed every
+    member it weakly dominates). A party vector fixes the cell (i, j), and an
+    offspring whose cell is already in the archive is rejected as equal, so
+    members never share a vector under either party.
 
     ``stop="target"`` ends the run once the all-ones string is accepted into
     the archive; it is never removed afterwards. ``observer`` is called as
@@ -463,11 +475,12 @@ def run_empmo_random(
     iterations = 0
     pruned = [True, True]
     hit = evaluations if (stop == "target" and word == ones_word) else None
+    getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
         iterations += 1
-        k = rng.randrange(len(archive))
-        b = rng.randrange(n)
+        k = randbelow(getrandbits, len(archive))
+        b = randbelow(getrandbits, n)
         m = 0 if rng.random() < phi else 1
         e = archive[k]
         pw, pi, pj = e[2], e[3], e[4]
@@ -489,20 +502,16 @@ def run_empmo_random(
             if stop == "target" and w2 == ones_word:
                 hit = evaluations
         if not pruned[m]:
-            # Births ascend along the archive (appends follow iterations and
-            # filters keep order), so the first member per vector is the
-            # earliest-born. A distinct 2-vector, taken in descending order, is
-            # non-dominated iff its second component beats all earlier ones.
-            first = {}
-            for z in archive:
-                first.setdefault(z[m], z[5])
+            # The members' vectors are distinct; taken in descending order, a
+            # 2-vector is non-dominated iff its second component beats all
+            # earlier ones.
             kept = set()
             top = -1  # below every count
-            for v in sorted(first, reverse=True):
+            for v in sorted([z[m] for z in archive], reverse=True):
                 if v[1] > top:
-                    kept.add(first[v])
+                    kept.add(v)
                     top = v[1]
-            archive = [z for z in archive if z[5] in kept]
+            archive = [z for z in archive if z[m] in kept]
             pruned[m] = True
         if observer is not None:
             observer(iterations, archive)
@@ -542,10 +551,11 @@ def run_empmo_payoff(
     evaluations = 1
     iterations = 0
     hit = evaluations if (stop == "target" and word == ones_word) else None
+    getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
         iterations += 1
-        b = rng.randrange(n)
+        b = randbelow(getrandbits, n)
         if b < half:
             i2, j2 = i + (1 if not (word >> b) & 1 else -1), j
         else:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense
+from .core import MultiPartyObjectives, Sense, randbelow
 
 SENSE = Sense.MINIMIZE
 SOURCE = 1
@@ -263,23 +263,23 @@ def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) ->
     if rng.random() < 0.5:
         if len(p) >= max_len:
             return None
-        i = rng.randrange(last + 1)
+        i = randbelow(rng.getrandbits, last + 1)
         u = p[i]
         if i == last:
             succ = g.successors(u)
             if not succ:
                 return None
-            v = succ[rng.randrange(len(succ))]
+            v = succ[randbelow(rng.getrandbits, len(succ))]
             return p + (v,), 1, u, v, None
         w = p[i + 1]
         candidates = g.bridges(u, w)
         if not candidates:
             return None
-        v = candidates[rng.randrange(len(candidates))]
+        v = candidates[randbelow(rng.getrandbits, len(candidates))]
         return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
     if last < 2:
         return None
-    i = 1 + rng.randrange(last - 1)
+    i = 1 + randbelow(rng.getrandbits, last - 1)
     if i == last - 1:
         return p[:-1], -1, p[i], p[last], None
     u, w = p[i], p[i + 2]
@@ -464,7 +464,7 @@ class _BoxArchive:
             self._enroll(self._make_rec(path, obj[0] + obj[1], 0))
 
     def step(self, rng: random.Random, generation: int) -> bool:
-        parent = self.pool[rng.randrange(len(self.pool))]
+        parent = self.pool[randbelow(rng.getrandbits, len(self.pool))]
         edit = _edit_path(self.g, parent.path, rng, self.max_len)
         if edit is None:
             self.no_change += 1

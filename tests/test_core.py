@@ -1,4 +1,6 @@
-"""Dominance and payoff primitives."""
+"""Dominance, payoff and draw primitives."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from mpmolab.core import (
     dominance_compare,
     multiparty_payoff,
     payoff_component,
+    randbelow,
     weakly_dominates,
 )
 
@@ -137,3 +140,19 @@ def test_multiparty_payoff_total_matches_components(pairs, sense):
     assert value.per_party == tuple(
         payoff_component(fb, fa, sense) for fb, fa in zip(before, after)
     )
+
+
+# bounds around every word boundary of the 32-bit Mersenne Twister output
+DRAW_BOUNDS = st.one_of(
+    st.integers(1, 2**70),
+    st.sampled_from([1, 2**32, 2**32 + 1]),
+    st.integers(1, 70).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
+)
+
+
+@given(st.integers(0, 2**64), st.lists(DRAW_BOUNDS, min_size=1, max_size=40))
+def test_randbelow_replays_randrange(seed, bounds):
+    a, b = random.Random(seed), random.Random(seed)
+    for n in bounds:
+        assert randbelow(a.getrandbits, n) == b.randrange(n)
+        assert a.getstate() == b.getstate()

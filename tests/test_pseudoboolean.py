@@ -231,6 +231,23 @@ def test_empmo_random_hits_and_keeps_distinct_words():
     assert again.evaluations == trace.evaluations
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5, 1.0])
+def test_empmo_random_members_hold_distinct_cells(phi):
+    # the prune keeps members by their vector, which is exact because a party
+    # vector fixes the cell (i, j) and members never share a cell
+    p = PseudoBooleanProblem("bpaoaz", 12)
+    sizes = []
+
+    def watch(iteration, archive):
+        cells = [(z[3], z[4]) for z in archive]
+        assert len(cells) == len(set(cells))
+        sizes.append(len(cells))
+
+    for seed in range(3):
+        run_empmo_random(p, phi, seed, budget=3000, stop="budget", observer=watch)
+    assert max(sizes) > 3
+
+
 def test_empmo_payoff_accepts_only_positive_totals():
     p = PseudoBooleanProblem("bpaoaz", 12)
     words = []

@@ -177,6 +177,9 @@ class ScriptedRng:
     def randrange(self, *args):
         return self.ints.pop(0)
 
+    def getrandbits(self, k):
+        return self.ints.pop(0)
+
 
 def test_mutate_path_scripted_edits():
     g = fixture_graph()
@@ -403,6 +406,51 @@ def test_bridges_match_the_successor_scan(property_graphs, name):
     for u in range(1, g.n + 1):
         for w in range(1, g.n + 1):
             assert g.bridges(u, w) == tuple(v for v in g.successors(u) if g.has_edge(v, w))
+
+
+def randrange_edit(g, p, rng, max_len):
+    """The child of the path edit as first written, with ``rng.randrange`` draws."""
+    last = len(p) - 1
+    if rng.random() < 0.5:
+        if len(p) >= max_len:
+            return None
+        i = rng.randrange(last + 1)
+        u = p[i]
+        if i == last:
+            succ = g.successors(u)
+            if not succ:
+                return None
+            return p + (succ[rng.randrange(len(succ))],)
+        candidates = g.bridges(u, p[i + 1])
+        if not candidates:
+            return None
+        return p[: i + 1] + (candidates[rng.randrange(len(candidates))],) + p[i + 1 :]
+    if last < 2:
+        return None
+    i = 1 + rng.randrange(last - 1)
+    if i == last - 1:
+        return p[:-1]
+    if g.has_edge(p[i], p[i + 2]):
+        return p[: i + 1] + p[i + 2 :]
+    return None
+
+
+@pytest.mark.parametrize("name", ["fixture", "planted10"])
+def test_mutate_path_replays_the_randrange_edit(property_graphs, name):
+    g = property_graphs[name]
+    picker = random.Random(7)
+    a, b = random.Random(11), random.Random(11)
+    frontier = [(1,)]
+    changed = 0
+    for _ in range(3000):
+        p = frontier[picker.randrange(len(frontier))]
+        q = mutate_path(g, p, a)
+        assert q == randrange_edit(g, p, b, 2 * g.n), p
+        assert a.getstate() == b.getstate()
+        if q is not None:
+            changed += 1
+            frontier.append(q)
+    assert changed > 1000
 
 
 def check_members(g, members, lane_bases):
