@@ -208,16 +208,23 @@ def make_metric_fn(refs: Dict[int, Tuple]):
     Returns (max over members, flat mean over members, mean over endpoints of
     the per-endpoint minimum). Members whose endpoint has no reference are
     skipped; with the planted and fixture instances every endpoint has one.
+    Each closure memoises a member's degree by its (endpoint, objectives)
+    pair, so a vector that stays in the archive across samples, or comes back
+    to it, is scored once per closure.
     """
+    memo: Dict[Tuple[int, Tuple], float] = {}
 
     def metric(view):
         per_member: List[float] = []
         best: Dict[int, float] = {}
-        for endpoint, obj in view:
-            common = refs.get(endpoint)
-            if not common:
-                continue
-            e = float(oracles.epsilon_of_solution(obj, common))
+        for key in view:
+            endpoint, obj = key
+            e = memo.get(key)
+            if e is None:
+                common = refs.get(endpoint)
+                if not common:
+                    continue
+                e = memo[key] = float(oracles.epsilon_of_solution(obj, common))
             per_member.append(e)
             if endpoint not in best or e < best[endpoint]:
                 best[endpoint] = e
@@ -270,24 +277,39 @@ class RunRecord:
 def _graph_setup(text: Optional[str]) -> Tuple[WeightedDigraph, Mapping, Optional[Mapping]]:
     """The graph of an instance file's text (None: the fixture) and its oracles.
 
-    Returns (graph, endpoint references, party-2 fronts). The references and
-    fronts come from one exact path catalog, built only when the graph has at
-    most ORACLE_N_LIMIT vertices; above it they are empty and None. Both are
-    read-only, since every row of the process shares them. Exceptions are not
-    cached, so a malformed file fails the same way on every row.
+    Returns (graph, endpoint references, party-2 fronts), keyed by endpoint
+    in ascending order. The ideal-point certificate ``oracles.ideal_points``
+    comes first: when it certifies every endpoint, its point is each
+    endpoint's whole common set and its party-2 part the whole party-2 front.
+    Otherwise, as on the fixture, both come from the exact path catalog. Tied
+    paths give the catalog one copy of a vector per path and the certificate
+    one copy; the metric and the target take a max or an all over members,
+    so they read the same either way.
+
+    Graphs above ORACLE_N_LIMIT vertices get empty references and None. The
+    certificate would answer there too, but using it would change the pinned
+    planted n > 12 rows. Both maps are read-only, since every row of the
+    process shares them. Exceptions are not cached, so a malformed file fails
+    the same way on every row.
     """
     g = fixture_graph() if text is None else parse_instance(text)
     if g.n > ORACLE_N_LIMIT:
         return g, MappingProxyType({}), None
-    cat = oracles.exact_path_catalog(g)
-    fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
-    return g, MappingProxyType(endpoint_commons(g, cat)), MappingProxyType(fronts)
+    ideal = oracles.ideal_points(g)
+    if len(ideal) == g.n - 1:
+        refs = {e: (obj,) for e, obj in ideal.items()}
+        fronts = {e: (obj[1],) for e, obj in ideal.items()}
+    else:
+        cat = oracles.exact_path_catalog(g)
+        refs = endpoint_commons(g, cat)
+        fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
+    return g, MappingProxyType(refs), MappingProxyType(fronts)
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     """Execute one (config, seed) pair; failures land in the error column.
 
-    Graph rows of one process share one parse and one exact path catalog per
+    Graph rows of one process share one parse and one set of references per
     distinct instance content: the file is read on every row, and a file
     rewritten between rows is set up afresh.
     """

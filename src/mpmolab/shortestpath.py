@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense, randbelow
+from .core import MultiPartyObjectives, Sense
 
 SENSE = Sense.MINIMIZE
 SOURCE = 1
@@ -258,28 +258,48 @@ _Edit = Tuple[Path, int, int, int, Optional[int]]
 
 
 def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) -> Optional[_Edit]:
-    """The mutation of ``mutate_path`` on a valid tuple path, with its edit."""
-    last = len(p) - 1
+    """The mutation of ``mutate_path`` on a valid tuple path, with its edit.
+
+    Each integer draw is ``core.randbelow`` written inline: randrange(size).
+    """
+    getrandbits = rng.getrandbits
+    size = len(p)
+    last = size - 1
     if rng.random() < 0.5:
-        if len(p) >= max_len:
+        if size >= max_len:
             return None
-        i = randbelow(rng.getrandbits, last + 1)
+        k = size.bit_length()
+        i = getrandbits(k)
+        while i >= size:
+            i = getrandbits(k)
         u = p[i]
         if i == last:
-            succ = g.successors(u)
-            if not succ:
+            options = g.successors(u)
+            if not options:
                 return None
-            v = succ[randbelow(rng.getrandbits, len(succ))]
+            w = None
+        else:
+            w = p[i + 1]
+            options = g.bridges(u, w)
+            if not options:
+                return None
+        size = len(options)
+        k = size.bit_length()
+        j = getrandbits(k)
+        while j >= size:
+            j = getrandbits(k)
+        v = options[j]
+        if w is None:
             return p + (v,), 1, u, v, None
-        w = p[i + 1]
-        candidates = g.bridges(u, w)
-        if not candidates:
-            return None
-        v = candidates[randbelow(rng.getrandbits, len(candidates))]
         return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
     if last < 2:
         return None
-    i = 1 + randbelow(rng.getrandbits, last - 1)
+    size = last - 1
+    k = size.bit_length()
+    i = getrandbits(k)
+    while i >= size:
+        i = getrandbits(k)
+    i += 1
     if i == last - 1:
         return p[:-1], -1, p[i], p[last], None
     u, w = p[i], p[i + 2]
@@ -382,6 +402,15 @@ class _BoxArchive:
     Since ``floor_log`` is monotone, an incumbent whose objectives weakly
     dominate a lane also does so in boxes, so the rejection scan compares
     boxes first and objectives only where the boxes are equal.
+
+    An accepted child whose path a member already holds drops that member
+    (its twin: same vector, so same boxes) with the others it dominates, and
+    the twin is then enrolled again with the child's birth generation instead
+    of a new record. This is exact: a new record would carry the same path,
+    vector, views and target verdict, and a drop followed by an append leaves
+    pool order, bucket order, ``zero_counts`` and ``covered`` as a new record
+    would. The verdict is reused, so ``target_fn`` must be a pure function of
+    (endpoint, objectives).
     """
 
     def __init__(
@@ -423,8 +452,8 @@ class _BoxArchive:
             views = self._views_of[flat] = ((flat[:k1], flat[k1:]), lanes, boxes)
         return views
 
-    def _make_rec(self, path: Path, flat: Tuple[int, ...], birth: int) -> _Rec:
-        obj, lanes, boxes = self._views(flat)
+    def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> _Rec:
+        obj, lanes, boxes = views
         endpoint = path[-1]
         zero = bool(
             self.target_fn is not None
@@ -461,10 +490,19 @@ class _BoxArchive:
         if len(path) > 1 and path[-1] == SOURCE:
             raise ValueError("cannot seed a walk that returns to the source")
         if len(path) > 1:
-            self._enroll(self._make_rec(path, obj[0] + obj[1], 0))
+            flat = obj[0] + obj[1]
+            self._enroll(self._make_rec(path, flat, self._views(flat), 0))
 
     def step(self, rng: random.Random, generation: int) -> bool:
-        parent = self.pool[randbelow(rng.getrandbits, len(self.pool))]
+        # the parent draw is core.randbelow written inline: randrange(len(pool))
+        getrandbits = rng.getrandbits
+        pool = self.pool
+        size = len(pool)
+        k = size.bit_length()
+        i = getrandbits(k)
+        while i >= size:
+            i = getrandbits(k)
+        parent = pool[i]
         edit = _edit_path(self.g, parent.path, rng, self.max_len)
         if edit is None:
             self.no_change += 1
@@ -479,7 +517,9 @@ class _BoxArchive:
         if w is not None:
             delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
         flat = tuple(map(add if sign > 0 else sub, parent.flat, delta))
-        _, lanes, boxes = self._views(flat)
+        views = self._views(flat)
+        _, lanes, boxes = views
+        twin = None
         bucket = self.buckets.get(endpoint)
         if bucket:
             # accept at the first lane where no incumbent strictly dominates
@@ -508,7 +548,13 @@ class _BoxArchive:
                     doomed.append(z)
             for z in doomed:
                 self._drop(z)
-        self._enroll(self._make_rec(child, flat, generation))
+                if z.path == child:
+                    twin = z
+        if twin is None:
+            self._enroll(self._make_rec(child, flat, views, generation))
+        else:
+            twin.birth = generation
+            self._enroll(twin)
         return True
 
     @property
@@ -551,6 +597,7 @@ def _drive(
     hit_gen: Optional[int] = None
     hit_evals: Optional[int] = None
     pools = archs[0].pool if len(archs) == 1 else tuple(a.pool for a in archs)
+    steps = tuple((a, a.step) for a in archs)
 
     def sample(gen: int) -> None:
         recs = [r for a in archs for r in a.real_entries()]
@@ -560,9 +607,9 @@ def _drive(
 
     gen = sampled_at = 0
     for gen in range(1, budget + 1):
-        for arch in archs:
+        for arch, step in steps:
             # only an accepted offspring can complete the coverage, and only in its own archive
-            if arch.step(rng, gen) and hit_gen is None and arch.all_covered and all(a.all_covered for a in archs):
+            if step(rng, gen) and hit_gen is None and arch.all_covered and all(a.all_covered for a in archs):
                 hit_gen, hit_evals = gen, sum(a.evaluations for a in archs)
         if stop_on_hit and hit_gen == gen:
             break

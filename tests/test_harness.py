@@ -32,6 +32,7 @@ from mpmolab.instances import (
     generate_planted_uav,
     write_instance,
 )
+from mpmolab.shortestpath import ApproxParams, run_empmo_cons_sp
 
 
 def test_config_validation():
@@ -101,8 +102,8 @@ def fresh_graph_setup():
     harness._graph_setup.cache_clear()
 
 
-def planted_text(seed):
-    return write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, 10, seed=seed)))
+def planted_text(seed, n=10):
+    return write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, n, seed=seed)))
 
 
 @pytest.mark.parametrize("algorithm", ["empmo-cons-sp", "demo-sp", "empmo-simple-sp"])
@@ -122,18 +123,23 @@ def test_run_single_builds_the_path_catalog_once(algorithm, monkeypatch, fresh_g
 
 
 def test_run_many_builds_each_graph_setup_once(tmp_path, monkeypatch, fresh_graph_setup):
-    built, parsed = [], []
-    exact, parse = oracles.exact_path_catalog, harness.parse_instance
+    built, certified, parsed = [], [], []
+    exact, ideal, parse = oracles.exact_path_catalog, oracles.ideal_points, harness.parse_instance
 
     def counting_catalog(g, **kwargs):
         built.append(g.n)
         return exact(g, **kwargs)
+
+    def counting_ideal(g):
+        certified.append(g.n)
+        return ideal(g)
 
     def counting_parse(text):
         parsed.append(text)
         return parse(text)
 
     monkeypatch.setattr(oracles, "exact_path_catalog", counting_catalog)
+    monkeypatch.setattr(oracles, "ideal_points", counting_ideal)
     monkeypatch.setattr(harness, "parse_instance", counting_parse)
     path = tmp_path / "planted10.bpm"
     path.write_text(planted_text(0))
@@ -145,8 +151,33 @@ def test_run_many_builds_each_graph_setup_once(tmp_path, monkeypatch, fresh_grap
     result = run_many(configs)
     assert len(result.summary_rows) == 18
     assert all(row["error"] == "" for row in result.summary_rows)
-    assert built == [5, 10]
+    # the planted file's references come from the certificate; only the fixture needs the catalog
+    assert built == [5]
+    assert certified == [5, 10]
     assert len(parsed) == 1
+
+
+def test_graph_setup_takes_certified_references(monkeypatch, fresh_graph_setup):
+    for n in range(5, 13):
+        for seed in range(10):
+            g, refs, fronts = harness._graph_setup(planted_text(seed, n))
+            cat = oracles.exact_path_catalog(g)
+            assert list(refs) == list(fronts) == list(range(2, n + 1))
+            assert dict(refs) == endpoint_commons(g, cat)
+            assert dict(fronts) == {e: cat.party_front(e, 1) for e in cat.per_endpoint}
+
+    built = []
+    exact = oracles.exact_path_catalog
+    monkeypatch.setattr(oracles, "exact_path_catalog", lambda g, **kw: built.append(g.n) or exact(g, **kw))
+    # the fixture's endpoint 5 has a trade-off, so its references come from the catalog
+    g, refs, fronts = harness._graph_setup(None)
+    assert built == [5]
+    cat = exact(g)
+    assert dict(refs) == endpoint_commons(g, cat)
+    assert dict(fronts) == {e: cat.party_front(e, 1) for e in cat.per_endpoint}
+    # above the oracle limit the rows get no references, as before
+    _, refs, fronts = harness._graph_setup(planted_text(0, 13))
+    assert (dict(refs), fronts, built) == ({}, None, [5])
 
 
 def test_graph_setup_is_keyed_by_content(tmp_path, fresh_graph_setup):
@@ -215,6 +246,26 @@ def test_metric_fn_on_known_archive():
     assert mean_members == pytest.approx(0.2)
     assert mean_endpoints == 0.0
     assert metric([]) == (0.0, 0.0, 0.0)
+
+
+def test_metric_fn_scores_each_member_once(monkeypatch):
+    g = fixture_graph()
+    refs = endpoint_commons(g)
+    views = []
+    run_empmo_cons_sp(
+        g, ApproxParams.consensus(5, Fraction(1, 2), Fraction(1, 2)), 600, 3,
+        observer=lambda gen, pool: views.append([(r.endpoint, r.objectives) for r in pool[1:]]),
+    )
+    calls = []
+    score = oracles.epsilon_of_solution
+    monkeypatch.setattr(oracles, "epsilon_of_solution", lambda obj, common: calls.append(obj) or score(obj, common))
+    for refs_fed in (refs, {e: c for e, c in refs.items() if e != 5}):
+        calls.clear()
+        metric = make_metric_fn(refs_fed)
+        got = [metric(view) for view in views]
+        distinct = {key for view in views for key in view if key[0] in refs_fed}
+        assert len(calls) == len(distinct) < sum(map(len, views))
+        assert got == [make_metric_fn(refs_fed)(view) for view in views]
 
 
 def test_target_fn_requires_weak_dominance_of_all_common():

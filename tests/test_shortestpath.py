@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mpmolab.core import randbelow
 from mpmolab.harness import endpoint_commons, make_metric_fn, make_target_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import exact_party_fronts
@@ -22,6 +23,8 @@ from mpmolab.shortestpath import (
     run_empmo_simple_sp,
     ultimatum_consensus,
     WeightedDigraph,
+    _BoxArchive,
+    _Rec,
 )
 
 
@@ -396,6 +399,7 @@ def property_graphs():
     return {
         "fixture": fixture_graph(),
         "planted10": generate_planted_uav(InstanceSpec(KIND_PLANTED, 10, seed=3)),
+        "planted12": generate_planted_uav(InstanceSpec(KIND_PLANTED, 12, seed=5)),
         "planted30": generate_planted_uav(InstanceSpec(KIND_PLANTED, 30, seed=4)),
     }
 
@@ -532,3 +536,155 @@ def test_drive_observer_payloads_and_hit_stop():
     )
     assert (full.hit_generation, full.hit_evaluations) == (res.hit_generation, res.hit_evaluations)
     assert full.generations == res.generations + 50
+
+
+def randbelow_edit(g, p, rng, max_len):
+    """The path edit with its changed edges, drawn through ``core.randbelow``."""
+    last = len(p) - 1
+    if rng.random() < 0.5:
+        if len(p) >= max_len:
+            return None
+        i = randbelow(rng.getrandbits, last + 1)
+        u = p[i]
+        if i == last:
+            succ = g.successors(u)
+            if not succ:
+                return None
+            v = succ[randbelow(rng.getrandbits, len(succ))]
+            return p + (v,), 1, u, v, None
+        w = p[i + 1]
+        candidates = g.bridges(u, w)
+        if not candidates:
+            return None
+        v = candidates[randbelow(rng.getrandbits, len(candidates))]
+        return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
+    if last < 2:
+        return None
+    i = 1 + randbelow(rng.getrandbits, last - 1)
+    if i == last - 1:
+        return p[:-1], -1, p[i], p[last], None
+    u, w = p[i], p[i + 2]
+    if g.has_edge(u, w):
+        return p[: i + 1] + p[i + 2 :], -1, u, p[i + 1], w
+    return None
+
+
+class NewRecordArchive(_BoxArchive):
+    """The archive step with ``core.randbelow`` draws and a new record per accept."""
+
+    def step(self, rng, generation):
+        parent = self.pool[randbelow(rng.getrandbits, len(self.pool))]
+        edit = randbelow_edit(self.g, parent.path, rng, self.max_len)
+        if edit is None:
+            self.no_change += 1
+            return False
+        child, sign, u, v, w = edit
+        self.evaluations += 1
+        endpoint = child[-1]
+        if endpoint == 1:
+            return False
+        weights = self.g.flat
+        delta = weights[(u, v)]
+        if w is not None:
+            delta = tuple(a + b - c for a, b, c in zip(delta, weights[(v, w)], weights[(u, w)]))
+        flat = tuple(a + sign * d for a, d in zip(parent.flat, delta))
+        obj, lanes, boxes = self._views(flat)
+        bucket = self.buckets.get(endpoint)
+        if bucket:
+            for li in range(len(lanes)):
+                lane, box = lanes[li], boxes[li]
+                for z in bucket:
+                    zb = z.boxes[li]
+                    if zb == box:
+                        zl = z.lanes[li]
+                        if zl != lane and all(a <= b for a, b in zip(zl, lane)):
+                            break
+                    elif all(a <= b for a, b in zip(zb, box)):
+                        break
+                else:
+                    break
+            else:
+                return False
+            doomed = [z for z in bucket if all(a <= b for box, zb in zip(boxes, z.boxes) for a, b in zip(box, zb))]
+            for z in doomed:
+                self._drop(z)
+        zero = bool(self.target_fn is not None and endpoint in self.targets and self.target_fn(endpoint, obj))
+        self._enroll(_Rec(child, endpoint, flat, obj, lanes, boxes, generation, zero))
+        return True
+
+
+def archive_state(arch):
+    return (
+        [(r.path, r.flat, r.birth, r.zero) for r in arch.pool],
+        [(e, [r.path for r in bucket]) for e, bucket in arch.buckets.items()],
+        arch.evaluations,
+        arch.no_change,
+        arch.max_size,
+        arch.zero_counts,
+        arch.covered,
+    )
+
+
+def archive_lanes(g):
+    """(name, slices, bases, with targets) for the cons-sp, demo-sp and single-party archives."""
+    k1, k2 = g.k
+    params = ApproxParams.consensus(g.n, Fraction(1, 2), Fraction(1, 3))
+    r1, r2 = BoxBase.power(Fraction(3, 2), g.n - 1), BoxBase.power(Fraction(4, 3), g.n - 1)
+    return [
+        ("cons", ((0, k1), (k1, k1 + k2)), (params.r, params.r), True),
+        ("demo", ((0, k1 + k2),), (params.r,), True),
+        ("party1", ((0, k1),), (r1,), False),
+        ("party2", ((k1, k1 + k2),), (r2,), False),
+    ]
+
+
+def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
+    """Step the archive and its new-record copy on equal streams; count rebirths."""
+    _, slices, bases, targeted = lanes
+    target = make_target_fn(refs) if targeted else None
+    targets = refs if targeted else ()
+    new, old = (cls(g, slices, bases, None, target, targets) for cls in (_BoxArchive, NewRecordArchive))
+    for path in seeds:
+        new.seed_path(path)
+        old.seed_path(path)
+    a, b = random.Random(seed), random.Random(seed)
+    enrolled = set(new.pool)
+    reborn = crowded = 0
+    for gen in range(1, generations + 1):
+        size = len(new.pool)
+        accepted = new.step(a, gen)
+        assert accepted == old.step(b, gen)
+        assert archive_state(new) == archive_state(old), (seed, gen)
+        assert a.getstate() == b.getstate()
+        if accepted:
+            rec = new.pool[-1]
+            if rec in enrolled:
+                reborn += 1
+                crowded += len(new.pool) < size
+            enrolled.add(rec)
+    return reborn, crowded
+
+
+@pytest.mark.parametrize("name", ["fixture", "planted10", "planted12"])
+def test_step_replays_the_new_record_step(property_graphs, name):
+    g = property_graphs[name]
+    refs = endpoint_commons(g)
+    lanes = archive_lanes(g)
+    reborn = 0
+    for seed in range(12):
+        reborn += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000)[0]
+    # most accepted children put back a path the archive holds
+    assert reborn > 100
+
+
+def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
+    g = property_graphs["fixture"]
+    refs = endpoint_commons(g)
+    # a duplicate path, and (1, 3) strictly dominating (1, 2, 3) in both parties
+    seeds = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
+    lanes = archive_lanes(g)
+    crowded = 0
+    for seed in range(12):
+        crowded += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000, seeds)[1]
+    # a reborn twin drops other members with it
+    assert crowded > 0
