@@ -36,7 +36,7 @@ from .oracles import (
     payoff_runtime_predictor,
 )
 from .instances import InstanceSpec, fixture_graph, generate_planted_uav, parse_instance, write_instance
-from .harness import ExperimentConfig, run_experiment, run_many, run_single, summarize
+from .harness import ExperimentConfig, run_many, run_single, summarize
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "run_empmo_random",
     "run_empmo_simple",
     "run_empmo_simple_sp",
-    "run_experiment",
     "run_many",
     "run_semo",
     "run_single",

@@ -67,7 +67,6 @@ def cmd_run(args) -> int:
         eps2max=args.eps2_max,
         seeds=(args.seed,),
         budget=args.budget,
-        cadence=args.cadence,
     )
     record = harness.run_single(config, args.seed)
     harness.write_rows(sys.stdout, harness.SUMMARY_COLUMNS, [record.summary])
@@ -183,7 +182,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--eps2-max", type=Fraction, help="consensus relaxation cap (default eps2)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--budget", type=int, help="evaluations (bit-flip) or generations (graphs); defaults 1e8 / 1e6")
-    p_run.add_argument("--cadence", type=int, default=harness.DEFAULT_CADENCE, help="generations between metric samples")
     p_run.add_argument("--out", help=f"output directory (default ${OUT_ENV} or '.')")
     p_run.set_defaults(fn=cmd_run)
 

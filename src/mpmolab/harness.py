@@ -28,7 +28,6 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import oracles
-from .core import weak_ge
 from .instances import fixture_graph, parse_instance
 from .pseudoboolean import (
     DEFAULT_BUDGET,
@@ -66,7 +65,6 @@ ID_FIELDS = ("algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "ep
 CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
 DEFAULT_CADENCE = 100
 DEFAULT_SP_BUDGET = 10**6
-ORACLE_N_LIMIT = 12
 # A sweep file names one instance; the headroom covers pool workers whose rows
 # interleave several files.
 GRAPH_SETUP_CACHE_SIZE = 8
@@ -79,7 +77,7 @@ class GraphRow(NamedTuple):
     params: ApproxParams
     fronts: Optional[Mapping]
     measure: dict  # metric_fn and cadence, for every graph runner
-    stop: dict  # target_fn, target_endpoints and stop_on_hit, for the runners that stop at coverage
+    stop: dict  # targets and stop_on_hit, for the runners that stop at coverage
 
 
 class Runner(NamedTuple):
@@ -141,12 +139,13 @@ class ExperimentConfig:
     eps2max: Optional[Fraction] = None
     seeds: Tuple[int, ...] = (0,)
     budget: Optional[int] = None  # None: the family's default, FAMILY_BUDGETS
-    cadence: int = DEFAULT_CADENCE
 
     def __post_init__(self) -> None:
         if self.algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
         for name in ("eps1", "eps2", "eps2max"):
             v = getattr(self, name)
             if v is not None:
@@ -157,8 +156,6 @@ class ExperimentConfig:
             object.__setattr__(self, "budget", FAMILY_BUDGETS[RUNNERS[self.algorithm].family])
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.cadence < 1:
-            raise ValueError("cadence must be positive")
         runner = RUNNERS[self.algorithm]
         if runner.family == PB:
             if self.problem not in KINDS:
@@ -239,18 +236,6 @@ def make_metric_fn(refs: Dict[int, Tuple]):
     return metric
 
 
-def make_target_fn(refs: Dict[int, Tuple]):
-    """True iff the member weakly dominates every common member of its endpoint."""
-
-    flat_refs = {e: [m[0] + m[1] for m in members] for e, members in refs.items()}
-
-    def target(endpoint: int, obj) -> bool:
-        flat = obj[0] + obj[1]
-        return all(weak_ge(m, flat) for m in flat_refs[endpoint])
-
-    return target
-
-
 def _config_cells(config: ExperimentConfig, seed: int) -> Dict[str, str]:
     return {
         "algorithm": config.algorithm,
@@ -286,14 +271,14 @@ def _graph_setup(text: Optional[str]) -> Tuple[WeightedDigraph, Mapping, Optiona
     one copy; the metric and the target take a max or an all over members,
     so they read the same either way.
 
-    Graphs above ORACLE_N_LIMIT vertices get empty references and None. The
-    certificate would answer there too, but using it would change the pinned
-    planted n > 12 rows. Both maps are read-only, since every row of the
-    process shares them. Exceptions are not cached, so a malformed file fails
-    the same way on every row.
+    Graphs above ``oracles.CATALOG_MAX_N`` vertices, the catalog's size
+    limit, get empty references and None. The certificate would answer there
+    too, but using it would change the pinned planted n > 12 rows. Both maps
+    are read-only, since every row of the process shares them. Exceptions
+    are not cached, so a malformed file fails the same way on every row.
     """
     g = fixture_graph() if text is None else parse_instance(text)
-    if g.n > ORACLE_N_LIMIT:
+    if g.n > oracles.CATALOG_MAX_N:
         return g, MappingProxyType({}), None
     ideal = oracles.ideal_points(g)
     if len(ideal) == g.n - 1:
@@ -330,12 +315,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
             g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
             params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
-            measure = {"metric_fn": make_metric_fn(refs) if refs else None, "cadence": config.cadence}
-            stop = {
-                "target_fn": make_target_fn(refs) if refs else None,
-                "target_endpoints": refs.keys(),
-                "stop_on_hit": True,
-            }
+            measure = {"metric_fn": make_metric_fn(refs) if refs else None, "cadence": DEFAULT_CADENCE}
+            stop = {"targets": refs, "stop_on_hit": True}
             result = run(GraphRow(g, params, fronts, measure, stop), config, seed)
             evaluations, generations = result.evaluations, result.generations
             hit, wall = result.hit_evaluations, result.wall_ms
@@ -414,10 +395,6 @@ def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> Experimen
     metrics = [m for i in order for m in records[i].metrics]
     traces = [records[i].trace for i in order]
     return ExperimentResult(summary, metrics, traces, aggregate_rows(summary))
-
-
-def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentResult:
-    return run_many([config], jobs=jobs)
 
 
 def aggregate_rows(summary_rows: Sequence[Dict[str, str]]) -> List[Dict[str, str]]:
@@ -543,7 +520,7 @@ def write_result(result: ExperimentResult, out_dir) -> Dict[str, FsPath]:
     return paths
 
 
-def config_from_row(row: Dict[str, str], *, cadence: int = DEFAULT_CADENCE) -> Tuple[ExperimentConfig, int]:
+def config_from_row(row: Dict[str, str]) -> Tuple[ExperimentConfig, int]:
     """Rebuild the (config, seed) pair a summary row came from."""
     config = ExperimentConfig(
         algorithm=row["algorithm"],
@@ -556,7 +533,6 @@ def config_from_row(row: Dict[str, str], *, cadence: int = DEFAULT_CADENCE) -> T
         eps2max=Fraction(row["eps2max"]) if row["eps2max"] else None,
         seeds=(int(row["seed"]),),
         budget=int(row["budget"]),
-        cadence=cadence,
     )
     return config, int(row["seed"])
 
@@ -570,7 +546,7 @@ def replay_row(row: Dict[str, str]) -> Tuple[Dict[str, str], List[str]]:
 
 
 _LIST_KEYS = ("algorithm", "problem", "n", "phi", "eps", "eps1", "eps2", "eps2max", "budget")
-_SWEEP_KEYS = set(_LIST_KEYS) | {"instance", "seeds", "cadence"}
+_SWEEP_KEYS = set(_LIST_KEYS) | {"instance", "seeds"}
 
 
 def _parse_seeds(value: str) -> Tuple[int, ...]:
@@ -585,8 +561,9 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
     """Flat key=value sweep file; comma-separated values fan out as a product.
 
     ``seeds`` accepts ``lo:hi`` (half-open) or a comma list and applies to
-    every produced config. ``eps`` is shorthand for equal eps1 and eps2.
-    Relative instance paths resolve against ``base_dir``.
+    every produced config; it must name at least one seed, and no value may
+    repeat in it or in any list. ``eps`` is shorthand for equal eps1 and
+    eps2. Relative instance paths resolve against ``base_dir``.
     """
     data: Dict[str, str] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -607,7 +584,6 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
         raise ValueError("give either eps or eps1/eps2, not both")
 
     seeds = _parse_seeds(data.pop("seeds", "0"))
-    cadence = int(data.pop("cadence", str(DEFAULT_CADENCE)))
     instance = data.pop("instance", "")
     if instance and instance != "fixture" and base_dir is not None and not os.path.isabs(instance):
         instance = str(FsPath(base_dir) / instance)
@@ -615,7 +591,10 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
     axes: List[Tuple[str, List[str]]] = []
     for key in _LIST_KEYS:
         if key in data:
-            axes.append((key, [t.strip() for t in data[key].split(",")]))
+            values = [t.strip() for t in data[key].split(",")]
+            if len(set(values)) != len(values):
+                raise ValueError(f"key {key!r} repeats a value: {data[key]}")
+            axes.append((key, values))
 
     combos: List[Dict[str, str]] = [{}]
     for key, values in axes:
@@ -634,7 +613,6 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
             eps2=Fraction(combo["eps2"]) if "eps2" in combo else None,
             eps2max=Fraction(combo["eps2max"]) if "eps2max" in combo else None,
             seeds=seeds,
-            cadence=cadence,
         )
         if eps is not None:
             kwargs["eps1"] = kwargs["eps2"] = Fraction(eps)

@@ -24,6 +24,8 @@ from .pseudoboolean import BitString, PseudoBooleanProblem
 from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 
 PathObj = Tuple[Path, MultiPartyObjectives]
+# The largest graph whose simple paths ``exact_path_catalog`` enumerates.
+CATALOG_MAX_N = 12
 
 
 def _pareto_distinct(vectors, sense: Sense) -> frozenset:
@@ -122,7 +124,7 @@ def _simple_paths_by_endpoint(g: WeightedDigraph) -> Dict[int, List[PathObj]]:
     return by_endpoint
 
 
-def exact_path_catalog(g: WeightedDigraph, *, max_n: int = 12) -> PathCatalog:
+def exact_path_catalog(g: WeightedDigraph) -> PathCatalog:
     """Exact per-endpoint Pareto, common, and joint-objective path sets.
 
     Only simple paths are enumerated. This loses no optima: with every weight
@@ -135,8 +137,8 @@ def exact_path_catalog(g: WeightedDigraph, *, max_n: int = 12) -> PathCatalog:
     non-dominated vector all appear in that party's set. The common set keeps
     the paths present in every party's set.
     """
-    if g.n > max_n:
-        raise ValueError(f"exhaustive path catalog refused for n > {max_n}")
+    if g.n > CATALOG_MAX_N:
+        raise ValueError(f"exhaustive path catalog refused for n > {CATALOG_MAX_N}")
     by_endpoint = _simple_paths_by_endpoint(g)
     catalogs: Dict[int, EndpointCatalog] = {}
     for endpoint in range(2, g.n + 1):

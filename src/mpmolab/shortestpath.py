@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt, sub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense
+from .core import MultiPartyObjectives, Sense, weak_ge
 
 SENSE = Sense.MINIMIZE
 SOURCE = 1
@@ -332,14 +332,20 @@ def mutate_path(
     return None if edit is None else edit[0]
 
 
-@dataclass(frozen=True)
 class SpEntry:
-    """Archive member: path, both parties' objectives, per-lane box tuples."""
+    """Archive member; ``birth`` is the generation that last enrolled it, ``zero`` its coverage."""
 
-    path: Path
-    objectives: MultiPartyObjectives
-    boxes: Tuple[Tuple[int, ...], ...]
-    birth_generation: int
+    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "zero")
+
+    def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth, zero):
+        self.path = path
+        self.endpoint = endpoint
+        self.flat = flat
+        self.objectives = objectives
+        self.lanes = lanes
+        self.boxes = boxes
+        self.birth = birth
+        self.zero = zero
 
 
 @dataclass(frozen=True)
@@ -367,20 +373,6 @@ class SpRunResult:
     wall_ms: float
 
 
-class _Rec:
-    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "zero")
-
-    def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth, zero):
-        self.path = path
-        self.endpoint = endpoint
-        self.flat = flat
-        self.objectives = objectives
-        self.lanes = lanes
-        self.boxes = boxes
-        self.birth = birth
-        self.zero = zero
-
-
 class _BoxArchive:
     """Endpoint-bucketed archive with per-lane strict-dominance acceptance.
 
@@ -403,14 +395,18 @@ class _BoxArchive:
     dominate a lane also does so in boxes, so the rejection scan compares
     boxes first and objectives only where the boxes are equal.
 
+    ``targets`` maps each endpoint to its references, as ``make_metric_fn``
+    takes them. A member covers its endpoint when it weakly dominates each of
+    them in both parties' objectives; an empty map or None never hits.
+
     An accepted child whose path a member already holds drops that member
     (its twin: same vector, so same boxes) with the others it dominates, and
     the twin is then enrolled again with the child's birth generation instead
     of a new record. This is exact: a new record would carry the same path,
     vector, views and target verdict, and a drop followed by an append leaves
     pool order, bucket order, ``zero_counts`` and ``covered`` as a new record
-    would. The verdict is reused, so ``target_fn`` must be a pure function of
-    (endpoint, objectives).
+    would. The verdict reads only the endpoint, the vector and ``targets``,
+    so the twin's verdict is the child's.
     """
 
     def __init__(
@@ -418,22 +414,20 @@ class _BoxArchive:
         g: WeightedDigraph,
         slices: Tuple[Tuple[int, int], ...],
         bases: Tuple[BoxBase, ...],
-        max_len: Optional[int] = None,
-        target_fn: Optional[Callable[[int, MultiPartyObjectives], bool]] = None,
-        target_endpoints: Iterable[int] = (),
+        targets: Optional[Mapping[int, Sequence[MultiPartyObjectives]]] = None,
     ):
         self.g = g
         self.slices = slices
         self.bases = bases
-        self.max_len = max_len if max_len is not None else 2 * g.n
-        self.target_fn = target_fn
-        self.targets = frozenset(target_endpoints)
+        self.max_len = 2 * g.n
+        # each endpoint's references as flat vectors, party 1's objectives first
+        self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
         self._views_of: Dict[Tuple[int, ...], tuple] = {}
         k1, k2 = g.k
         zero = (0,) * (k1 + k2)
-        src = _Rec((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, False)
-        self.pool: List[_Rec] = [src]
-        self.buckets: Dict[int, List[_Rec]] = {}
+        src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, False)
+        self.pool: List[SpEntry] = [src]
+        self.buckets: Dict[int, List[SpEntry]] = {}
         self.evaluations = 0
         self.no_change = 0
         self.max_size = 1
@@ -452,17 +446,14 @@ class _BoxArchive:
             views = self._views_of[flat] = ((flat[:k1], flat[k1:]), lanes, boxes)
         return views
 
-    def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> _Rec:
+    def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> SpEntry:
         obj, lanes, boxes = views
         endpoint = path[-1]
-        zero = bool(
-            self.target_fn is not None
-            and endpoint in self.targets
-            and self.target_fn(endpoint, obj)
-        )
-        return _Rec(path, endpoint, flat, obj, lanes, boxes, birth, zero)
+        refs = self.targets.get(endpoint)
+        zero = refs is not None and all(weak_ge(m, flat) for m in refs)
+        return SpEntry(path, endpoint, flat, obj, lanes, boxes, birth, zero)
 
-    def _enroll(self, rec: _Rec) -> None:
+    def _enroll(self, rec: SpEntry) -> None:
         self.buckets.setdefault(rec.endpoint, []).append(rec)
         self.pool.append(rec)
         if rec.zero:
@@ -473,7 +464,7 @@ class _BoxArchive:
         if len(self.pool) > self.max_size:
             self.max_size = len(self.pool)
 
-    def _drop(self, rec: _Rec) -> None:
+    def _drop(self, rec: SpEntry) -> None:
         self.buckets[rec.endpoint].remove(rec)
         self.pool.remove(rec)
         if rec.zero:
@@ -561,14 +552,8 @@ class _BoxArchive:
     def all_covered(self) -> bool:
         return bool(self.targets) and self.covered == len(self.targets)
 
-    def real_entries(self) -> List[_Rec]:
+    def real_entries(self) -> List[SpEntry]:
         return self.pool[1:]
-
-    def snapshot(self) -> List[SpEntry]:
-        out = [SpEntry((SOURCE,), self.pool[0].objectives, (), 0)]
-        for rec in self.pool[1:]:
-            out.append(SpEntry(rec.path, rec.objectives, rec.boxes, rec.birth))
-        return out
 
 
 MetricFn = Callable[[List[Tuple[int, MultiPartyObjectives]]], Tuple[float, float, float]]
@@ -645,7 +630,7 @@ def _search(
         generations=gen,
         evaluations=arch.evaluations,
         no_change=arch.no_change,
-        archive=arch.snapshot(),
+        archive=list(arch.pool),
         metrics=metrics,
         hit_generation=hit_gen,
         hit_evaluations=hit_evals,
@@ -660,11 +645,9 @@ def run_empmo_cons_sp(
     budget: int,
     seed: int,
     *,
-    max_len: Optional[int] = None,
     metric_fn: Optional[MetricFn] = None,
     cadence: int = 100,
-    target_fn: Optional[Callable[[int, MultiPartyObjectives], bool]] = None,
-    target_endpoints: Iterable[int] = (),
+    targets: Optional[Mapping[int, Sequence[MultiPartyObjectives]]] = None,
     stop_on_hit: bool = False,
     observer: Optional[Callable] = None,
 ) -> SpRunResult:
@@ -677,16 +660,16 @@ def run_empmo_cons_sp(
     draws. ``params.r`` must be the consensus base (1+min eps)^(1/(n-1)).
 
     ``metric_fn`` is sampled every ``cadence`` generations (plus once at the
-    end) over the real archive members. ``target_fn(endpoint, objectives)``
-    marks members that fully attain their endpoint's target; once every
-    endpoint in ``target_endpoints`` holds such a member the hit generation is
+    end) over the real archive members. ``targets`` maps each endpoint to its
+    references; a member covers its endpoint when it weakly dominates all of
+    them. Once every endpoint in ``targets`` is covered the hit generation is
     recorded, and with ``stop_on_hit`` the run ends there.
     """
     expected = BoxBase.power(1 + min(params.eps_1, params.eps_2), g.n - 1)
     if params.r != expected:
         raise ValueError("params.r must be (1+min(eps_1,eps_2))^(1/(n-1)) for the consensus run")
     k1, k2 = g.k
-    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), max_len, target_fn, target_endpoints)
+    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), targets)
     return _search("empmo-cons-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
 
 
@@ -696,20 +679,19 @@ def run_demo_sp(
     budget: int,
     seed: int,
     *,
-    max_len: Optional[int] = None,
     metric_fn: Optional[MetricFn] = None,
     cadence: int = 100,
-    target_fn: Optional[Callable[[int, MultiPartyObjectives], bool]] = None,
-    target_endpoints: Iterable[int] = (),
+    targets: Optional[Mapping[int, Sequence[MultiPartyObjectives]]] = None,
     stop_on_hit: bool = False,
     observer: Optional[Callable] = None,
 ) -> SpRunResult:
     """Baseline: identical machinery over the single concatenated vector.
 
     Party attributions are ignored; dominance and box tests use the joint
-    (k_1+k_2)-objective vector at box base ``r``.
+    (k_1+k_2)-objective vector at box base ``r``. ``metric_fn``, ``cadence``,
+    ``targets`` and ``stop_on_hit`` act as in ``run_empmo_cons_sp``.
     """
-    arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), max_len, target_fn, target_endpoints)
+    arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), targets)
     return _search("demo-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
 
 
@@ -875,7 +857,6 @@ def run_empmo_simple_sp(
     *,
     initial_archives: Optional[Tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]] = None,
     party2_fronts: Optional[Dict[int, Sequence[Sequence[int]]]] = None,
-    max_len: Optional[int] = None,
     metric_fn: Optional[MetricFn] = None,
     cadence: int = 100,
     observer: Optional[Callable] = None,
@@ -901,8 +882,8 @@ def run_empmo_simple_sp(
         party2_fronts = exact_party_fronts(g, 1)
     k1, k2 = g.k
     archs = (
-        _BoxArchive(g, ((0, k1),), (BoxBase.power(1 + params.eps_1, g.n - 1),), max_len),
-        _BoxArchive(g, ((k1, k1 + k2),), (BoxBase.power(1 + params.eps_2, g.n - 1),), max_len),
+        _BoxArchive(g, ((0, k1),), (BoxBase.power(1 + params.eps_1, g.n - 1),)),
+        _BoxArchive(g, ((k1, k1 + k2),), (BoxBase.power(1 + params.eps_2, g.n - 1),)),
     )
     if initial_archives is not None:
         for arch, paths in zip(archs, initial_archives):
@@ -925,7 +906,7 @@ def run_empmo_simple_sp(
         generations=gen,
         evaluations=evaluations,
         no_change=archs[0].no_change + archs[1].no_change,
-        party_archives=(archs[0].snapshot(), archs[1].snapshot()),
+        party_archives=(list(archs[0].pool), list(archs[1].pool)),
         outcomes=outcomes,
         metrics=metrics,
         max_archive_size=max(archs[0].max_size, archs[1].max_size),

@@ -13,7 +13,6 @@ from mpmolab.harness import (
     ExperimentConfig,
     endpoint_commons,
     make_metric_fn,
-    make_target_fn,
     replay_row,
     run_many,
     summarize,
@@ -242,8 +241,7 @@ def test_epsilon_convergence_per_algorithm():
         res = run_empmo_cons_sp(
             g, params, budget, seed=5,
             metric_fn=make_metric_fn(refs), cadence=budget,
-            target_fn=make_target_fn(refs), target_endpoints=refs.keys(),
-            stop_on_hit=True,
+            targets=refs, stop_on_hit=True,
         )
         assert res.hit_generation is not None, name
         assert res.metrics[-1].mean_eps_endpoints == 0.0, name

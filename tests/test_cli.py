@@ -24,6 +24,7 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["frobnicate"]) == 1
     assert run_cli(["run"]) == 1  # --alg is required
     assert run_cli(["run", "--alg", "nope"]) == 1
+    assert run_cli(["run", "--alg", "semo", "--cadence", "10"]) == 1  # rows sample at one fixed cadence
 
 
 def test_oracle_problem_report(capsys):
@@ -210,3 +211,16 @@ def test_replay_missing_file_is_runtime_error(tmp_path, capsys):
     code = run_cli(["replay", "--summary", str(tmp_path / "absent.csv")])
     assert code == 3
     assert "FileNotFoundError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines", ["n = 8\nseeds = 3:3", "n = 8\nseeds = 5:3", "n = 8\nseeds = 1,1", "n = 8, 8"]
+)
+def test_sweep_with_empty_seeds_or_repeated_values_exits_2(tmp_path, capsys, lines):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"algorithm = empmo-payoff\nproblem = bpaoaz\n{lines}\n")
+    out = tmp_path / "results"
+    assert run_cli(["sweep", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "runs" not in captured.out
+    assert not out.exists()

@@ -13,9 +13,9 @@ from mpmolab.harness import (
     SUMMARY_COLUMNS,
     aggregate_rows,
     compute_run_id,
+    config_from_row,
     endpoint_commons,
     make_metric_fn,
-    make_target_fn,
     parse_sweep_text,
     read_csv,
     replay_row,
@@ -32,7 +32,7 @@ from mpmolab.instances import (
     generate_planted_uav,
     write_instance,
 )
-from mpmolab.shortestpath import ApproxParams, run_empmo_cons_sp
+from mpmolab.shortestpath import ApproxParams, _BoxArchive, run_empmo_cons_sp
 
 
 def test_config_validation():
@@ -54,6 +54,10 @@ def test_config_validation():
         ExperimentConfig("empmo-cons-sp", instance="fixture")
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig("semo", problem="aoaz", n=8, budget=0)
+    with pytest.raises(ValueError, match="non-empty and distinct"):
+        ExperimentConfig("semo", problem="aoaz", n=8, seeds=())
+    with pytest.raises(ValueError, match="non-empty and distinct"):
+        ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, seeds=(2, 0, 2))
     cfg = ExperimentConfig("empmo-cons-sp", instance="fixture", eps1="1/2", eps2=1)
     assert cfg.eps1 == Fraction(1, 2)
     assert cfg.seeds == (0,)
@@ -268,12 +272,32 @@ def test_metric_fn_scores_each_member_once(monkeypatch):
         assert got == [make_metric_fn(refs_fed)(view) for view in views]
 
 
-def test_target_fn_requires_weak_dominance_of_all_common():
-    refs = endpoint_commons(fixture_graph())
-    target = make_target_fn(refs)
+def test_archive_covers_an_endpoint_by_weak_dominance_of_all_common():
+    g = fixture_graph()
+    refs = endpoint_commons(g)
+    params = ApproxParams.consensus(g.n, 1, 1)
+
+    def verdict(targets):
+        arch = _BoxArchive(g, ((0, 2), (2, 4)), (params.r, params.r), targets)
+
+        def target(endpoint, obj):
+            flat = obj[0] + obj[1]
+            return arch._make_rec((1, endpoint), flat, arch._views(flat), 0).zero
+
+        return target
+
+    target = verdict(refs)
     assert target(5, ((7, 4), (5, 7)))
     assert not target(5, ((10, 4), (8, 5)))
     assert target(2, ((1, 2), (2, 4)))
+    # with two references at endpoint 5 a member must weakly dominate both, in both parties
+    target = verdict({**refs, 5: refs[5] + (((6, 5), (6, 6)),)})
+    assert target(5, ((6, 4), (5, 6)))
+    assert not target(5, ((7, 4), (5, 7)))
+    assert not target(5, ((6, 4), (5, 8)))
+    assert not target(5, ((8, 4), (5, 6)))
+    # an endpoint without references is never covered
+    assert not verdict({2: refs[2]})(3, ((3, 2), (3, 5)))
 
 
 def test_replay_row_reproduces_and_detects_tampering():
@@ -414,12 +438,48 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=semo\nmystery=1\n", "unknown key 'mystery'"),
         ("algorithm=semo\nn=8\nn=16\n", "line 3: duplicate key 'n'"),
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\neps1=2\n", "not both"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\ncadence=10\n", "unknown key 'cadence'"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=5:3\n", "non-empty and distinct"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=3:3\n", "non-empty and distinct"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=1,1\n", "non-empty and distinct"),
+        ("algorithm=semo\nproblem=aoaz\nn=8,8\n", "key 'n' repeats a value"),
+        ("algorithm=semo\nproblem=aoaz\nn=8, 16,8\n", "key 'n' repeats a value"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\nbudget=100,100\n", "key 'budget' repeats a value"),
     ],
 )
 def test_sweep_errors(text, fragment):
     with pytest.raises(ValueError) as err:
         parse_sweep_text(text)
     assert fragment in str(err.value)
+
+
+def test_graph_sweep_metric_rows_replay_from_their_summary_rows(tmp_path, fresh_graph_setup):
+    # rows sample at one fixed cadence, so a summary row alone rebuilds its metric rows
+    path = tmp_path / "planted10.bpm"
+    path.write_text(planted_text(2))
+    configs = []
+    for instance in ("fixture", path.name):
+        text = (
+            "algorithm=empmo-cons-sp,demo-sp,empmo-simple-sp\n"
+            f"instance={instance}\neps=1\neps2max=2\nseeds=0:2\nbudget=450\n"
+        )
+        configs += parse_sweep_text(text, base_dir=tmp_path)
+    result = run_many(configs)
+    assert len(result.summary_rows) == 12
+    by_run: dict = {}
+    for m in result.metric_rows:
+        by_run.setdefault(m["run_id"], []).append(m)
+    harness._graph_setup.cache_clear()
+    for row in result.summary_rows:
+        assert row["error"] == ""
+        recorded = by_run.get(row["run_id"], [])
+        assert recorded, row["run_id"]
+        gens = [int(m["generation"]) for m in recorded]
+        assert gens[:-1] == list(range(100, 100 * len(gens), 100))
+        assert gens[-1] == int(row["generations"])
+        fresh = run_single(*config_from_row(row))
+        assert fresh.summary == row
+        assert fresh.metrics == recorded
 
 
 def test_aggregate_rows_report_errors_separately():

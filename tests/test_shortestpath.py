@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpmolab.core import randbelow
-from mpmolab.harness import endpoint_commons, make_metric_fn, make_target_fn
+from mpmolab.harness import endpoint_commons, make_metric_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import exact_party_fronts
 from mpmolab.shortestpath import (
@@ -24,7 +24,7 @@ from mpmolab.shortestpath import (
     ultimatum_consensus,
     WeightedDigraph,
     _BoxArchive,
-    _Rec,
+    SpEntry,
 )
 
 
@@ -527,13 +527,12 @@ def test_drive_observer_payloads_and_hit_stop():
     # with stop_on_hit the run ends at the hit generation, before its observer call
     refs = endpoint_commons(g)
     seen = []
-    kwargs = dict(target_fn=make_target_fn(refs), target_endpoints=refs.keys(), stop_on_hit=True)
-    res = run_empmo_cons_sp(g, params, 100_000, 0, observer=lambda gen, pool: seen.append(gen), **kwargs)
+    res = run_empmo_cons_sp(
+        g, params, 100_000, 0, observer=lambda gen, pool: seen.append(gen), targets=refs, stop_on_hit=True
+    )
     assert res.hit_generation == res.generations
     assert seen == list(range(1, res.hit_generation))
-    full = run_empmo_cons_sp(
-        g, params, res.generations + 50, 0, target_fn=kwargs["target_fn"], target_endpoints=refs.keys()
-    )
+    full = run_empmo_cons_sp(g, params, res.generations + 50, 0, targets=refs)
     assert (full.hit_generation, full.hit_evaluations) == (res.hit_generation, res.hit_evaluations)
     assert full.generations == res.generations + 50
 
@@ -570,7 +569,23 @@ def randbelow_edit(g, p, rng, max_len):
 
 
 class NewRecordArchive(_BoxArchive):
-    """The archive step with ``core.randbelow`` draws and a new record per accept."""
+    """The archive step with ``core.randbelow`` draws and a new record per accept.
+
+    Its coverage verdict comes from the references as given, through its own
+    comparison, not from the archive's flattened copy.
+    """
+
+    def __init__(self, g, slices, bases, targets=None):
+        super().__init__(g, slices, bases, targets)
+        self.refs = targets
+
+    def covers(self, endpoint, obj):
+        if self.refs is None or endpoint not in self.refs:
+            return False
+        return all(
+            all(a <= b for a, b in zip(obj[0], m[0])) and all(a <= b for a, b in zip(obj[1], m[1]))
+            for m in self.refs[endpoint]
+        )
 
     def step(self, rng, generation):
         parent = self.pool[randbelow(rng.getrandbits, len(self.pool))]
@@ -608,8 +623,8 @@ class NewRecordArchive(_BoxArchive):
             doomed = [z for z in bucket if all(a <= b for box, zb in zip(boxes, z.boxes) for a, b in zip(box, zb))]
             for z in doomed:
                 self._drop(z)
-        zero = bool(self.target_fn is not None and endpoint in self.targets and self.target_fn(endpoint, obj))
-        self._enroll(_Rec(child, endpoint, flat, obj, lanes, boxes, generation, zero))
+        zero = self.covers(endpoint, obj)
+        self._enroll(SpEntry(child, endpoint, flat, obj, lanes, boxes, generation, zero))
         return True
 
 
@@ -641,9 +656,8 @@ def archive_lanes(g):
 def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
     """Step the archive and its new-record copy on equal streams; count rebirths."""
     _, slices, bases, targeted = lanes
-    target = make_target_fn(refs) if targeted else None
-    targets = refs if targeted else ()
-    new, old = (cls(g, slices, bases, None, target, targets) for cls in (_BoxArchive, NewRecordArchive))
+    targets = refs if targeted else None
+    new, old = (cls(g, slices, bases, targets) for cls in (_BoxArchive, NewRecordArchive))
     for path in seeds:
         new.seed_path(path)
         old.seed_path(path)
