@@ -63,7 +63,6 @@ AGGREGATE_COLUMNS = [
 
 ID_FIELDS = ("algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "eps2max", "seed", "budget")
 CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
-DEFAULT_CADENCE = 100
 DEFAULT_SP_BUDGET = 10**6
 # A sweep file names one instance; the headroom covers pool workers whose rows
 # interleave several files.
@@ -71,13 +70,18 @@ GRAPH_SETUP_CACHE_SIZE = 8
 
 
 class GraphRow(NamedTuple):
-    """A graph adapter's inputs; ``measure`` and ``stop`` are runner keyword arguments."""
+    """A graph adapter's inputs.
+
+    ``fronts`` are the party-2 fronts simple-sp's consensus round reads.
+    ``refs`` are each endpoint's references: the coverage targets at whose
+    hit cons-sp and demo-sp end, and what ``metric_fn`` scores members by.
+    """
 
     g: WeightedDigraph
     params: ApproxParams
     fronts: Optional[Mapping]
-    measure: dict  # metric_fn and cadence, for every graph runner
-    stop: dict  # targets and stop_on_hit, for the runners that stop at coverage
+    refs: Mapping
+    metric_fn: Optional[Callable]
 
 
 class Runner(NamedTuple):
@@ -102,14 +106,16 @@ RUNNERS: Dict[str, Runner] = {
     "empmo-random": Runner(PB, lambda p, c, s: run_empmo_random(p, c.phi, s, budget=c.budget), phi=True),
     "empmo-payoff": Runner(PB, lambda p, c, s: run_empmo_payoff(p, s, budget=c.budget)),
     "empmo-cons-sp": Runner(
-        GRAPH, lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, **r.measure, **r.stop)
+        GRAPH, lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
     ),
     "empmo-simple-sp": Runner(
         GRAPH,
-        lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, **r.measure),
+        lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, metric_fn=r.metric_fn),
     ),
     # the consensus base (1+min eps)^(1/(n-1)) is demo-sp's box base too
-    "demo-sp": Runner(GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params.r, c.budget, s, **r.measure, **r.stop)),
+    "demo-sp": Runner(
+        GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params.r, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
+    ),
 }
 ALGORITHMS = tuple(RUNNERS)
 PSEUDOBOOLEAN_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].family == PB)
@@ -315,9 +321,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
             g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
             params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
-            measure = {"metric_fn": make_metric_fn(refs) if refs else None, "cadence": DEFAULT_CADENCE}
-            stop = {"targets": refs, "stop_on_hit": True}
-            result = run(GraphRow(g, params, fronts, measure, stop), config, seed)
+            result = run(GraphRow(g, params, fronts, refs, make_metric_fn(refs) if refs else None), config, seed)
             evaluations, generations = result.evaluations, result.generations
             hit, wall = result.hit_evaluations, result.wall_ms
             metric_samples = result.metrics
@@ -520,21 +524,23 @@ def write_result(result: ExperimentResult, out_dir) -> Dict[str, FsPath]:
     return paths
 
 
+# Each config field's cell parser; a summary row and a sweep line read their
+# cells through it.
+_PARSERS = {
+    "algorithm": str, "problem": str, "instance": str, "n": int, "phi": float,
+    "eps1": Fraction, "eps2": Fraction, "eps2max": Fraction, "budget": int,
+}
+
+
+def _config(cells: Mapping[str, str], seeds: Tuple[int, ...]) -> ExperimentConfig:
+    """The config of one cell per field; a blank cell leaves its field's default."""
+    return ExperimentConfig(seeds=seeds, **{k: _PARSERS[k](v) for k, v in cells.items() if v})
+
+
 def config_from_row(row: Dict[str, str]) -> Tuple[ExperimentConfig, int]:
     """Rebuild the (config, seed) pair a summary row came from."""
-    config = ExperimentConfig(
-        algorithm=row["algorithm"],
-        problem=row["problem"],
-        instance=row["instance"],
-        n=int(row["n"]) if row["n"] else 0,
-        phi=float(row["phi"]) if row["phi"] else None,
-        eps1=Fraction(row["eps1"]) if row["eps1"] else None,
-        eps2=Fraction(row["eps2"]) if row["eps2"] else None,
-        eps2max=Fraction(row["eps2max"]) if row["eps2max"] else None,
-        seeds=(int(row["seed"]),),
-        budget=int(row["budget"]),
-    )
-    return config, int(row["seed"])
+    seed = int(row["seed"])
+    return _config({k: row[k] for k in _PARSERS}, (seed,)), seed
 
 
 def replay_row(row: Dict[str, str]) -> Tuple[Dict[str, str], List[str]]:
@@ -562,8 +568,9 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
 
     ``seeds`` accepts ``lo:hi`` (half-open) or a comma list and applies to
     every produced config; it must name at least one seed, and no value may
-    repeat in it or in any list. ``eps`` is shorthand for equal eps1 and
-    eps2. Relative instance paths resolve against ``base_dir``.
+    repeat in it. No list value may be blank or parse equal to another one
+    (``n=8,08`` repeats 8). ``eps`` is shorthand for equal eps1 and eps2.
+    Relative instance paths resolve against ``base_dir``.
     """
     data: Dict[str, str] = {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -592,31 +599,21 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
     for key in _LIST_KEYS:
         if key in data:
             values = [t.strip() for t in data[key].split(",")]
-            if len(set(values)) != len(values):
+            if "" in values:
+                raise ValueError(f"key {key!r} has an empty value: {data[key]}")
+            parsed = [_PARSERS.get(key, Fraction)(v) for v in values]  # eps: as eps1
+            if len(set(parsed)) != len(parsed):
                 raise ValueError(f"key {key!r} repeats a value: {data[key]}")
             axes.append((key, values))
 
-    combos: List[Dict[str, str]] = [{}]
+    combos: List[Dict[str, str]] = [{"instance": instance}]
     for key, values in axes:
         combos = [dict(c, **{key: v}) for c in combos for v in values]
 
     configs = []
     for combo in combos:
         eps = combo.pop("eps", None)
-        kwargs = dict(
-            algorithm=combo["algorithm"],
-            problem=combo.get("problem", ""),
-            instance=instance,
-            n=int(combo["n"]) if "n" in combo else 0,
-            phi=float(combo["phi"]) if "phi" in combo else None,
-            eps1=Fraction(combo["eps1"]) if "eps1" in combo else None,
-            eps2=Fraction(combo["eps2"]) if "eps2" in combo else None,
-            eps2max=Fraction(combo["eps2max"]) if "eps2max" in combo else None,
-            seeds=seeds,
-        )
         if eps is not None:
-            kwargs["eps1"] = kwargs["eps2"] = Fraction(eps)
-        if "budget" in combo:
-            kwargs["budget"] = int(combo["budget"])
-        configs.append(ExperimentConfig(**kwargs))
+            combo["eps1"] = combo["eps2"] = eps
+        configs.append(_config(combo, seeds))
     return configs

@@ -227,19 +227,13 @@ def _verify_planted(g: WeightedDigraph, depth: Dict[int, int]) -> None:
             raise ValueError(f"tree path to vertex {v} is not the certified ideal point")
 
 
-def generate_planted_uav(spec: InstanceSpec, rng: Optional[random.Random] = None) -> WeightedDigraph:
+def generate_planted_uav(spec: InstanceSpec) -> WeightedDigraph:
     """Build a planted instance and check it against the ideal-point certificate."""
     if spec.kind != KIND_PLANTED:
         raise ValueError(f"spec kind must be {KIND_PLANTED!r}")
-    g, depth = _build_planted(spec, rng if rng is not None else random.Random(spec.seed))
+    g, depth = _build_planted(spec, random.Random(spec.seed))
     _verify_planted(g, depth)
     return g
-
-
-def instance_for(spec: InstanceSpec) -> WeightedDigraph:
-    if spec.kind == KIND_FIXTURE:
-        return fixture_graph()
-    return generate_planted_uav(spec)
 
 
 def provenance_comment(spec: InstanceSpec) -> str:

@@ -29,6 +29,8 @@ from .core import MultiPartyObjectives, Sense, weak_ge
 
 SENSE = Sense.MINIMIZE
 SOURCE = 1
+# graph runs sample their metric every this many generations, and at the last
+METRIC_CADENCE = 100
 Path = Tuple[int, ...]
 
 
@@ -564,22 +566,18 @@ def _drive(
     budget: int,
     rng: random.Random,
     metric_fn: Optional[MetricFn],
-    cadence: int,
-    stop_on_hit: bool,
     observer: Optional[Callable],
-) -> Tuple[int, List[MetricSample], Optional[int], Optional[int]]:
+) -> Tuple[int, List[MetricSample], Optional[int]]:
     """Step the archives in order once per generation, for up to ``budget``.
 
-    The hit is the first generation at which every archive covers its target
-    endpoints (never, if one has none); with ``stop_on_hit`` the run ends
-    after that generation's step. ``metric_fn`` is sampled over the real
-    members of all archives every ``cadence`` generations and once at the
-    end. ``observer(generation, pools)`` sees the live pool of a single
-    archive, or the tuple of pools. Returns (generations, metric samples, hit
-    generation, evaluations at the hit).
+    The run ends after the first generation at which every archive covers its
+    targets (never, if one has none). ``metric_fn`` is sampled over the real
+    members of all archives every ``METRIC_CADENCE`` generations and once at
+    the last. ``observer(generation, pools)`` sees the live pool of a single
+    archive, or the tuple of pools, after every generation but a hit. Returns
+    (generations, metric samples, evaluations at the hit or None).
     """
     metrics: List[MetricSample] = []
-    hit_gen: Optional[int] = None
     hit_evals: Optional[int] = None
     pools = archs[0].pool if len(archs) == 1 else tuple(a.pool for a in archs)
     steps = tuple((a, a.step) for a in archs)
@@ -594,18 +592,18 @@ def _drive(
     for gen in range(1, budget + 1):
         for arch, step in steps:
             # only an accepted offspring can complete the coverage, and only in its own archive
-            if step(rng, gen) and hit_gen is None and arch.all_covered and all(a.all_covered for a in archs):
-                hit_gen, hit_evals = gen, sum(a.evaluations for a in archs)
-        if stop_on_hit and hit_gen == gen:
+            if step(rng, gen) and hit_evals is None and arch.all_covered and all(a.all_covered for a in archs):
+                hit_evals = sum(a.evaluations for a in archs)
+        if hit_evals is not None:
             break
-        if metric_fn is not None and gen % cadence == 0:
+        if metric_fn is not None and gen % METRIC_CADENCE == 0:
             sample(gen)
             sampled_at = gen
         if observer is not None:
             observer(gen, pools)
     if metric_fn is not None and gen > 0 and sampled_at != gen:
         sample(gen)
-    return gen, metrics, hit_gen, hit_evals
+    return gen, metrics, hit_evals
 
 
 def _search(
@@ -614,15 +612,11 @@ def _search(
     budget: int,
     seed: int,
     metric_fn: Optional[MetricFn],
-    cadence: int,
-    stop_on_hit: bool,
     observer: Optional[Callable],
 ) -> SpRunResult:
     """One archive driven by ``_drive`` from ``random.Random(seed)``."""
     t0 = time.perf_counter()
-    gen, metrics, hit_gen, hit_evals = _drive(
-        (arch,), budget, random.Random(seed), metric_fn, cadence, stop_on_hit, observer
-    )
+    gen, metrics, hit_evals = _drive((arch,), budget, random.Random(seed), metric_fn, observer)
     return SpRunResult(
         algorithm=algorithm,
         n=arch.g.n,
@@ -632,7 +626,7 @@ def _search(
         no_change=arch.no_change,
         archive=list(arch.pool),
         metrics=metrics,
-        hit_generation=hit_gen,
+        hit_generation=None if hit_evals is None else gen,
         hit_evaluations=hit_evals,
         max_archive_size=arch.max_size,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
@@ -646,9 +640,7 @@ def run_empmo_cons_sp(
     seed: int,
     *,
     metric_fn: Optional[MetricFn] = None,
-    cadence: int = 100,
     targets: Optional[Mapping[int, Sequence[MultiPartyObjectives]]] = None,
-    stop_on_hit: bool = False,
     observer: Optional[Callable] = None,
 ) -> SpRunResult:
     """Single-archive consensus search with per-party boxes at the shared base.
@@ -659,18 +651,19 @@ def run_empmo_cons_sp(
     parties. Per generation the draws are: parent index, then the mutation
     draws. ``params.r`` must be the consensus base (1+min eps)^(1/(n-1)).
 
-    ``metric_fn`` is sampled every ``cadence`` generations (plus once at the
-    end) over the real archive members. ``targets`` maps each endpoint to its
-    references; a member covers its endpoint when it weakly dominates all of
-    them. Once every endpoint in ``targets`` is covered the hit generation is
-    recorded, and with ``stop_on_hit`` the run ends there.
+    ``metric_fn`` is sampled every ``METRIC_CADENCE`` generations (plus once
+    at the last) over the real archive members. ``targets`` maps each
+    endpoint to its references; a member covers its endpoint when it weakly
+    dominates all of them. The run ends at its hit: the first generation
+    after which every endpoint in ``targets`` is covered. Without targets it
+    spends the whole budget.
     """
     expected = BoxBase.power(1 + min(params.eps_1, params.eps_2), g.n - 1)
     if params.r != expected:
         raise ValueError("params.r must be (1+min(eps_1,eps_2))^(1/(n-1)) for the consensus run")
     k1, k2 = g.k
     arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), targets)
-    return _search("empmo-cons-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
+    return _search("empmo-cons-sp", arch, budget, seed, metric_fn, observer)
 
 
 def run_demo_sp(
@@ -680,19 +673,17 @@ def run_demo_sp(
     seed: int,
     *,
     metric_fn: Optional[MetricFn] = None,
-    cadence: int = 100,
     targets: Optional[Mapping[int, Sequence[MultiPartyObjectives]]] = None,
-    stop_on_hit: bool = False,
     observer: Optional[Callable] = None,
 ) -> SpRunResult:
     """Baseline: identical machinery over the single concatenated vector.
 
     Party attributions are ignored; dominance and box tests use the joint
-    (k_1+k_2)-objective vector at box base ``r``. ``metric_fn``, ``cadence``,
-    ``targets`` and ``stop_on_hit`` act as in ``run_empmo_cons_sp``.
+    (k_1+k_2)-objective vector at box base ``r``. ``metric_fn`` and
+    ``targets``, with the stop at the hit, act as in ``run_empmo_cons_sp``.
     """
     arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), targets)
-    return _search("demo-sp", arch, budget, seed, metric_fn, cadence, stop_on_hit, observer)
+    return _search("demo-sp", arch, budget, seed, metric_fn, observer)
 
 
 def consensus_archive_bound(g: WeightedDigraph, r: BoxBase) -> int:
@@ -858,7 +849,6 @@ def run_empmo_simple_sp(
     initial_archives: Optional[Tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]] = None,
     party2_fronts: Optional[Dict[int, Sequence[Sequence[int]]]] = None,
     metric_fn: Optional[MetricFn] = None,
-    cadence: int = 100,
     observer: Optional[Callable] = None,
 ) -> SimpleSpResult:
     """Two independent per-party box searches followed by a consensus round.
@@ -873,7 +863,9 @@ def run_empmo_simple_sp(
     the consensus round on exactly those archives. ``party2_fronts`` supplies
     each endpoint's exact party-2 Pareto vectors; when omitted they are
     computed by the exhaustive oracle before stage 1, so a graph above its
-    size cap fails before any generation is spent.
+    size cap fails before any generation is spent. ``metric_fn`` is sampled
+    over both archives' members as in ``run_empmo_cons_sp``; stage 1 has no
+    targets, so it spends the whole budget.
     """
     t0 = time.perf_counter()
     if party2_fronts is None:
@@ -889,7 +881,7 @@ def run_empmo_simple_sp(
         for arch, paths in zip(archs, initial_archives):
             for path in paths:
                 arch.seed_path(path)
-    gen, metrics, _, _ = _drive(archs, budget, random.Random(seed), metric_fn, cadence, False, observer)
+    gen, metrics, _ = _drive(archs, budget, random.Random(seed), metric_fn, observer)
     outcomes = ultimatum_consensus(
         g,
         [(r.path, r.objectives) for r in archs[0].real_entries()],

@@ -240,8 +240,7 @@ def test_epsilon_convergence_per_algorithm():
         params = ApproxParams.consensus(g.n, 1, 1)
         res = run_empmo_cons_sp(
             g, params, budget, seed=5,
-            metric_fn=make_metric_fn(refs), cadence=budget,
-            targets=refs, stop_on_hit=True,
+            metric_fn=make_metric_fn(refs), targets=refs,
         )
         assert res.hit_generation is not None, name
         assert res.metrics[-1].mean_eps_endpoints == 0.0, name
@@ -259,7 +258,7 @@ def test_epsilon_convergence_per_algorithm():
     refs = endpoint_commons(fixture)
     demo = run_demo_sp(
         fixture, ApproxParams.consensus(fixture.n, 1, 1).r, budget, seed=5,
-        metric_fn=make_metric_fn(refs), cadence=budget,
+        metric_fn=make_metric_fn(refs),
     )
     assert demo.metrics[-1].max_eps > 0.0
     vecs5 = {e.objectives for e in demo.archive if e.path and e.path[-1] == 5}

@@ -214,7 +214,7 @@ def test_replay_missing_file_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lines", ["n = 8\nseeds = 3:3", "n = 8\nseeds = 5:3", "n = 8\nseeds = 1,1", "n = 8, 8"]
+    "lines", ["n = 8\nseeds = 3:3", "n = 8\nseeds = 5:3", "n = 8\nseeds = 1,1", "n = 8, 8", "n = 8, 08"]
 )
 def test_sweep_with_empty_seeds_or_repeated_values_exits_2(tmp_path, capsys, lines):
     cfg = tmp_path / "bad.cfg"

@@ -445,6 +445,12 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=semo\nproblem=aoaz\nn=8,8\n", "key 'n' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=8, 16,8\n", "key 'n' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=8\nbudget=100,100\n", "key 'budget' repeats a value"),
+        ("algorithm=semo\nproblem=aoaz\nn=8,08\n", "key 'n' repeats a value"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1,1.0\n", "key 'eps' repeats a value"),
+        ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=0.5,0.50\n", "key 'phi' repeats a value"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps1=1/2,0.5\neps2=1\n", "key 'eps1' repeats a value"),
+        ("algorithm=semo\nproblem=aoaz\nn=\n", "key 'n' has an empty value"),
+        ("algorithm=semo,\nproblem=aoaz\nn=8\n", "key 'algorithm' has an empty value"),
     ],
 )
 def test_sweep_errors(text, fragment):

@@ -13,7 +13,6 @@ from mpmolab.instances import (
     _verify_planted,
     fixture_graph,
     generate_planted_uav,
-    instance_for,
     parse_instance,
     provenance_comment,
     write_instance,
@@ -76,7 +75,6 @@ def test_spec_validation():
 def test_generate_requires_planted_kind():
     with pytest.raises(ValueError):
         generate_planted_uav(InstanceSpec(KIND_FIXTURE, 5))
-    assert instance_for(InstanceSpec(KIND_FIXTURE, 5)) == fixture_graph()
 
 
 def test_planted_determinism():

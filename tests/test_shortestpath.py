@@ -11,6 +11,7 @@ from mpmolab.harness import endpoint_commons, make_metric_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import exact_party_fronts
 from mpmolab.shortestpath import (
+    METRIC_CADENCE,
     ApproxParams,
     BoxBase,
     consensus_archive_bound,
@@ -249,14 +250,15 @@ def test_cons_sp_converges_on_fixture():
         3000,
         seed=0,
         metric_fn=make_metric_fn(refs),
-        cadence=100,
     )
     # the per-endpoint minimum converges; a slack-0.6 member such as (1, 2, 5)
     # legitimately stays, so max_eps does not have to reach zero
     assert res.metrics[-1].mean_eps_endpoints == 0.0
     assert res.metrics[-1].max_eps >= res.metrics[-1].mean_eps_members >= 0.0
-    gens = [s.generation for s in res.metrics]
-    assert gens == sorted(set(gens))
+    # samples land on every METRIC_CADENCE-th generation and on the last
+    assert [s.generation for s in res.metrics] == [
+        *range(METRIC_CADENCE, res.generations, METRIC_CADENCE), res.generations
+    ]
     assert res.max_archive_size <= consensus_archive_bound(g, ApproxParams.consensus(5, 1, 1).r)
     # source stays pinned at the head of the pool
     assert res.archive[0].path == (1,)
@@ -360,7 +362,6 @@ def test_simple_sp_run_reports_outcomes_per_endpoint():
         seed=3,
         party2_fronts=exact_party_fronts(g, 1),
         metric_fn=make_metric_fn(endpoint_commons(g)),
-        cadence=100,
     )
     assert sorted(res.outcomes) == [2, 3, 4, 5]
     for out in res.outcomes.values():
@@ -524,17 +525,34 @@ def test_drive_observer_payloads_and_hit_stop():
     assert pairs == [(gen, 2, [(1,), (1,)]) for gen in range(1, 41)]
     assert res.generations == 40
 
-    # with stop_on_hit the run ends at the hit generation, before its observer call
+    # a run given targets ends at its hit generation, before that generation's observer call
     refs = endpoint_commons(g)
-    seen = []
-    res = run_empmo_cons_sp(
-        g, params, 100_000, 0, observer=lambda gen, pool: seen.append(gen), targets=refs, stop_on_hit=True
-    )
-    assert res.hit_generation == res.generations
-    assert seen == list(range(1, res.hit_generation))
-    full = run_empmo_cons_sp(g, params, res.generations + 50, 0, targets=refs)
-    assert (full.hit_generation, full.hit_evaluations) == (res.hit_generation, res.hit_evaluations)
-    assert full.generations == res.generations + 50
+    for run, box in ((run_empmo_cons_sp, params), (run_demo_sp, params.r)):
+        hit = run(g, box, 100_000, 0, targets=refs).hit_generation
+        exact = run(g, box, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
+        seen = []
+        res = run(
+            g, box, hit + 50, 0,
+            metric_fn=make_metric_fn(refs), targets=refs, observer=lambda gen, pool: seen.append(gen),
+        )
+        assert seen == list(range(1, hit))
+        assert exact.hit_generation == exact.generations == hit
+        assert (res.generations, res.evaluations, res.no_change, res.max_archive_size) == (
+            exact.generations, exact.evaluations, exact.no_change, exact.max_archive_size
+        )
+        assert (res.hit_generation, res.hit_evaluations, res.metrics) == (
+            exact.hit_generation, exact.hit_evaluations, exact.metrics
+        )
+        assert [(e.path, e.birth) for e in res.archive] == [(e.path, e.birth) for e in exact.archive]
+
+
+@pytest.mark.parametrize("keyword", ["cadence", "stop_on_hit"])
+def test_graph_runners_take_no_sampling_or_stopping_setting(keyword):
+    g = fixture_graph()
+    params = ApproxParams.consensus(5, 1, 1)
+    for run, box in ((run_empmo_cons_sp, params), (run_demo_sp, params.r), (run_empmo_simple_sp, params)):
+        with pytest.raises(TypeError):
+            run(g, box, 1, 0, **{keyword: 1})
 
 
 def randbelow_edit(g, p, rng, max_len):
