@@ -6,7 +6,7 @@ bi-party shortest paths), and brute-force oracles plus a batch harness that
 make every run checkable and replayable.
 """
 
-from .core import Dominance, PayoffValue, Sense, dominance_compare, multiparty_payoff, payoff_component
+from .core import Dominance, Sense, dominance_compare, payoff_component
 from .pseudoboolean import (
     BitString,
     PseudoBooleanProblem,
@@ -21,7 +21,6 @@ from .shortestpath import (
     BoxBase,
     WeightedDigraph,
     consensus_archive_bound,
-    epsilon_dominates,
     eval_path,
     mutate_path,
     run_demo_sp,
@@ -47,7 +46,6 @@ __all__ = [
     "Dominance",
     "ExperimentConfig",
     "InstanceSpec",
-    "PayoffValue",
     "PseudoBooleanProblem",
     "Sense",
     "WeightedDigraph",
@@ -55,13 +53,11 @@ __all__ = [
     "brute_force_pseudoboolean",
     "consensus_archive_bound",
     "dominance_compare",
-    "epsilon_dominates",
     "epsilon_of_solution",
     "eval_path",
     "exact_path_catalog",
     "fixture_graph",
     "generate_planted_uav",
-    "multiparty_payoff",
     "mutate_path",
     "parse_instance",
     "payoff_component",

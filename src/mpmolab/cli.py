@@ -21,6 +21,7 @@ from pathlib import Path
 from . import harness, oracles
 from .instances import (
     InstanceSpec,
+    fixture_graph,
     generate_planted_uav,
     parse_instance,
     provenance_comment,
@@ -103,7 +104,7 @@ def cmd_oracle(args) -> int:
         catalog = oracles.brute_force_pseudoboolean(PseudoBooleanProblem(args.problem, args.n))
         sys.stdout.write(oracles.pseudoboolean_report(catalog))
     else:
-        g = harness.load_graph(args.instance)
+        g = fixture_graph() if args.instance == "fixture" else parse_instance(Path(args.instance).read_text())
         sys.stdout.write(oracles.path_report(oracles.exact_path_catalog(g)))
     return EXIT_OK
 

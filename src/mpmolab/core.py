@@ -8,7 +8,6 @@ oracles trivially hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Tuple
 
@@ -118,24 +117,3 @@ def payoff_component(before: Sequence[float], after: Sequence[float], sense: Sen
         return -1
     return 0
 
-
-@dataclass(frozen=True)
-class PayoffValue:
-    total: int
-    per_party: Tuple[int, ...]
-
-
-def multiparty_payoff(
-    before: MultiPartyObjectives, after: MultiPartyObjectives, sense: Sense
-) -> PayoffValue:
-    """Sum of per-party payoff components for a candidate move.
-
-    ``before`` and ``after`` must carry the same number of parties with
-    matching per-party vector lengths.
-    """
-    if len(before) != len(after):
-        raise ValueError(f"party count mismatch: {len(before)} vs {len(after)}")
-    if not before:
-        raise ValueError("at least one party is required")
-    votes = tuple(payoff_component(fb, fa, sense) for fb, fa in zip(before, after))
-    return PayoffValue(total=sum(votes), per_party=votes)

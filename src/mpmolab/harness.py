@@ -173,18 +173,14 @@ class ExperimentConfig:
                 raise ValueError(f"algorithm {self.algorithm} needs an instance")
             if self.problem:
                 raise ValueError("graph algorithms take an instance, not a problem kind")
+            if self.n:
+                raise ValueError("graph algorithms take n from their instance, not a setting")
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError(f"algorithm {self.algorithm} needs eps1 and eps2")
         if runner.phi and self.phi is None:
             raise ValueError(f"{self.algorithm} needs phi")
         if not runner.phi and self.phi is not None:
             raise ValueError(f"phi is only meaningful for {', '.join(PHI_ALGORITHMS)}")
-
-
-def load_graph(instance: str) -> WeightedDigraph:
-    if instance == "fixture":
-        return fixture_graph()
-    return parse_instance(FsPath(instance).read_text())
 
 
 def compute_run_id(cells: Dict[str, str]) -> str:
@@ -540,7 +536,9 @@ def _config(cells: Mapping[str, str], seeds: Tuple[int, ...]) -> ExperimentConfi
 def config_from_row(row: Dict[str, str]) -> Tuple[ExperimentConfig, int]:
     """Rebuild the (config, seed) pair a summary row came from."""
     seed = int(row["seed"])
-    return _config({k: row[k] for k in _PARSERS}, (seed,)), seed
+    # a graph row's n cell is the vertex count run_single wrote, not a setting
+    skip = "n" if row["algorithm"] in GRAPH_ALGORITHMS else None
+    return _config({k: row[k] for k in _PARSERS if k != skip}, (seed,)), seed
 
 
 def replay_row(row: Dict[str, str]) -> Tuple[Dict[str, str], List[str]]:

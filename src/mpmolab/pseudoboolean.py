@@ -83,11 +83,6 @@ class BitString:
         return self.to01()
 
 
-def one_bit_mutation(x: BitString, rng: random.Random) -> BitString:
-    """Flip one uniformly chosen bit (a single ``rng.randrange(n)`` draw)."""
-    return x.flip(rng.randrange(x.n))
-
-
 def _party1(half: int, i: int, j: int) -> Tuple[int, int]:
     return (j, i + half - j)
 
@@ -403,28 +398,6 @@ def run_empmo_simple(
     return _finish(
         "empmo-simple", problem, seed, t0, evaluations, iterations, hit, population, archives=per_party
     )
-
-
-def common_members(trace: RunTrace) -> List[PopulationEntry]:
-    """Objective-level intersection of a two-archive trace.
-
-    A solution from either archive is a common member iff party 1's archive
-    holds its party-1 vector and party 2's archive holds its party-2 vector.
-    """
-    if not trace.archives or len(trace.archives) != 2:
-        raise ValueError("trace does not carry two per-party archives")
-    p1, p2 = trace.archives
-    objs1 = {e.objectives[0] for e in p1}
-    objs2 = {e.objectives[1] for e in p2}
-    out = []
-    seen = set()
-    for e in list(p1) + list(p2):
-        if e.solution.word in seen:
-            continue
-        seen.add(e.solution.word)
-        if e.objectives[0] in objs1 and e.objectives[1] in objs2:
-            out.append(e)
-    return out
 
 
 def run_empmo_random(

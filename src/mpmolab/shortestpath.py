@@ -147,32 +147,6 @@ def eval_path(g: WeightedDigraph, p: Sequence[int]) -> MultiPartyObjectives:
     return (tuple(acc1), tuple(acc2))
 
 
-def epsilon_dominates(a, b, eps, *, strict: bool = False) -> bool:
-    """Whether path-vector pair ``a`` (1+eps)-weakly dominates ``b``.
-
-    ``a`` and ``b`` are (path, objective_vector) pairs for one party. True iff
-    the endpoints match and every objective of ``a`` is at most (1+eps) times
-    the corresponding objective of ``b``; paths to different targets are
-    incomparable. The strict form additionally requires the two vectors to
-    differ.
-    """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    (pa, fa), (pb, fb) = a, b
-    if pa[-1] != pb[-1]:
-        return False
-    if len(fa) != len(fb):
-        raise ValueError("objective vectors differ in length")
-    factor = 1 + eps
-    num, den = factor.numerator, factor.denominator
-    if not all(x * den <= y * num for x, y in zip(fa, fb)):
-        return False
-    if strict:
-        return tuple(fa) != tuple(fb)
-    return True
-
-
 @dataclass(frozen=True)
 class BoxBase:
     """Box base r = (num/den)^(1/root), exact for box-index purposes.
@@ -361,18 +335,21 @@ class MetricSample:
 
 @dataclass
 class SpRunResult:
+    """One graph run: one pool per archive, source entry first; ``outcomes`` is simple-sp's round."""
+
     algorithm: str
     n: int
     seed: int
     generations: int
     evaluations: int
     no_change: int
-    archive: List[SpEntry]
+    archives: Tuple[List[SpEntry], ...]
     metrics: List[MetricSample]
     hit_generation: Optional[int]
     hit_evaluations: Optional[int]
     max_archive_size: int
     wall_ms: float
+    outcomes: Optional[Dict[int, ConsensusOutcome]] = None
 
 
 class _BoxArchive:
@@ -608,27 +585,27 @@ def _drive(
 
 def _search(
     algorithm: str,
-    arch: _BoxArchive,
+    archs: Tuple[_BoxArchive, ...],
     budget: int,
     seed: int,
     metric_fn: Optional[MetricFn],
     observer: Optional[Callable],
 ) -> SpRunResult:
-    """One archive driven by ``_drive`` from ``random.Random(seed)``."""
+    """The archives driven by ``_drive`` from ``random.Random(seed)``."""
     t0 = time.perf_counter()
-    gen, metrics, hit_evals = _drive((arch,), budget, random.Random(seed), metric_fn, observer)
+    gen, metrics, hit_evals = _drive(archs, budget, random.Random(seed), metric_fn, observer)
     return SpRunResult(
         algorithm=algorithm,
-        n=arch.g.n,
+        n=archs[0].g.n,
         seed=seed,
         generations=gen,
-        evaluations=arch.evaluations,
-        no_change=arch.no_change,
-        archive=list(arch.pool),
+        evaluations=sum(a.evaluations for a in archs),
+        no_change=sum(a.no_change for a in archs),
+        archives=tuple(list(a.pool) for a in archs),
         metrics=metrics,
         hit_generation=None if hit_evals is None else gen,
         hit_evaluations=hit_evals,
-        max_archive_size=arch.max_size,
+        max_archive_size=max(a.max_size for a in archs),
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
@@ -663,7 +640,7 @@ def run_empmo_cons_sp(
         raise ValueError("params.r must be (1+min(eps_1,eps_2))^(1/(n-1)) for the consensus run")
     k1, k2 = g.k
     arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), targets)
-    return _search("empmo-cons-sp", arch, budget, seed, metric_fn, observer)
+    return _search("empmo-cons-sp", (arch,), budget, seed, metric_fn, observer)
 
 
 def run_demo_sp(
@@ -683,7 +660,7 @@ def run_demo_sp(
     ``targets``, with the stop at the hit, act as in ``run_empmo_cons_sp``.
     """
     arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), targets)
-    return _search("demo-sp", arch, budget, seed, metric_fn, observer)
+    return _search("demo-sp", (arch,), budget, seed, metric_fn, observer)
 
 
 def consensus_archive_bound(g: WeightedDigraph, r: BoxBase) -> int:
@@ -720,22 +697,6 @@ class ConsensusOutcome:
     eps2_prime: Optional[Fraction]
     boxes: Tuple[Tuple[int, ...], ...]
     accepted: Tuple[SpProposal, ...]
-
-
-@dataclass
-class SimpleSpResult:
-    algorithm: str
-    n: int
-    seed: int
-    generations: int
-    evaluations: int
-    no_change: int
-    party_archives: Tuple[List[SpEntry], List[SpEntry]]
-    outcomes: Dict[int, ConsensusOutcome]
-    metrics: List[MetricSample]
-    max_archive_size: int
-    hit_evaluations: Optional[int]
-    wall_ms: float
 
 
 def _relaxation_ladder(eps_2: Fraction, eps_2_max: Fraction) -> List[Fraction]:
@@ -850,7 +811,7 @@ def run_empmo_simple_sp(
     party2_fronts: Optional[Dict[int, Sequence[Sequence[int]]]] = None,
     metric_fn: Optional[MetricFn] = None,
     observer: Optional[Callable] = None,
-) -> SimpleSpResult:
+) -> SpRunResult:
     """Two independent per-party box searches followed by a consensus round.
 
     Stage 1 runs each party's archive at its own fine base
@@ -865,7 +826,8 @@ def run_empmo_simple_sp(
     computed by the exhaustive oracle before stage 1, so a graph above its
     size cap fails before any generation is spent. ``metric_fn`` is sampled
     over both archives' members as in ``run_empmo_cons_sp``; stage 1 has no
-    targets, so it spends the whole budget.
+    targets, so it spends the whole budget. When every endpoint agrees, the
+    hit is the run's end; ``wall_ms`` covers the fallback oracle and stage 2.
     """
     t0 = time.perf_counter()
     if party2_fronts is None:
@@ -881,27 +843,15 @@ def run_empmo_simple_sp(
         for arch, paths in zip(archs, initial_archives):
             for path in paths:
                 arch.seed_path(path)
-    gen, metrics, _ = _drive(archs, budget, random.Random(seed), metric_fn, observer)
-    outcomes = ultimatum_consensus(
+    res = _search("empmo-simple-sp", archs, budget, seed, metric_fn, observer)
+    res.outcomes = ultimatum_consensus(
         g,
         [(r.path, r.objectives) for r in archs[0].real_entries()],
         [(r.path, r.objectives) for r in archs[1].real_entries()],
         params,
         party2_fronts,
     )
-    evaluations = archs[0].evaluations + archs[1].evaluations
-    all_agreed = all(not o.failed for o in outcomes.values())
-    return SimpleSpResult(
-        algorithm="empmo-simple-sp",
-        n=g.n,
-        seed=seed,
-        generations=gen,
-        evaluations=evaluations,
-        no_change=archs[0].no_change + archs[1].no_change,
-        party_archives=(list(archs[0].pool), list(archs[1].pool)),
-        outcomes=outcomes,
-        metrics=metrics,
-        max_archive_size=max(archs[0].max_size, archs[1].max_size),
-        hit_evaluations=evaluations if all_agreed else None,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    if all(not o.failed for o in res.outcomes.values()):
+        res.hit_generation, res.hit_evaluations = res.generations, res.evaluations
+    res.wall_ms = (time.perf_counter() - t0) * 1000.0
+    return res

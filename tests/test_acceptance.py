@@ -261,7 +261,7 @@ def test_epsilon_convergence_per_algorithm():
         metric_fn=make_metric_fn(refs),
     )
     assert demo.metrics[-1].max_eps > 0.0
-    vecs5 = {e.objectives for e in demo.archive if e.path and e.path[-1] == 5}
+    vecs5 = {e.objectives for e in demo.archives[0] if e.path and e.path[-1] == 5}
     assert ((10, 4), (8, 5)) in vecs5
     assert ((4, 5), (7, 8)) in vecs5
     lines.append(f"fixture joint baseline max slack {demo.metrics[-1].max_eps:.2f} > 0")

@@ -87,6 +87,17 @@ def test_run_rejects_mixed_eps_flags(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_run_graph_rejects_n(tmp_path, capsys):
+    # a graph row's n is its instance's vertex count, not a setting
+    code = run_cli(
+        ["run", "--alg", "empmo-cons-sp", "--instance", "fixture",
+         "--eps", "1", "--n", "7", "--out", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "take n from their instance" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_reports_runtime_failures(tmp_path, capsys):
     code = run_cli(
         ["run", "--alg", "empmo-cons-sp", "--instance", str(tmp_path / "missing.bpm"),

@@ -9,7 +9,6 @@ from mpmolab.core import (
     Dominance,
     Sense,
     dominance_compare,
-    multiparty_payoff,
     payoff_component,
     randbelow,
     weakly_dominates,
@@ -106,40 +105,6 @@ def test_payoff_component_examples():
     assert payoff_component((2, 5), (3, 4), MAX) == 0
     # strictly worse under minimization
     assert payoff_component((2, 5), (3, 5), MIN) == -1
-
-
-def test_multiparty_payoff_sums_party_votes():
-    before = ((2, 5), (4, 1))
-    after = ((3, 5), (3, 1))
-    value = multiparty_payoff(before, after, MAX)
-    assert value.per_party == (1, -1)
-    assert value.total == 0
-
-    after2 = ((3, 5), (4, 2))
-    value2 = multiparty_payoff(before, after2, MAX)
-    assert value2.per_party == (1, 1)
-    assert value2.total == 2
-
-
-def test_multiparty_payoff_validates_party_count():
-    with pytest.raises(ValueError):
-        multiparty_payoff(((1, 2),), ((1, 2), (3, 4)), MAX)
-    with pytest.raises(ValueError):
-        multiparty_payoff((), (), MAX)
-
-
-@given(
-    st.lists(vector_pairs(), min_size=1, max_size=3),
-    st.sampled_from([MAX, MIN]),
-)
-def test_multiparty_payoff_total_matches_components(pairs, sense):
-    before = tuple(p[0] for p in pairs)
-    after = tuple(p[1] for p in pairs)
-    value = multiparty_payoff(before, after, sense)
-    assert value.total == sum(value.per_party)
-    assert value.per_party == tuple(
-        payoff_component(fb, fa, sense) for fb, fa in zip(before, after)
-    )
 
 
 # bounds around every word boundary of the 32-bit Mersenne Twister output

@@ -52,6 +52,8 @@ def test_config_validation():
         ExperimentConfig("empmo-cons-sp", problem="bpaoaz", instance="fixture", eps1=1, eps2=1)
     with pytest.raises(ValueError, match="needs eps1 and eps2"):
         ExperimentConfig("empmo-cons-sp", instance="fixture")
+    with pytest.raises(ValueError, match="take n from their instance"):
+        ExperimentConfig("empmo-cons-sp", instance="fixture", n=5, eps1=1, eps2=1)
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig("semo", problem="aoaz", n=8, budget=0)
     with pytest.raises(ValueError, match="non-empty and distinct"):
@@ -451,6 +453,7 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps1=1/2,0.5\neps2=1\n", "key 'eps1' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=\n", "key 'n' has an empty value"),
         ("algorithm=semo,\nproblem=aoaz\nn=8\n", "key 'algorithm' has an empty value"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\nn=5,6\nbudget=50\n", "take n from their instance"),
     ],
 )
 def test_sweep_errors(text, fragment):

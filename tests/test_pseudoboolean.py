@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from mpmolab.core import Sense, multiparty_payoff
+from mpmolab.core import Sense, payoff_component
 from mpmolab.oracles import brute_force_pseudoboolean
 from mpmolab.pseudoboolean import (
     KINDS,
     BitString,
     PseudoBooleanProblem,
     analytic_fronts,
-    common_members,
-    one_bit_mutation,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -40,18 +38,6 @@ def test_bitstring_validation():
         BitString(4, 16)
     with pytest.raises(IndexError):
         BitString.zeros(4).flip(4)
-
-
-def test_one_bit_mutation_flips_exactly_one_bit():
-    rng = random.Random(7)
-    x = BitString.from01("10110010")
-    seen = set()
-    for _ in range(400):
-        y = one_bit_mutation(x, rng)
-        diff = x.word ^ y.word
-        assert diff.bit_count() == 1
-        seen.add(diff.bit_length() - 1)
-    assert seen == set(range(8))
 
 
 def test_problem_validation():
@@ -172,15 +158,15 @@ def test_empmo_simple_hit_exposes_common_member():
     p = PseudoBooleanProblem("bpaoaz", 10)
     trace = run_empmo_simple(p, seed=2)
     assert trace.hit_time is not None
-    members = common_members(trace)
-    ones = BitString.ones(10)
-    assert any(e.solution.word == ones.word for e in members)
-    # every reported common member has both vectors carried by both archives
+    # the objective-level intersection: members of either archive whose party-1
+    # vector party 1's archive holds and whose party-2 vector party 2's holds
     objs1 = {e.objectives[0] for e in trace.archives[0]}
     objs2 = {e.objectives[1] for e in trace.archives[1]}
-    for e in members:
-        assert e.objectives[0] in objs1
-        assert e.objectives[1] in objs2
+    members = [
+        e for e in trace.archives[0] + trace.archives[1] if e.objectives[0] in objs1 and e.objectives[1] in objs2
+    ]
+    ones = BitString.ones(10)
+    assert any(e.solution.word == ones.word for e in members)
 
 
 def test_empmo_simple_fronts_stop_covers_both_parties():
@@ -260,7 +246,7 @@ def test_empmo_payoff_accepts_only_positive_totals():
             assert (w ^ prev).bit_count() == 1
             before = p.evaluate(BitString(12, prev))
             after = p.evaluate(BitString(12, w))
-            assert multiparty_payoff(before, after, Sense.MAXIMIZE).total > 0
+            assert sum(payoff_component(fb, fa, Sense.MAXIMIZE) for fb, fa in zip(before, after)) > 0
             # each accepted vote adds a one; losing a one never clears the vote
             assert w.bit_count() == prev.bit_count() + 1
         prev = w

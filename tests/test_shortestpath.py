@@ -15,7 +15,6 @@ from mpmolab.shortestpath import (
     ApproxParams,
     BoxBase,
     consensus_archive_bound,
-    epsilon_dominates,
     eval_path,
     mutate_path,
     path_epsilon,
@@ -79,21 +78,6 @@ def test_eval_path_on_fixture():
         eval_path(g, (2, 5))
     with pytest.raises(ValueError):
         eval_path(g, (1, 4))
-
-
-def test_epsilon_dominates():
-    a = ((1, 3, 5), (7, 8))
-    b = ((1, 2, 5), (4, 5))
-    assert epsilon_dominates(a, b, 1)  # 7 <= 2*4 and 8 <= 2*5
-    assert not epsilon_dominates(a, b, Fraction(1, 2))
-    assert epsilon_dominates(a, a, Fraction(1, 1000))  # reflexive at any slack
-    assert not epsilon_dominates(a, a, 1, strict=True)
-    # different endpoints never compare
-    assert not epsilon_dominates(((1, 2), (1, 1)), ((1, 3), (9, 9)), 5)
-    with pytest.raises(ValueError):
-        epsilon_dominates(a, b, 0)
-    with pytest.raises(ValueError):
-        epsilon_dominates(((1, 2), (1,)), ((1, 2), (1, 1)), 1)
 
 
 def test_box_base_spot_values():
@@ -237,7 +221,7 @@ def test_cons_sp_budget_zero_keeps_bare_source():
     res = run_empmo_cons_sp(g, ApproxParams.consensus(5, 1, 1), 0, 0)
     assert res.generations == 0
     assert res.evaluations == 0
-    assert [e.path for e in res.archive] == [(1,)]
+    assert [e.path for e in res.archives[0]] == [(1,)]
     assert res.metrics == []
 
 
@@ -261,7 +245,7 @@ def test_cons_sp_converges_on_fixture():
     ]
     assert res.max_archive_size <= consensus_archive_bound(g, ApproxParams.consensus(5, 1, 1).r)
     # source stays pinned at the head of the pool
-    assert res.archive[0].path == (1,)
+    assert res.archives[0][0].path == (1,)
 
 
 def test_cons_sp_observer_sees_source_first():
@@ -291,7 +275,7 @@ def test_demo_sp_keeps_joint_pareto_endpoints():
     g = fixture_graph()
     r = BoxBase.power(2, 4)
     res = run_demo_sp(g, r, 20000, seed=1)
-    vecs5 = {e.objectives for e in res.archive if e.path and e.path[-1] == 5}
+    vecs5 = {e.objectives for e in res.archives[0] if e.path and e.path[-1] == 5}
     assert ((10, 4), (8, 5)) in vecs5
     assert ((4, 5), (7, 8)) in vecs5
     assert ((7, 4), (5, 7)) in vecs5
@@ -373,6 +357,20 @@ def test_simple_sp_run_reports_outcomes_per_endpoint():
     assert (res.hit_evaluations is not None) == agreed
     gens = [s.generation for s in res.metrics]
     assert gens == sorted(set(gens))
+
+
+def test_simple_sp_hit_is_the_run_end_exactly_when_every_endpoint_agrees():
+    g = fixture_graph()
+    params = ApproxParams.consensus(5, 1, 1, 2)
+    fronts = exact_party_fronts(g, 1)
+    seen = set()
+    for budget in (0, 50, 500):
+        res = run_empmo_simple_sp(g, params, budget, 3, party2_fronts=fronts)
+        agreed = all(not o.failed for o in res.outcomes.values())
+        assert res.hit_generation == (res.generations if agreed else None)
+        assert res.hit_evaluations == (res.evaluations if agreed else None)
+        seen.add(agreed)
+    assert seen == {False, True}
 
 
 def test_simple_sp_rejects_seeded_walks_back_to_source():
@@ -491,9 +489,9 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
         return observer
 
     res = run_empmo_cons_sp(g, params, generations, 0, observer=watch(both))
-    check_members(g, res.archive, both)
+    check_members(g, res.archives[0], both)
     res = run_demo_sp(g, params.r, generations, 1, observer=watch(joint))
-    check_members(g, res.archive, joint)
+    check_members(g, res.archives[0], joint)
 
     # injected members are evaluated in full; their offspring incrementally
     seeds = [
@@ -506,7 +504,7 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
         initial_archives=(seeds, seeds), party2_fronts={}, observer=watch_parties,
     )
     assert res.evaluations >= 2 * len(seeds)
-    for lanes, members in zip(party, res.party_archives):
+    for lanes, members in zip(party, res.archives):
         check_members(g, members, lanes)
 
 
@@ -543,7 +541,7 @@ def test_drive_observer_payloads_and_hit_stop():
         assert (res.hit_generation, res.hit_evaluations, res.metrics) == (
             exact.hit_generation, exact.hit_evaluations, exact.metrics
         )
-        assert [(e.path, e.birth) for e in res.archive] == [(e.path, e.birth) for e in exact.archive]
+        assert [(e.path, e.birth) for e in res.archives[0]] == [(e.path, e.birth) for e in exact.archives[0]]
 
 
 @pytest.mark.parametrize("keyword", ["cadence", "stop_on_hit"])
