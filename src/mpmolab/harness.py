@@ -112,9 +112,8 @@ RUNNERS: Dict[str, Runner] = {
         GRAPH,
         lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, metric_fn=r.metric_fn),
     ),
-    # the consensus base (1+min eps)^(1/(n-1)) is demo-sp's box base too
     "demo-sp": Runner(
-        GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params.r, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
+        GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
     ),
 }
 ALGORITHMS = tuple(RUNNERS)
@@ -133,7 +132,11 @@ def _cell(value) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an algorithm on one problem, swept over seeds."""
+    """One experiment: an algorithm on one problem, swept over seeds.
+
+    Construction checks the slacks, the bit-string length and phi as the
+    runners would, so a bad setting fails before any row runs.
+    """
 
     algorithm: str
     problem: str = ""
@@ -168,6 +171,7 @@ class ExperimentConfig:
                 raise ValueError(f"algorithm {self.algorithm} needs problem in {KINDS}")
             if self.instance:
                 raise ValueError("bit-flip algorithms take a problem kind, not an instance")
+            PseudoBooleanProblem(self.problem, self.n)
         else:
             if not self.instance:
                 raise ValueError(f"algorithm {self.algorithm} needs an instance")
@@ -177,8 +181,9 @@ class ExperimentConfig:
                 raise ValueError("graph algorithms take n from their instance, not a setting")
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError(f"algorithm {self.algorithm} needs eps1 and eps2")
-        if runner.phi and self.phi is None:
-            raise ValueError(f"{self.algorithm} needs phi")
+            ApproxParams(self.eps1, self.eps2, self.eps2max)
+        if runner.phi and (self.phi is None or not 0.0 <= self.phi <= 1.0):
+            raise ValueError(f"{self.algorithm} needs phi in [0, 1], got {self.phi}")
         if not runner.phi and self.phi is not None:
             raise ValueError(f"phi is only meaningful for {', '.join(PHI_ALGORITHMS)}")
 
@@ -316,7 +321,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
             text = None if config.instance == "fixture" else FsPath(config.instance).read_text()
             g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
-            params = ApproxParams.consensus(g.n, config.eps1, config.eps2, config.eps2max)
+            params = ApproxParams(config.eps1, config.eps2, config.eps2max)
             result = run(GraphRow(g, params, fronts, refs, make_metric_fn(refs) if refs else None), config, seed)
             evaluations, generations = result.evaluations, result.generations
             hit, wall = result.hit_evaluations, result.wall_ms

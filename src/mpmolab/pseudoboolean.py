@@ -163,11 +163,6 @@ class PopulationEntry:
 class RunTrace:
     """Outcome of one optimizer run; time counters are evaluation counts."""
 
-    algorithm: str
-    problem: str
-    n: int
-    phi: Optional[float]
-    seed: int
     evaluations: int
     iterations: int
     hit_time: Optional[int]
@@ -193,25 +188,15 @@ def _start(problem: PseudoBooleanProblem, rng: random.Random, initial: Optional[
 
 
 def _finish(
-    algorithm: str,
-    problem: PseudoBooleanProblem,
-    seed: int,
     t0: float,
     evaluations: int,
     iterations: int,
     hit: Optional[int],
     population: List[PopulationEntry],
-    *,
-    phi: Optional[float] = None,
     archives: Optional[Tuple[List[PopulationEntry], ...]] = None,
 ) -> RunTrace:
     """The trace of a run that started at ``time.perf_counter()`` reading ``t0``."""
     return RunTrace(
-        algorithm=algorithm,
-        problem=problem.kind,
-        n=problem.n,
-        phi=phi,
-        seed=seed,
         evaluations=evaluations,
         iterations=iterations,
         hit_time=hit,
@@ -342,7 +327,7 @@ def run_semo(
     targets = analytic_fronts(problem) if stop == "target" else None
     (archive,), evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     population = [_entry(problem, e[1], e[4]) for e in archive]
-    return _finish("semo", problem, seed, t0, evaluations, iterations, hit, population)
+    return _finish(t0, evaluations, iterations, hit, population)
 
 
 def run_empmo_simple(
@@ -395,9 +380,7 @@ def run_empmo_simple(
     per_party = tuple(
         [_entry(problem, e[1], e[4]) for e in P] for P in archives
     )
-    return _finish(
-        "empmo-simple", problem, seed, t0, evaluations, iterations, hit, population, archives=per_party
-    )
+    return _finish(t0, evaluations, iterations, hit, population, per_party)
 
 
 def run_empmo_random(
@@ -490,7 +473,7 @@ def run_empmo_random(
             observer(iterations, archive)
 
     population = [_entry(problem, z[2], z[5]) for z in archive]
-    return _finish("empmo-random", problem, seed, t0, evaluations, iterations, hit, population, phi=phi)
+    return _finish(t0, evaluations, iterations, hit, population)
 
 
 def run_empmo_payoff(
@@ -545,4 +528,4 @@ def run_empmo_payoff(
             observer(iterations, word)
 
     population = [_entry(problem, word, iterations)]
-    return _finish("empmo-payoff", problem, seed, t0, evaluations, iterations, hit, population)
+    return _finish(t0, evaluations, iterations, hit, population)

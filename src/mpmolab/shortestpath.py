@@ -25,9 +25,8 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense, weak_ge
+from .core import MultiPartyObjectives, weak_ge
 
-SENSE = Sense.MINIMIZE
 SOURCE = 1
 # graph runs sample their metric every this many generations, and at the last
 METRIC_CADENCE = 100
@@ -201,29 +200,28 @@ class BoxBase:
         return t
 
 
+def box_base(n: int, *slacks) -> BoxBase:
+    """The box base (1+min(slacks))^(1/(n-1)) of an n-vertex graph."""
+    return BoxBase.power(1 + min(slacks), n - 1)
+
+
 @dataclass(frozen=True)
 class ApproxParams:
-    """Approximation slacks and the box base a consensus run works at."""
+    """Approximation slacks; the relaxation cap ``eps_2_max`` defaults to ``eps_2``."""
 
     eps_1: Fraction
     eps_2: Fraction
-    eps_2_max: Fraction
-    r: BoxBase
+    eps_2_max: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
+        if self.eps_2_max is None:
+            object.__setattr__(self, "eps_2_max", self.eps_2)
         for name in ("eps_1", "eps_2", "eps_2_max"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.eps_1 <= 0 or self.eps_2 <= 0:
             raise ValueError("approximation slacks must be positive")
         if self.eps_2_max < self.eps_2:
             raise ValueError("eps_2_max must be at least eps_2")
-
-    @classmethod
-    def consensus(cls, n: int, eps_1, eps_2, eps_2_max=None) -> "ApproxParams":
-        """Standard parameters for an n-vertex graph: r = (1+min eps)^(1/(n-1))."""
-        e1, e2 = as_fraction(eps_1), as_fraction(eps_2)
-        r = BoxBase.power(1 + min(e1, e2), n - 1)
-        return cls(e1, e2, as_fraction(eps_2_max) if eps_2_max is not None else e2, r)
 
 
 # An edit is (child, sign, u, v, w): the child path, +1 for an Add or -1 for
@@ -337,9 +335,6 @@ class MetricSample:
 class SpRunResult:
     """One graph run: one pool per archive, source entry first; ``outcomes`` is simple-sp's round."""
 
-    algorithm: str
-    n: int
-    seed: int
     generations: int
     evaluations: int
     no_change: int
@@ -538,22 +533,24 @@ class _BoxArchive:
 MetricFn = Callable[[List[Tuple[int, MultiPartyObjectives]]], Tuple[float, float, float]]
 
 
-def _drive(
+def _search(
     archs: Tuple[_BoxArchive, ...],
     budget: int,
-    rng: random.Random,
+    seed: int,
     metric_fn: Optional[MetricFn],
     observer: Optional[Callable],
-) -> Tuple[int, List[MetricSample], Optional[int]]:
+) -> SpRunResult:
     """Step the archives in order once per generation, for up to ``budget``.
 
-    The run ends after the first generation at which every archive covers its
-    targets (never, if one has none). ``metric_fn`` is sampled over the real
-    members of all archives every ``METRIC_CADENCE`` generations and once at
-    the last. ``observer(generation, pools)`` sees the live pool of a single
-    archive, or the tuple of pools, after every generation but a hit. Returns
-    (generations, metric samples, evaluations at the hit or None).
+    Draws come from ``random.Random(seed)``. The run ends after the first
+    generation at which every archive covers its targets (never, if one has
+    none). ``metric_fn`` is sampled over the real members of all archives
+    every ``METRIC_CADENCE`` generations and once at the last.
+    ``observer(generation, pools)`` sees the live pool of a single archive, or
+    the tuple of pools, after every generation but a hit.
     """
+    t0 = time.perf_counter()
+    rng = random.Random(seed)
     metrics: List[MetricSample] = []
     hit_evals: Optional[int] = None
     pools = archs[0].pool if len(archs) == 1 else tuple(a.pool for a in archs)
@@ -580,24 +577,7 @@ def _drive(
             observer(gen, pools)
     if metric_fn is not None and gen > 0 and sampled_at != gen:
         sample(gen)
-    return gen, metrics, hit_evals
-
-
-def _search(
-    algorithm: str,
-    archs: Tuple[_BoxArchive, ...],
-    budget: int,
-    seed: int,
-    metric_fn: Optional[MetricFn],
-    observer: Optional[Callable],
-) -> SpRunResult:
-    """The archives driven by ``_drive`` from ``random.Random(seed)``."""
-    t0 = time.perf_counter()
-    gen, metrics, hit_evals = _drive(archs, budget, random.Random(seed), metric_fn, observer)
     return SpRunResult(
-        algorithm=algorithm,
-        n=archs[0].g.n,
-        seed=seed,
         generations=gen,
         evaluations=sum(a.evaluations for a in archs),
         no_change=sum(a.no_change for a in archs),
@@ -625,8 +605,8 @@ def run_empmo_cons_sp(
     An offspring is accepted iff for at least one party no same-endpoint
     incumbent strictly dominates it in that party's objectives or box index;
     acceptance removes incumbents whose boxes are weakly dominated for both
-    parties. Per generation the draws are: parent index, then the mutation
-    draws. ``params.r`` must be the consensus base (1+min eps)^(1/(n-1)).
+    parties. Both parties' boxes are at the base (1+min(eps_1,eps_2))^(1/(n-1)).
+    Per generation the draws are: parent index, then the mutation draws.
 
     ``metric_fn`` is sampled every ``METRIC_CADENCE`` generations (plus once
     at the last) over the real archive members. ``targets`` maps each
@@ -635,17 +615,15 @@ def run_empmo_cons_sp(
     after which every endpoint in ``targets`` is covered. Without targets it
     spends the whole budget.
     """
-    expected = BoxBase.power(1 + min(params.eps_1, params.eps_2), g.n - 1)
-    if params.r != expected:
-        raise ValueError("params.r must be (1+min(eps_1,eps_2))^(1/(n-1)) for the consensus run")
+    r = box_base(g.n, params.eps_1, params.eps_2)
     k1, k2 = g.k
-    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (params.r, params.r), targets)
-    return _search("empmo-cons-sp", (arch,), budget, seed, metric_fn, observer)
+    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (r, r), targets)
+    return _search((arch,), budget, seed, metric_fn, observer)
 
 
 def run_demo_sp(
     g: WeightedDigraph,
-    r: BoxBase,
+    params: ApproxParams,
     budget: int,
     seed: int,
     *,
@@ -656,20 +634,22 @@ def run_demo_sp(
     """Baseline: identical machinery over the single concatenated vector.
 
     Party attributions are ignored; dominance and box tests use the joint
-    (k_1+k_2)-objective vector at box base ``r``. ``metric_fn`` and
-    ``targets``, with the stop at the hit, act as in ``run_empmo_cons_sp``.
+    (k_1+k_2)-objective vector at the consensus run's box base.
+    ``metric_fn`` and ``targets``, with the stop at the hit, act as in
+    ``run_empmo_cons_sp``.
     """
-    arch = _BoxArchive(g, ((0, sum(g.k)),), (r,), targets)
-    return _search("demo-sp", (arch,), budget, seed, metric_fn, observer)
+    arch = _BoxArchive(g, ((0, sum(g.k)),), (box_base(g.n, params.eps_1, params.eps_2),), targets)
+    return _search((arch,), budget, seed, metric_fn, observer)
 
 
-def consensus_archive_bound(g: WeightedDigraph, r: BoxBase) -> int:
-    """Worst-case archive size for the consensus run at box base r.
+def consensus_archive_bound(g: WeightedDigraph, params: ApproxParams) -> int:
+    """Worst-case archive size for the consensus run at its box base r.
 
     Per party: n-1 endpoints, each holding at most (floor(log_r((n-1) w_max))
     + 1)^(k-1) mutually box-incomparable members, plus the bare source entry;
     the smaller party's figure bounds the archive.
     """
+    r = box_base(g.n, params.eps_1, params.eps_2)
     best = None
     for m in (0, 1):
         per_obj = r.floor_log((g.n - 1) * g.max_weight(m)) + 1
@@ -836,14 +816,14 @@ def run_empmo_simple_sp(
         party2_fronts = exact_party_fronts(g, 1)
     k1, k2 = g.k
     archs = (
-        _BoxArchive(g, ((0, k1),), (BoxBase.power(1 + params.eps_1, g.n - 1),)),
-        _BoxArchive(g, ((k1, k1 + k2),), (BoxBase.power(1 + params.eps_2, g.n - 1),)),
+        _BoxArchive(g, ((0, k1),), (box_base(g.n, params.eps_1),)),
+        _BoxArchive(g, ((k1, k1 + k2),), (box_base(g.n, params.eps_2),)),
     )
     if initial_archives is not None:
         for arch, paths in zip(archs, initial_archives):
             for path in paths:
                 arch.seed_path(path)
-    res = _search("empmo-simple-sp", archs, budget, seed, metric_fn, observer)
+    res = _search(archs, budget, seed, metric_fn, observer)
     res.outcomes = ultimatum_consensus(
         g,
         [(r.path, r.objectives) for r in archs[0].real_entries()],

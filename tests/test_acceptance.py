@@ -182,8 +182,8 @@ def test_consensus_archive_never_exceeds_size_bound():
     peaks = {}
     for n, seeds in ((10, range(7)), (20, range(7)), (30, range(6))):
         g = generate_planted_uav(InstanceSpec(KIND_PLANTED, n, seed=100 + n))
-        params = ApproxParams.consensus(g.n, 1, 1)
-        bound = consensus_archive_bound(g, params.r)
+        params = ApproxParams(1, 1)
+        bound = consensus_archive_bound(g, params)
         peak = 0
 
         def watch(gen, pool, bound=bound):
@@ -237,7 +237,7 @@ def test_epsilon_convergence_per_algorithm():
 
     for name, g in (("fixture", fixture), ("planted10", planted)):
         refs = endpoint_commons(g)
-        params = ApproxParams.consensus(g.n, 1, 1)
+        params = ApproxParams(1, 1)
         res = run_empmo_cons_sp(
             g, params, budget, seed=5,
             metric_fn=make_metric_fn(refs), targets=refs,
@@ -246,7 +246,7 @@ def test_epsilon_convergence_per_algorithm():
         assert res.metrics[-1].mean_eps_endpoints == 0.0, name
         lines.append(f"{name} consensus hit at gen {res.hit_generation}")
 
-        relax = ApproxParams.consensus(g.n, 1, 1, 2)
+        relax = ApproxParams(1, 1, 2)
         sp = run_empmo_simple_sp(
             g, relax, budget, seed=5, party2_fronts=exact_party_fronts(g, 1)
         )
@@ -257,7 +257,7 @@ def test_epsilon_convergence_per_algorithm():
 
     refs = endpoint_commons(fixture)
     demo = run_demo_sp(
-        fixture, ApproxParams.consensus(fixture.n, 1, 1).r, budget, seed=5,
+        fixture, ApproxParams(1, 1), budget, seed=5,
         metric_fn=make_metric_fn(refs),
     )
     assert demo.metrics[-1].max_eps > 0.0
@@ -279,14 +279,14 @@ def test_seeded_consensus_counterexample_replay():
     fronts = exact_party_fronts(g, 1)
 
     strict = run_empmo_simple_sp(
-        g, ApproxParams.consensus(5, 1, 1), 0, seed=0,
+        g, ApproxParams(1, 1), 0, seed=0,
         initial_archives=archives, party2_fronts=fronts,
     )
     assert strict.outcomes[5].failed
     assert strict.hit_evaluations is None
 
     relaxed = run_empmo_simple_sp(
-        g, ApproxParams.consensus(5, 1, 1, 2), 0, seed=0,
+        g, ApproxParams(1, 1, 2), 0, seed=0,
         initial_archives=archives, party2_fronts=fronts,
     )
     out = relaxed.outcomes[5]

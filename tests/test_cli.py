@@ -6,7 +6,7 @@ import io
 import pytest
 
 from mpmolab import cli
-from mpmolab.harness import read_csv
+from mpmolab.harness import SUMMARY_COLUMNS, compute_run_id, read_csv, write_csv
 
 
 def run_cli(args):
@@ -235,3 +235,45 @@ def test_sweep_with_empty_seeds_or_repeated_values_exits_2(tmp_path, capsys, lin
     captured = capsys.readouterr()
     assert "error:" in captured.err and "runs" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\neps2max=1/2\nseeds=0:3\n", "eps_2_max must be at least eps_2"),
+        ("algorithm=semo\nproblem=aoaz\nn=7\nseeds=0:3\n", "n must be even"),
+        ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=1.5\nseeds=0:3\n", "phi in [0, 1]"),
+    ],
+)
+def test_sweep_with_invalid_settings_exits_2_before_running(tmp_path, capsys, text, fragment):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "results"
+    assert run_cli(["sweep", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err and "runs" not in captured.out
+    assert not out.exists()
+
+
+def test_run_with_invalid_settings_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = run_cli(["run", "--alg", "empmo-random", "--problem", "bpaoaz", "--n", "8", "--phi", "1.5", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "phi in [0, 1]" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_replaying_an_error_row_of_invalid_settings_exits_2(tmp_path, capsys):
+    # such rows were written before settings were checked when a config is built
+    row = {c: "" for c in SUMMARY_COLUMNS}
+    row.update(
+        algorithm="empmo-cons-sp", instance="fixture", n="5", eps1="1", eps2="1", eps2max="1/2",
+        seed="0", budget="1000000", evaluations="0", generations="0",
+        error="ValueError: eps_2_max must be at least eps_2",
+    )
+    row["run_id"] = compute_run_id(row)
+    summary = tmp_path / "summary.csv"
+    write_csv(summary, SUMMARY_COLUMNS, [row])
+    assert run_cli(["replay", "--summary", str(summary)]) == 2
+    assert "eps_2_max must be at least eps_2" in capsys.readouterr().err

@@ -32,7 +32,7 @@ from mpmolab.instances import (
     generate_planted_uav,
     write_instance,
 )
-from mpmolab.shortestpath import ApproxParams, _BoxArchive, run_empmo_cons_sp
+from mpmolab.shortestpath import ApproxParams, BoxBase, _BoxArchive, run_empmo_cons_sp
 
 
 def test_config_validation():
@@ -60,6 +60,20 @@ def test_config_validation():
         ExperimentConfig("semo", problem="aoaz", n=8, seeds=())
     with pytest.raises(ValueError, match="non-empty and distinct"):
         ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, seeds=(2, 0, 2))
+    # the settings a runner would refuse fail here, before any row runs
+    with pytest.raises(ValueError, match="eps_2_max must be at least eps_2"):
+        ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, eps2max=Fraction(1, 2))
+    with pytest.raises(ValueError, match="approximation slacks must be positive"):
+        ExperimentConfig("demo-sp", instance="fixture", eps1=0, eps2=1)
+    with pytest.raises(ValueError, match="n must be even and at least 4, got 7"):
+        ExperimentConfig("semo", problem="aoaz", n=7)
+    with pytest.raises(ValueError, match="n must be even and at least 4, got 0"):
+        ExperimentConfig("empmo-payoff", problem="bpaoaz")
+    with pytest.raises(ValueError, match=r"needs phi in \[0, 1\], got 1.5"):
+        ExperimentConfig("empmo-random", problem="bpaoaz", n=8, phi=1.5)
+    with pytest.raises(ValueError, match=r"needs phi in \[0, 1\], got -0.1"):
+        ExperimentConfig("empmo-random", problem="bpaoaz", n=8, phi=-0.1)
+    assert ExperimentConfig("empmo-random", problem="bpaoaz", n=8, phi=1).phi == 1.0
     cfg = ExperimentConfig("empmo-cons-sp", instance="fixture", eps1="1/2", eps2=1)
     assert cfg.eps1 == Fraction(1, 2)
     assert cfg.seeds == (0,)
@@ -259,7 +273,7 @@ def test_metric_fn_scores_each_member_once(monkeypatch):
     refs = endpoint_commons(g)
     views = []
     run_empmo_cons_sp(
-        g, ApproxParams.consensus(5, Fraction(1, 2), Fraction(1, 2)), 600, 3,
+        g, ApproxParams(Fraction(1, 2), Fraction(1, 2)), 600, 3,
         observer=lambda gen, pool: views.append([(r.endpoint, r.objectives) for r in pool[1:]]),
     )
     calls = []
@@ -277,10 +291,10 @@ def test_metric_fn_scores_each_member_once(monkeypatch):
 def test_archive_covers_an_endpoint_by_weak_dominance_of_all_common():
     g = fixture_graph()
     refs = endpoint_commons(g)
-    params = ApproxParams.consensus(g.n, 1, 1)
+    r = BoxBase.power(2, g.n - 1)
 
     def verdict(targets):
-        arch = _BoxArchive(g, ((0, 2), (2, 4)), (params.r, params.r), targets)
+        arch = _BoxArchive(g, ((0, 2), (2, 4)), (r, r), targets)
 
         def target(endpoint, obj):
             flat = obj[0] + obj[1]
@@ -454,6 +468,10 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=semo\nproblem=aoaz\nn=\n", "key 'n' has an empty value"),
         ("algorithm=semo,\nproblem=aoaz\nn=8\n", "key 'algorithm' has an empty value"),
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\nn=5,6\nbudget=50\n", "take n from their instance"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\neps2max=1/2\nseeds=0:3\n", "eps_2_max must be at least eps_2"),
+        ("algorithm=demo-sp\ninstance=fixture\neps1=1,0\neps2=1\n", "approximation slacks must be positive"),
+        ("algorithm=semo\nproblem=aoaz\nn=8,7\n", "n must be even and at least 4, got 7"),
+        ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=0.5,1.5\n", "needs phi in [0, 1], got 1.5"),
     ],
 )
 def test_sweep_errors(text, fragment):

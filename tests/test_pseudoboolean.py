@@ -208,7 +208,6 @@ def test_empmo_random_hits_and_keeps_distinct_words():
 
     trace = run_empmo_random(p, 0.5, seed=6, observer=watch)
     assert trace.hit_time is not None
-    assert trace.phi == 0.5
     ones = BitString.ones(8)
     assert any(e.solution.word == ones.word for e in trace.final_population)
 

@@ -67,7 +67,6 @@ def full_scan_semo(problem, seed, *, budget, stop, observer):
                     hit = evaluations
         observer(iterations, archive)
     return RunTrace(
-        algorithm="semo", problem=problem.kind, n=n, phi=None, seed=seed,
         evaluations=evaluations, iterations=iterations, hit_time=hit,
         final_population=[_entry(problem, e[1], e[4]) for e in archive], wall_ms=0.0,
     )
@@ -127,7 +126,6 @@ def full_scan_empmo_simple(problem, seed, *, budget, stop, observer):
             if e[1] not in seen or e[4] < seen[e[1]]:
                 seen[e[1]] = e[4]
     return RunTrace(
-        algorithm="empmo-simple", problem="bpaoaz", n=n, phi=None, seed=seed,
         evaluations=evaluations, iterations=iterations, hit_time=hit,
         final_population=[_entry(problem, w, birth) for w, birth in sorted(seen.items())],
         wall_ms=0.0,
@@ -184,7 +182,6 @@ def all_pairs_empmo_random(problem, phi, seed, *, budget, stop, observer):
             pruned[m] = True
         observer(iterations, archive)
     return RunTrace(
-        algorithm="empmo-random", problem="bpaoaz", n=n, phi=phi, seed=seed,
         evaluations=evaluations, iterations=iterations, hit_time=hit,
         final_population=[_entry(problem, z[2], z[5]) for z in archive], wall_ms=0.0,
     )

@@ -14,6 +14,7 @@ from mpmolab.shortestpath import (
     METRIC_CADENCE,
     ApproxParams,
     BoxBase,
+    box_base,
     consensus_archive_bound,
     eval_path,
     mutate_path,
@@ -140,16 +141,16 @@ def test_box_index_is_monotone(vec, bump, root):
 
 
 def test_approx_params():
-    p = ApproxParams.consensus(5, 1, 1)
-    assert p.r == BoxBase.power(2, 4)
+    p = ApproxParams(1, 1)
     assert p.eps_2_max == Fraction(1)
-    q = ApproxParams.consensus(5, "1/2", 1, 3)
-    assert q.eps_1 == Fraction(1, 2)
-    assert q.r == BoxBase.power(Fraction(3, 2), 4)
-    with pytest.raises(ValueError):
-        ApproxParams.consensus(5, 0, 1)
-    with pytest.raises(ValueError):
-        ApproxParams.consensus(5, 1, 1, "1/2")
+    assert box_base(5, p.eps_1, p.eps_2) == BoxBase.power(2, 4)
+    q = ApproxParams("1/2", 1, 3)
+    assert (q.eps_1, q.eps_2, q.eps_2_max) == (Fraction(1, 2), 1, 3)
+    assert box_base(5, q.eps_1, q.eps_2) == BoxBase.power(Fraction(3, 2), 4)
+    with pytest.raises(ValueError, match="must be positive"):
+        ApproxParams(0, 1)
+    with pytest.raises(ValueError, match="at least eps_2"):
+        ApproxParams(1, 1, "1/2")
 
 
 class ScriptedRng:
@@ -209,16 +210,9 @@ def test_mutate_path_outputs_are_walks():
     assert produced > 100
 
 
-def test_cons_sp_rejects_foreign_box_base():
-    g = fixture_graph()
-    params = ApproxParams(1, 1, 1, BoxBase.plain(2))
-    with pytest.raises(ValueError, match="consensus"):
-        run_empmo_cons_sp(g, params, 10, 0)
-
-
 def test_cons_sp_budget_zero_keeps_bare_source():
     g = fixture_graph()
-    res = run_empmo_cons_sp(g, ApproxParams.consensus(5, 1, 1), 0, 0)
+    res = run_empmo_cons_sp(g, ApproxParams(1, 1), 0, 0)
     assert res.generations == 0
     assert res.evaluations == 0
     assert [e.path for e in res.archives[0]] == [(1,)]
@@ -230,7 +224,7 @@ def test_cons_sp_converges_on_fixture():
     refs = endpoint_commons(g)
     res = run_empmo_cons_sp(
         g,
-        ApproxParams.consensus(5, 1, 1),
+        ApproxParams(1, 1),
         3000,
         seed=0,
         metric_fn=make_metric_fn(refs),
@@ -243,7 +237,7 @@ def test_cons_sp_converges_on_fixture():
     assert [s.generation for s in res.metrics] == [
         *range(METRIC_CADENCE, res.generations, METRIC_CADENCE), res.generations
     ]
-    assert res.max_archive_size <= consensus_archive_bound(g, ApproxParams.consensus(5, 1, 1).r)
+    assert res.max_archive_size <= consensus_archive_bound(g, ApproxParams(1, 1))
     # source stays pinned at the head of the pool
     assert res.archives[0][0].path == (1,)
 
@@ -253,7 +247,7 @@ def test_cons_sp_observer_sees_source_first():
     seen = []
     run_empmo_cons_sp(
         g,
-        ApproxParams.consensus(5, 1, 1),
+        ApproxParams(1, 1),
         50,
         seed=2,
         observer=lambda gen, pool: seen.append(pool[0].path),
@@ -263,18 +257,17 @@ def test_cons_sp_observer_sees_source_first():
 
 def test_consensus_archive_bound_hand_check():
     g = fixture_graph()
-    r = ApproxParams.consensus(5, 1, 1).r
+    r = BoxBase.power(2, 4)
     # party 1: (n-1)*w_max = 4*9 = 36, floor(4*log2 36) = 20 -> 4*21^1 + 1 = 85
     # party 2: 4*6 = 24, floor(4*log2 24) = 18 -> 4*19 + 1 = 77
     assert r.floor_log(36) == 20
     assert r.floor_log(24) == 18
-    assert consensus_archive_bound(g, r) == 77
+    assert consensus_archive_bound(g, ApproxParams(1, 1)) == 77
 
 
 def test_demo_sp_keeps_joint_pareto_endpoints():
     g = fixture_graph()
-    r = BoxBase.power(2, 4)
-    res = run_demo_sp(g, r, 20000, seed=1)
+    res = run_demo_sp(g, ApproxParams(1, 1), 20000, seed=1)
     vecs5 = {e.objectives for e in res.archives[0] if e.path and e.path[-1] == 5}
     assert ((10, 4), (8, 5)) in vecs5
     assert ((4, 5), (7, 8)) in vecs5
@@ -302,7 +295,7 @@ def fixture_state():
 def test_ultimatum_strict_slack_can_fail():
     g, proposals, responders, fronts = fixture_state()
     outcomes = ultimatum_consensus(
-        g, proposals, responders, ApproxParams.consensus(5, 1, 1), fronts
+        g, proposals, responders, ApproxParams(1, 1), fronts
     )
     assert outcomes[5].failed
     assert outcomes[5].eps2_prime is None
@@ -313,7 +306,7 @@ def test_ultimatum_strict_slack_can_fail():
 def test_ultimatum_relaxation_reaches_agreement():
     g, proposals, responders, fronts = fixture_state()
     outcomes = ultimatum_consensus(
-        g, proposals, responders, ApproxParams.consensus(5, 1, 1, 2), fronts
+        g, proposals, responders, ApproxParams(1, 1, 2), fronts
     )
     out = outcomes[5]
     assert not out.failed
@@ -329,7 +322,7 @@ def test_ultimatum_unique_path_endpoint_agrees_immediately():
     g = fixture_graph()
     both = [((1, 2), eval_path(g, (1, 2)))]
     outcomes = ultimatum_consensus(
-        g, both, both, ApproxParams.consensus(5, 1, 1), exact_party_fronts(g, 1)
+        g, both, both, ApproxParams(1, 1), exact_party_fronts(g, 1)
     )
     out = outcomes[2]
     assert not out.failed
@@ -341,7 +334,7 @@ def test_simple_sp_run_reports_outcomes_per_endpoint():
     g = fixture_graph()
     res = run_empmo_simple_sp(
         g,
-        ApproxParams.consensus(5, 1, 1, 2),
+        ApproxParams(1, 1, 2),
         500,
         seed=3,
         party2_fronts=exact_party_fronts(g, 1),
@@ -361,7 +354,7 @@ def test_simple_sp_run_reports_outcomes_per_endpoint():
 
 def test_simple_sp_hit_is_the_run_end_exactly_when_every_endpoint_agrees():
     g = fixture_graph()
-    params = ApproxParams.consensus(5, 1, 1, 2)
+    params = ApproxParams(1, 1, 2)
     fronts = exact_party_fronts(g, 1)
     seen = set()
     for budget in (0, 50, 500):
@@ -385,7 +378,7 @@ def test_simple_sp_rejects_seeded_walks_back_to_source():
     with pytest.raises(ValueError, match="returns to the source"):
         run_empmo_simple_sp(
             g,
-            ApproxParams.consensus(3, 1, 1),
+            ApproxParams(1, 1),
             0,
             seed=0,
             initial_archives=([(1, 2, 1)], []),
@@ -473,9 +466,10 @@ def check_members(g, members, lane_bases):
 def test_incremental_objectives_equal_eval_path(property_graphs, name):
     g = property_graphs[name]
     k1, k2 = g.k
-    params = ApproxParams.consensus(g.n, 1, Fraction(1, 2), 2)
-    both = ((0, k1), params.r), ((k1, k1 + k2), params.r)
-    joint = (((0, k1 + k2), params.r),)
+    params = ApproxParams(1, Fraction(1, 2), 2)
+    r = BoxBase.power(Fraction(3, 2), g.n - 1)  # the consensus base, at min(eps_1, eps_2)
+    both = ((0, k1), r), ((k1, k1 + k2), r)
+    joint = (((0, k1 + k2), r),)
     party = (
         (((0, k1), BoxBase.power(2, g.n - 1)),),
         (((k1, k1 + k2), BoxBase.power(Fraction(3, 2), g.n - 1)),),
@@ -490,7 +484,7 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
 
     res = run_empmo_cons_sp(g, params, generations, 0, observer=watch(both))
     check_members(g, res.archives[0], both)
-    res = run_demo_sp(g, params.r, generations, 1, observer=watch(joint))
+    res = run_demo_sp(g, params, generations, 1, observer=watch(joint))
     check_members(g, res.archives[0], joint)
 
     # injected members are evaluated in full; their offspring incrementally
@@ -510,10 +504,10 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
 
 def test_drive_observer_payloads_and_hit_stop():
     g = fixture_graph()
-    params = ApproxParams.consensus(5, 1, 1)
+    params = ApproxParams(1, 1)
     frames = []
     run_empmo_cons_sp(g, params, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
-    run_demo_sp(g, params.r, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
+    run_demo_sp(g, params, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
     assert frames == [(gen, list) for gen in range(1, 41)] * 2
     pairs = []
     res = run_empmo_simple_sp(
@@ -525,12 +519,12 @@ def test_drive_observer_payloads_and_hit_stop():
 
     # a run given targets ends at its hit generation, before that generation's observer call
     refs = endpoint_commons(g)
-    for run, box in ((run_empmo_cons_sp, params), (run_demo_sp, params.r)):
-        hit = run(g, box, 100_000, 0, targets=refs).hit_generation
-        exact = run(g, box, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
+    for run in (run_empmo_cons_sp, run_demo_sp):
+        hit = run(g, params, 100_000, 0, targets=refs).hit_generation
+        exact = run(g, params, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
         seen = []
         res = run(
-            g, box, hit + 50, 0,
+            g, params, hit + 50, 0,
             metric_fn=make_metric_fn(refs), targets=refs, observer=lambda gen, pool: seen.append(gen),
         )
         assert seen == list(range(1, hit))
@@ -547,10 +541,10 @@ def test_drive_observer_payloads_and_hit_stop():
 @pytest.mark.parametrize("keyword", ["cadence", "stop_on_hit"])
 def test_graph_runners_take_no_sampling_or_stopping_setting(keyword):
     g = fixture_graph()
-    params = ApproxParams.consensus(5, 1, 1)
-    for run, box in ((run_empmo_cons_sp, params), (run_demo_sp, params.r), (run_empmo_simple_sp, params)):
+    params = ApproxParams(1, 1)
+    for run in (run_empmo_cons_sp, run_demo_sp, run_empmo_simple_sp):
         with pytest.raises(TypeError):
-            run(g, box, 1, 0, **{keyword: 1})
+            run(g, params, 1, 0, **{keyword: 1})
 
 
 def randbelow_edit(g, p, rng, max_len):
@@ -659,11 +653,11 @@ def archive_state(arch):
 def archive_lanes(g):
     """(name, slices, bases, with targets) for the cons-sp, demo-sp and single-party archives."""
     k1, k2 = g.k
-    params = ApproxParams.consensus(g.n, Fraction(1, 2), Fraction(1, 3))
     r1, r2 = BoxBase.power(Fraction(3, 2), g.n - 1), BoxBase.power(Fraction(4, 3), g.n - 1)
+    # at eps_1 = 1/2 and eps_2 = 1/3 the consensus base is party 2's
     return [
-        ("cons", ((0, k1), (k1, k1 + k2)), (params.r, params.r), True),
-        ("demo", ((0, k1 + k2),), (params.r,), True),
+        ("cons", ((0, k1), (k1, k1 + k2)), (r2, r2), True),
+        ("demo", ((0, k1 + k2),), (r2,), True),
         ("party1", ((0, k1),), (r1,), False),
         ("party2", ((k1, k1 + k2),), (r2,), False),
     ]
