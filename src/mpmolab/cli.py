@@ -52,23 +52,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_run(args) -> int:
-    eps1, eps2 = args.eps1, args.eps2
-    if args.eps is not None:
-        if eps1 is not None or eps2 is not None:
-            raise ValueError("give either --eps or --eps1/--eps2, not both")
-        eps1 = eps2 = args.eps
-    config = harness.ExperimentConfig(
-        algorithm=args.alg,
-        problem=args.problem or "",
-        instance=args.instance or "",
-        n=args.n or 0,
-        phi=args.phi,
-        eps1=eps1,
-        eps2=eps2,
-        eps2max=args.eps2_max,
-        seeds=(args.seed,),
-        budget=args.budget,
-    )
+    flags = dict(vars(args), algorithm=args.alg)
+    config = harness.config_from_cells({k: flags[k] for k in (*harness.CONFIG_FIELDS, "eps")}, (args.seed,))
     record = harness.run_single(config, args.seed)
     harness.write_rows(sys.stdout, harness.SUMMARY_COLUMNS, [record.summary])
     out = _out_dir(args)
@@ -180,7 +165,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--eps", type=Fraction, help="sets both eps1 and eps2")
     p_run.add_argument("--eps1", type=Fraction, help="party-1 approximation parameter")
     p_run.add_argument("--eps2", type=Fraction, help="party-2 approximation parameter")
-    p_run.add_argument("--eps2-max", type=Fraction, help="consensus relaxation cap (default eps2)")
+    p_run.add_argument("--eps2-max", dest="eps2max", type=Fraction, help="consensus relaxation cap (default eps2)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--budget", type=int, help="evaluations (bit-flip) or generations (graphs); defaults 1e8 / 1e6")
     p_run.add_argument("--out", help=f"output directory (default ${OUT_ENV} or '.')")

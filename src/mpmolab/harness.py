@@ -21,7 +21,7 @@ import os
 import statistics
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path as FsPath
 from types import MappingProxyType
@@ -31,7 +31,6 @@ from . import oracles
 from .instances import fixture_graph, parse_instance
 from .pseudoboolean import (
     DEFAULT_BUDGET,
-    KINDS,
     PseudoBooleanProblem,
     run_empmo_payoff,
     run_empmo_random,
@@ -47,22 +46,28 @@ from .shortestpath import (
     run_empmo_simple_sp,
 )
 
-SUMMARY_COLUMNS = [
-    "run_id", "algorithm", "problem", "instance", "n", "phi",
-    "eps1", "eps2", "eps2max", "seed", "budget",
-    "evaluations", "generations", "hit_time", "error",
-]
+# Each identifying field's cell parser, in column order; a summary row and a
+# sweep line read their cells through it. Every field but the seed is a
+# config field.
+_PARSERS = {
+    "algorithm": str, "problem": str, "instance": str, "n": int, "phi": float,
+    "eps1": Fraction, "eps2": Fraction, "eps2max": Fraction, "seed": int, "budget": int,
+}
+ID_FIELDS = tuple(_PARSERS)
+CONFIG_FIELDS = tuple(f for f in ID_FIELDS if f != "seed")
+# The optional config fields: a runner's ``takes`` names those its rows read.
+_SETTINGS = tuple(f for f in CONFIG_FIELDS if f not in ("algorithm", "budget"))
+
+SUMMARY_COLUMNS = ["run_id", *ID_FIELDS, "evaluations", "generations", "hit_time", "error"]
 METRIC_COLUMNS = ["run_id", "generation", "evaluations", "max_eps", "mean_eps_members", "mean_eps_endpoints"]
 TRACE_COLUMNS = ["run_id", "algorithm", "problem", "n", "phi", "seed", "evaluations", "iterations", "hit_time", "wall_ms"]
 AGGREGATE_COLUMNS = [
-    "algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "eps2max", "budget",
+    *CONFIG_FIELDS,
     "runs", "errors", "hits",
     "mean_evaluations", "std_evaluations", "mean_generations", "std_generations",
     "mean_hit_time", "std_hit_time",
 ]
 
-ID_FIELDS = ("algorithm", "problem", "instance", "n", "phi", "eps1", "eps2", "eps2max", "seed", "budget")
-CONFIG_FIELDS = ID_FIELDS[:-2] + ("budget",)
 DEFAULT_SP_BUDGET = 10**6
 # A sweep file names one instance; the headroom covers pool workers whose rows
 # interleave several files.
@@ -85,41 +90,50 @@ class GraphRow(NamedTuple):
 
 
 class Runner(NamedTuple):
-    """An algorithm's family, the adapter that runs one row, and whether it takes phi."""
+    """An algorithm's family, the adapter that runs one row, the optional config
+    fields its rows read, and (bit-string runners) the problem kinds it accepts."""
 
     family: str
     run: Callable
-    phi: bool = False
+    takes: Tuple[str, ...]
+    kinds: Tuple[str, ...] = ()
 
 
 PB, GRAPH = "pseudoboolean", "graph"
 # The default budget per family, in the family's native unit.
 FAMILY_BUDGETS = {PB: DEFAULT_BUDGET, GRAPH: DEFAULT_SP_BUDGET}
 
+_BITS, _SLACKS = ("problem", "n"), ("instance", "eps1", "eps2", "eps2max")
+_SINGLE_PARTY, _BI_PARTY = ("aorz", "aofz", "aoaz"), ("bpaoaz",)
+
 # The one table of algorithms. A pseudo-Boolean adapter is called as
 # run(problem, config, seed), a graph adapter as run(GraphRow, config, seed).
 # The adapters name the runners as module globals, so each call looks them
 # up when it runs: replacing ``harness.run_semo`` replaces what rows call.
 RUNNERS: Dict[str, Runner] = {
-    "semo": Runner(PB, lambda p, c, s: run_semo(p, s, budget=c.budget)),
-    "empmo-simple": Runner(PB, lambda p, c, s: run_empmo_simple(p, s, budget=c.budget)),
-    "empmo-random": Runner(PB, lambda p, c, s: run_empmo_random(p, c.phi, s, budget=c.budget), phi=True),
-    "empmo-payoff": Runner(PB, lambda p, c, s: run_empmo_payoff(p, s, budget=c.budget)),
+    "semo": Runner(PB, lambda p, c, s: run_semo(p, s, budget=c.budget), _BITS, _SINGLE_PARTY),
+    "empmo-simple": Runner(PB, lambda p, c, s: run_empmo_simple(p, s, budget=c.budget), _BITS, _BI_PARTY),
+    "empmo-random": Runner(
+        PB, lambda p, c, s: run_empmo_random(p, c.phi, s, budget=c.budget), _BITS + ("phi",), _BI_PARTY
+    ),
+    "empmo-payoff": Runner(PB, lambda p, c, s: run_empmo_payoff(p, s, budget=c.budget), _BITS, _BI_PARTY),
     "empmo-cons-sp": Runner(
-        GRAPH, lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
+        GRAPH,
+        lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs),
+        _SLACKS,
     ),
     "empmo-simple-sp": Runner(
         GRAPH,
         lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, metric_fn=r.metric_fn),
+        _SLACKS,
     ),
     "demo-sp": Runner(
-        GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs)
+        GRAPH, lambda r, c, s: run_demo_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs), _SLACKS
     ),
 }
 ALGORITHMS = tuple(RUNNERS)
 PSEUDOBOOLEAN_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].family == PB)
 GRAPH_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].family == GRAPH)
-PHI_ALGORITHMS = tuple(a for a in ALGORITHMS if RUNNERS[a].phi)
 
 
 def _cell(value) -> str:
@@ -134,8 +148,9 @@ def _cell(value) -> str:
 class ExperimentConfig:
     """One experiment: an algorithm on one problem, swept over seeds.
 
-    Construction checks the slacks, the bit-string length and phi as the
-    runners would, so a bad setting fails before any row runs.
+    Construction refuses every setting the algorithm's runner does not take
+    and checks the others as the runner would, so a bad setting fails before
+    any row runs.
     """
 
     algorithm: str
@@ -152,6 +167,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in RUNNERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        runner = RUNNERS[self.algorithm]
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
@@ -162,30 +178,25 @@ class ExperimentConfig:
         if self.phi is not None:
             object.__setattr__(self, "phi", float(self.phi))
         if self.budget is None:
-            object.__setattr__(self, "budget", FAMILY_BUDGETS[RUNNERS[self.algorithm].family])
+            object.__setattr__(self, "budget", FAMILY_BUDGETS[runner.family])
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        runner = RUNNERS[self.algorithm]
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _SETTINGS:
+            if name not in runner.takes and getattr(self, name) != defaults[name]:
+                raise ValueError(f"{self.algorithm} does not take {name}")
         if runner.family == PB:
-            if self.problem not in KINDS:
-                raise ValueError(f"algorithm {self.algorithm} needs problem in {KINDS}")
-            if self.instance:
-                raise ValueError("bit-flip algorithms take a problem kind, not an instance")
+            if self.problem not in runner.kinds:
+                raise ValueError(f"algorithm {self.algorithm} needs problem in {runner.kinds}")
             PseudoBooleanProblem(self.problem, self.n)
         else:
             if not self.instance:
                 raise ValueError(f"algorithm {self.algorithm} needs an instance")
-            if self.problem:
-                raise ValueError("graph algorithms take an instance, not a problem kind")
-            if self.n:
-                raise ValueError("graph algorithms take n from their instance, not a setting")
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError(f"algorithm {self.algorithm} needs eps1 and eps2")
             ApproxParams(self.eps1, self.eps2, self.eps2max)
-        if runner.phi and (self.phi is None or not 0.0 <= self.phi <= 1.0):
+        if "phi" in runner.takes and (self.phi is None or not 0.0 <= self.phi <= 1.0):
             raise ValueError(f"{self.algorithm} needs phi in [0, 1], got {self.phi}")
-        if not runner.phi and self.phi is not None:
-            raise ValueError(f"phi is only meaningful for {', '.join(PHI_ALGORITHMS)}")
 
 
 def compute_run_id(cells: Dict[str, str]) -> str:
@@ -244,18 +255,7 @@ def make_metric_fn(refs: Dict[int, Tuple]):
 
 
 def _config_cells(config: ExperimentConfig, seed: int) -> Dict[str, str]:
-    return {
-        "algorithm": config.algorithm,
-        "problem": config.problem,
-        "instance": config.instance,
-        "n": _cell(config.n),
-        "phi": _cell(config.phi),
-        "eps1": _cell(config.eps1),
-        "eps2": _cell(config.eps2),
-        "eps2max": _cell(config.eps2max),
-        "seed": _cell(seed),
-        "budget": _cell(config.budget),
-    }
+    return {f: _cell(seed if f == "seed" else getattr(config, f)) for f in ID_FIELDS}
 
 
 @dataclass
@@ -312,7 +312,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     error = ""
     metric_samples = []
     try:
-        family, run, _ = RUNNERS[config.algorithm]
+        family, run, *_ = RUNNERS[config.algorithm]
         if family == PB:
             trace = run(PseudoBooleanProblem(config.problem, config.n), config, seed)
             evaluations, generations = trace.evaluations, trace.iterations
@@ -338,16 +338,9 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
         "hit_time": _cell(hit),
         "error": error,
     }
+    # a metric row's columns after the run id are its sample's fields
     metrics = [
-        {
-            "run_id": run_id,
-            "generation": _cell(s.generation),
-            "evaluations": _cell(s.evaluations),
-            "max_eps": _cell(s.max_eps),
-            "mean_eps_members": _cell(s.mean_eps_members),
-            "mean_eps_endpoints": _cell(s.mean_eps_endpoints),
-        }
-        for s in metric_samples
+        {"run_id": run_id, **{c: _cell(getattr(s, c)) for c in METRIC_COLUMNS[1:]}} for s in metric_samples
     ]
     trace = {
         "run_id": run_id,
@@ -388,10 +381,17 @@ def _sort_key(row: Dict[str, str]):
 
 
 def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> ExperimentResult:
-    """Run every (config, seed) pair; rows come back in canonical order."""
+    """Run every (config, seed) pair in at most ``jobs`` worker processes.
+
+    Rows come back in canonical order. No more workers start than there are
+    pairs, since the pool starts all of its workers at once.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     pairs = [(c, s) for c in configs for s in c.seeds]
-    if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_pair, pairs))
     else:
         records = [run_single(c, s) for c, s in pairs]
@@ -440,15 +440,16 @@ def summarize(summary_rows: Sequence[Dict[str, str]]) -> Dict[str, dict]:
     slope with its intercept and root-mean-square residual; smaller groups
     report means only.
     """
+    key_fields = [f for f in CONFIG_FIELDS if f not in ("n", "budget")]
     groups: Dict[Tuple, Dict[int, List[int]]] = {}
     for row in summary_rows:
         if row["error"]:
             continue
-        key = tuple(row[f] for f in ("algorithm", "problem", "instance", "phi", "eps1", "eps2", "eps2max"))
+        key = tuple(row[f] for f in key_fields)
         groups.setdefault(key, {}).setdefault(int(row["n"]), []).append(int(row["evaluations"]))
     report: Dict[str, dict] = {}
     for key, by_n in sorted(groups.items()):
-        label = " ".join(f"{f}={v}" for f, v in zip(("algorithm", "problem", "instance", "phi", "eps1", "eps2", "eps2max"), key) if v)
+        label = " ".join(f"{f}={v}" for f, v in zip(key_fields, key) if v)
         per_n = {
             n: {
                 "runs": len(vals),
@@ -525,17 +526,18 @@ def write_result(result: ExperimentResult, out_dir) -> Dict[str, FsPath]:
     return paths
 
 
-# Each config field's cell parser; a summary row and a sweep line read their
-# cells through it.
-_PARSERS = {
-    "algorithm": str, "problem": str, "instance": str, "n": int, "phi": float,
-    "eps1": Fraction, "eps2": Fraction, "eps2max": Fraction, "budget": int,
-}
+def config_from_cells(cells: Mapping[str, object], seeds: Tuple[int, ...]) -> ExperimentConfig:
+    """The config of one cell per config field, parsed through ``_PARSERS``.
 
-
-def _config(cells: Mapping[str, str], seeds: Tuple[int, ...]) -> ExperimentConfig:
-    """The config of one cell per field; a blank cell leaves its field's default."""
-    return ExperimentConfig(seeds=seeds, **{k: _PARSERS[k](v) for k, v in cells.items() if v})
+    A blank cell (None or "") leaves its field's default; any other value,
+    0 included, is set. ``eps`` is shorthand for equal eps1 and eps2.
+    """
+    given = {k: v for k, v in cells.items() if v is not None and v != ""}
+    if "eps" in given:
+        if "eps1" in given or "eps2" in given:
+            raise ValueError("give either eps or eps1/eps2, not both")
+        given["eps1"] = given["eps2"] = given.pop("eps")
+    return ExperimentConfig(seeds=seeds, **{k: _PARSERS[k](v) for k, v in given.items()})
 
 
 def config_from_row(row: Dict[str, str]) -> Tuple[ExperimentConfig, int]:
@@ -543,7 +545,7 @@ def config_from_row(row: Dict[str, str]) -> Tuple[ExperimentConfig, int]:
     seed = int(row["seed"])
     # a graph row's n cell is the vertex count run_single wrote, not a setting
     skip = "n" if row["algorithm"] in GRAPH_ALGORITHMS else None
-    return _config({k: row[k] for k in _PARSERS if k != skip}, (seed,)), seed
+    return config_from_cells({k: row[k] for k in CONFIG_FIELDS if k != skip}, (seed,)), seed
 
 
 def replay_row(row: Dict[str, str]) -> Tuple[Dict[str, str], List[str]]:
@@ -554,8 +556,7 @@ def replay_row(row: Dict[str, str]) -> Tuple[Dict[str, str], List[str]]:
     return fresh, mismatches
 
 
-_LIST_KEYS = ("algorithm", "problem", "n", "phi", "eps", "eps1", "eps2", "eps2max", "budget")
-_SWEEP_KEYS = set(_LIST_KEYS) | {"instance", "seeds"}
+_SWEEP_KEYS = {*CONFIG_FIELDS, "eps", "seeds"}
 
 
 def _parse_seeds(value: str) -> Tuple[int, ...]:
@@ -590,8 +591,6 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
         data[key] = value
     if "algorithm" not in data:
         raise ValueError("sweep file needs an algorithm line")
-    if "eps" in data and ("eps1" in data or "eps2" in data):
-        raise ValueError("give either eps or eps1/eps2, not both")
 
     seeds = _parse_seeds(data.pop("seeds", "0"))
     instance = data.pop("instance", "")
@@ -599,7 +598,7 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
         instance = str(FsPath(base_dir) / instance)
 
     axes: List[Tuple[str, List[str]]] = []
-    for key in _LIST_KEYS:
+    for key in (*CONFIG_FIELDS, "eps"):  # every key but instance and seeds is a list
         if key in data:
             values = [t.strip() for t in data[key].split(",")]
             if "" in values:
@@ -613,10 +612,4 @@ def parse_sweep_text(text: str, *, base_dir=None) -> List[ExperimentConfig]:
     for key, values in axes:
         combos = [dict(c, **{key: v}) for c in combos for v in values]
 
-    configs = []
-    for combo in combos:
-        eps = combo.pop("eps", None)
-        if eps is not None:
-            combo["eps1"] = combo["eps2"] = eps
-        configs.append(_config(combo, seeds))
-    return configs
+    return [config_from_cells(combo, seeds) for combo in combos]

@@ -35,7 +35,6 @@ _FIXTURE_EDGES = {
     (4, 5): ((2, 1), (1, 1)),
 }
 
-KIND_FIXTURE = "fixture"
 KIND_PLANTED = "planted-uav"
 
 # Physical-ish constants for the raw party-2 costs. They only shape weight
@@ -74,8 +73,8 @@ class InstanceSpec:
     density_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_FIXTURE, KIND_PLANTED):
-            raise ValueError(f"unknown instance kind {self.kind!r}")
+        if self.kind != KIND_PLANTED:
+            raise ValueError(f"unknown instance kind {self.kind!r}; the generator makes {KIND_PLANTED!r}")
         if self.n < 2:
             raise ValueError("instance needs at least 2 vertices")
         if self.grid_cols is not None and self.grid_cols < 1:
@@ -229,8 +228,6 @@ def _verify_planted(g: WeightedDigraph, depth: Dict[int, int]) -> None:
 
 def generate_planted_uav(spec: InstanceSpec) -> WeightedDigraph:
     """Build a planted instance and check it against the ideal-point certificate."""
-    if spec.kind != KIND_PLANTED:
-        raise ValueError(f"spec kind must be {KIND_PLANTED!r}")
     g, depth = _build_planted(spec, random.Random(spec.seed))
     _verify_planted(g, depth)
     return g

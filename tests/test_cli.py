@@ -94,7 +94,7 @@ def test_run_graph_rejects_n(tmp_path, capsys):
          "--eps", "1", "--n", "7", "--out", str(tmp_path / "r")]
     )
     assert code == 2
-    assert "take n from their instance" in capsys.readouterr().err
+    assert "empmo-cons-sp does not take n" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -243,6 +243,11 @@ def test_sweep_with_empty_seeds_or_repeated_values_exits_2(tmp_path, capsys, lin
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\neps2max=1/2\nseeds=0:3\n", "eps_2_max must be at least eps_2"),
         ("algorithm=semo\nproblem=aoaz\nn=7\nseeds=0:3\n", "n must be even"),
         ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=1.5\nseeds=0:3\n", "phi in [0, 1]"),
+        ("algorithm=semo\nproblem=bpaoaz\nn=8\nseeds=0:2\nbudget=500\n", "semo needs problem in"),
+        ("algorithm=empmo-payoff\nproblem=aoaz\nn=8\nseeds=0:2\nbudget=500\n", "empmo-payoff needs problem in"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\neps=1,2\nbudget=500\n", "semo does not take eps1"),
+        ("algorithm=empmo-simple\nproblem=bpaoaz\nn=8\neps2max=2\nbudget=500\n", "empmo-simple does not take eps2max"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\nphi=0.5\nbudget=50\n", "empmo-cons-sp does not take phi"),
     ],
 )
 def test_sweep_with_invalid_settings_exits_2_before_running(tmp_path, capsys, text, fragment):
@@ -252,6 +257,44 @@ def test_sweep_with_invalid_settings_exits_2_before_running(tmp_path, capsys, te
     assert run_cli(["sweep", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert fragment in captured.err and "runs" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,fragment",
+    [
+        (["--alg", "semo", "--problem", "bpaoaz", "--n", "8"], "semo needs problem in"),
+        (["--alg", "empmo-random", "--problem", "aoaz", "--n", "8", "--phi", "0.5"], "empmo-random needs problem in"),
+        (["--alg", "semo", "--problem", "aoaz", "--n", "8", "--eps", "1"], "semo does not take eps1"),
+        (["--alg", "empmo-payoff", "--problem", "bpaoaz", "--n", "8", "--eps2", "1"], "empmo-payoff does not take eps2"),
+        (["--alg", "empmo-simple", "--problem", "bpaoaz", "--n", "8", "--eps2-max", "2"], "does not take eps2max"),
+        (["--alg", "demo-sp", "--instance", "fixture", "--eps", "1", "--phi", "0"], "demo-sp does not take phi"),
+    ],
+)
+def test_run_with_settings_the_runner_does_not_take_exits_2(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "r"
+    assert run_cli(["run", *flags, "--budget", "500", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_run_keeps_a_zero_phi(tmp_path, capsys):
+    code = run_cli(
+        ["run", "--alg", "empmo-random", "--problem", "bpaoaz", "--n", "8", "--phi", "0",
+         "--budget", "500", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    rows, _ = stdout_rows(capsys)
+    assert rows[0]["phi"] == "0.0" and rows[0]["error"] == ""
+
+
+def test_sweep_refuses_zero_jobs(tmp_path, capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("algorithm=empmo-payoff\nproblem=bpaoaz\nn=8\nbudget=500\n")
+    out = tmp_path / "results"
+    assert run_cli(["sweep", str(cfg), "--jobs", "0", "--out", str(out)]) == 2
+    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -277,3 +320,17 @@ def test_replaying_an_error_row_of_invalid_settings_exits_2(tmp_path, capsys):
     write_csv(summary, SUMMARY_COLUMNS, [row])
     assert run_cli(["replay", "--summary", str(summary)]) == 2
     assert "eps_2_max must be at least eps_2" in capsys.readouterr().err
+
+
+def test_replaying_an_error_row_of_a_refused_problem_kind_exits_2(tmp_path, capsys):
+    # such rows were written before configs checked the runner's problem kinds
+    row = {c: "" for c in SUMMARY_COLUMNS}
+    row.update(
+        algorithm="semo", problem="bpaoaz", n="8", seed="0", budget="500", evaluations="0", generations="0",
+        error="ValueError: run_semo handles single-party problems; use the bi-party runners for bpaoaz",
+    )
+    row["run_id"] = compute_run_id(row)
+    summary = tmp_path / "summary.csv"
+    write_csv(summary, SUMMARY_COLUMNS, [row])
+    assert run_cli(["replay", "--summary", str(summary)]) == 2
+    assert "semo needs problem in" in capsys.readouterr().err

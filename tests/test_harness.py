@@ -42,17 +42,17 @@ def test_config_validation():
         ExperimentConfig("semo")
     with pytest.raises(ValueError, match="needs phi"):
         ExperimentConfig("empmo-random", problem="bpaoaz", n=8)
-    with pytest.raises(ValueError, match="only meaningful"):
+    with pytest.raises(ValueError, match="semo does not take phi"):
         ExperimentConfig("semo", problem="aoaz", n=8, phi=0.5)
-    with pytest.raises(ValueError, match="not an instance"):
+    with pytest.raises(ValueError, match="semo does not take instance"):
         ExperimentConfig("semo", problem="aoaz", n=8, instance="fixture")
     with pytest.raises(ValueError, match="needs an instance"):
         ExperimentConfig("empmo-cons-sp", eps1=1, eps2=1)
-    with pytest.raises(ValueError, match="not a problem kind"):
+    with pytest.raises(ValueError, match="empmo-cons-sp does not take problem"):
         ExperimentConfig("empmo-cons-sp", problem="bpaoaz", instance="fixture", eps1=1, eps2=1)
     with pytest.raises(ValueError, match="needs eps1 and eps2"):
         ExperimentConfig("empmo-cons-sp", instance="fixture")
-    with pytest.raises(ValueError, match="take n from their instance"):
+    with pytest.raises(ValueError, match="empmo-cons-sp does not take n"):
         ExperimentConfig("empmo-cons-sp", instance="fixture", n=5, eps1=1, eps2=1)
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig("semo", problem="aoaz", n=8, budget=0)
@@ -74,6 +74,26 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"needs phi in \[0, 1\], got -0.1"):
         ExperimentConfig("empmo-random", problem="bpaoaz", n=8, phi=-0.1)
     assert ExperimentConfig("empmo-random", problem="bpaoaz", n=8, phi=1).phi == 1.0
+    # a runner takes only its own problem kinds and settings
+    with pytest.raises(ValueError, match=r"semo needs problem in \('aorz', 'aofz', 'aoaz'\)"):
+        ExperimentConfig("semo", problem="bpaoaz", n=8)
+    for algorithm in ("empmo-simple", "empmo-random", "empmo-payoff"):
+        phi = 0.5 if algorithm == "empmo-random" else None
+        for problem in ("aorz", "aofz", "aoaz"):
+            with pytest.raises(ValueError, match=rf"{algorithm} needs problem in \('bpaoaz',\)"):
+                ExperimentConfig(algorithm, problem=problem, n=8, phi=phi)
+    for algorithm in ("semo", "empmo-simple", "empmo-random", "empmo-payoff"):
+        settings = {"problem": "aoaz" if algorithm == "semo" else "bpaoaz", "n": 8}
+        if algorithm == "empmo-random":
+            settings["phi"] = 0.5
+        for field in ("eps1", "eps2", "eps2max"):
+            with pytest.raises(ValueError, match=f"{algorithm} does not take {field}$"):
+                ExperimentConfig(algorithm, **settings, **{field: 1})
+        with pytest.raises(ValueError, match=f"{algorithm} does not take eps1$"):
+            harness.config_from_cells(dict(settings, algorithm=algorithm, eps="1"), (0,))
+    for algorithm in ("empmo-cons-sp", "empmo-simple-sp", "demo-sp"):
+        with pytest.raises(ValueError, match=f"{algorithm} does not take phi$"):
+            ExperimentConfig(algorithm, instance="fixture", eps1=1, eps2=1, phi=0.0)
     cfg = ExperimentConfig("empmo-cons-sp", instance="fixture", eps1="1/2", eps2=1)
     assert cfg.eps1 == Fraction(1, 2)
     assert cfg.seeds == (0,)
@@ -364,6 +384,37 @@ def test_parallel_jobs_match_serial_rows():
     assert parallel.aggregate_rows == serial.aggregate_rows
 
 
+def test_run_many_starts_no_more_workers_than_pairs(monkeypatch):
+    started = []
+
+    class InlinePool:
+        # records the pool size and runs the pairs in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    two = [ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=200, seeds=(0, 1))]
+    serial = run_many(two)
+    assert run_many(two, jobs=64).summary_rows == serial.summary_rows
+    assert run_many(two, jobs=2).summary_rows == serial.summary_rows
+    one = [ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=200)]
+    run_many(one, jobs=8)
+    assert started == [2, 2]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_many(two, jobs=jobs)
+    assert started == [2, 2]
+
+
 def synthetic_row(n, evaluations, error=""):
     return {
         "run_id": "x", "algorithm": "semo", "problem": "aoaz", "instance": "",
@@ -467,11 +518,20 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps1=1/2,0.5\neps2=1\n", "key 'eps1' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=\n", "key 'n' has an empty value"),
         ("algorithm=semo,\nproblem=aoaz\nn=8\n", "key 'algorithm' has an empty value"),
-        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\nn=5,6\nbudget=50\n", "take n from their instance"),
+        ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\nn=5,6\nbudget=50\n", "empmo-cons-sp does not take n"),
         ("algorithm=empmo-cons-sp\ninstance=fixture\neps=1\neps2max=1/2\nseeds=0:3\n", "eps_2_max must be at least eps_2"),
         ("algorithm=demo-sp\ninstance=fixture\neps1=1,0\neps2=1\n", "approximation slacks must be positive"),
         ("algorithm=semo\nproblem=aoaz\nn=8,7\n", "n must be even and at least 4, got 7"),
         ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=0.5,1.5\n", "needs phi in [0, 1], got 1.5"),
+        ("algorithm=semo\nproblem=bpaoaz\nn=8\nseeds=0:2\n", "semo needs problem in ('aorz', 'aofz', 'aoaz')"),
+        ("algorithm=empmo-payoff\nproblem=aoaz\nn=8\n", "empmo-payoff needs problem in ('bpaoaz',)"),
+        ("algorithm=semo,empmo-simple\nproblem=aoaz,bpaoaz\nn=8\n", "needs problem in"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\neps=1,2\n", "semo does not take eps1"),
+        ("algorithm=semo\nproblem=aoaz\nn=8\neps1=1\n", "semo does not take eps1"),
+        ("algorithm=empmo-simple\nproblem=bpaoaz\nn=8\neps2=1\n", "empmo-simple does not take eps2"),
+        ("algorithm=empmo-random\nproblem=bpaoaz\nn=8\nphi=0.5\neps2max=2\n", "empmo-random does not take eps2max"),
+        ("algorithm=empmo-payoff\nproblem=bpaoaz\nn=8\neps=1\n", "empmo-payoff does not take eps1"),
+        ("algorithm=demo-sp\ninstance=fixture\neps=1\nphi=0\n", "demo-sp does not take phi"),
     ],
 )
 def test_sweep_errors(text, fragment):
@@ -565,7 +625,7 @@ def test_algorithm_lists_cli_choices_and_budgets_come_from_the_table(monkeypatch
     assert harness.ALGORITHMS == tuple(table) == tuple(RUNNER_ATTRS)
     assert harness.PSEUDOBOOLEAN_ALGORITHMS == ("semo", "empmo-simple", "empmo-random", "empmo-payoff")
     assert harness.GRAPH_ALGORITHMS == ("empmo-cons-sp", "empmo-simple-sp", "demo-sp")
-    assert [a for a in table if table[a].phi] == ["empmo-random"]
+    assert [a for a in table if "phi" in table[a].takes] == ["empmo-random"]
     assert harness.FAMILY_BUDGETS == {harness.PB: 10**8, harness.GRAPH: 10**6}
 
     run_parser = cli.build_parser()._subparsers._group_actions[0].choices["run"]
@@ -575,7 +635,7 @@ def test_algorithm_lists_cli_choices_and_budgets_come_from_the_table(monkeypatch
     # swapping the table swaps what config validation and the CLI accept
     monkeypatch.setitem(table, "semo-copy", table["semo"])
     ExperimentConfig("semo-copy", problem="aoaz", n=8)
-    with pytest.raises(ValueError, match="needs problem"):
+    with pytest.raises(ValueError, match="semo-copy does not take instance"):
         ExperimentConfig("semo-copy", instance="fixture")
 
     budgets = {}

@@ -6,7 +6,6 @@ from collections import deque
 import pytest
 
 from mpmolab.instances import (
-    KIND_FIXTURE,
     KIND_PLANTED,
     InstanceSpec,
     _build_planted,
@@ -73,8 +72,8 @@ def test_spec_validation():
 
 
 def test_generate_requires_planted_kind():
-    with pytest.raises(ValueError):
-        generate_planted_uav(InstanceSpec(KIND_FIXTURE, 5))
+    with pytest.raises(ValueError, match="unknown instance kind 'fixture'"):
+        InstanceSpec("fixture", 5)
 
 
 def test_planted_determinism():
