@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import harness, oracles
 from .instances import (
+    KIND_PLANTED,
     InstanceSpec,
     fixture_graph,
     generate_planted_uav,
@@ -95,15 +96,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(
-        kind="planted-uav",
-        n=args.n,
-        seed=args.seed,
-        grid_cols=args.grid_cols,
-        hover_points=args.hover,
-        jitter=args.jitter,
-        density_seed=args.density_seed,
-    )
+    spec = InstanceSpec(KIND_PLANTED, args.n, seed=args.seed)
     g = generate_planted_uav(spec)
     text = write_instance(g, comment=provenance_comment(spec))
     with harness.atomic_open(args.out_file) as fh:
@@ -117,7 +110,7 @@ def cmd_validate(args) -> int:
     for name in args.files:
         try:
             g = parse_instance(Path(name).read_text())
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"FAIL {name}: {exc}")
             failed = True
         else:
@@ -187,10 +180,6 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", dest="out_file", required=True, help="instance file to write")
-    p_gen.add_argument("--grid-cols", type=int, help="grid width (default ceil(sqrt(n)))")
-    p_gen.add_argument("--hover", type=int, default=3, help="hover points (default 3)")
-    p_gen.add_argument("--jitter", type=float, default=0.15, help="position/weight jitter amplitude (default 0.15)")
-    p_gen.add_argument("--density-seed", type=int, help="density field seed (default: --seed)")
     p_gen.set_defaults(fn=cmd_gen)
 
     p_val = sub.add_parser("validate", help="check instance files")

@@ -60,7 +60,9 @@ _SETTINGS = tuple(f for f in CONFIG_FIELDS if f not in ("algorithm", "budget"))
 
 SUMMARY_COLUMNS = ["run_id", *ID_FIELDS, "evaluations", "generations", "hit_time", "error"]
 METRIC_COLUMNS = ["run_id", "generation", "evaluations", "max_eps", "mean_eps_members", "mean_eps_endpoints"]
-TRACE_COLUMNS = ["run_id", "algorithm", "problem", "n", "phi", "seed", "evaluations", "iterations", "hit_time", "wall_ms"]
+# Wall time is the one per-run output replay cannot reproduce; everything else
+# a run reports is in its summary row.
+TRACE_COLUMNS = ["run_id", "wall_ms"]
 AGGREGATE_COLUMNS = [
     *CONFIG_FIELDS,
     "runs", "errors", "hits",
@@ -342,19 +344,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     metrics = [
         {"run_id": run_id, **{c: _cell(getattr(s, c)) for c in METRIC_COLUMNS[1:]}} for s in metric_samples
     ]
-    trace = {
-        "run_id": run_id,
-        "algorithm": cells["algorithm"],
-        "problem": cells["problem"] or cells["instance"],
-        "n": cells["n"],
-        "phi": cells["phi"],
-        "seed": cells["seed"],
-        "evaluations": _cell(evaluations),
-        "iterations": _cell(generations),
-        "hit_time": _cell(hit),
-        "wall_ms": _cell(wall),
-    }
-    return RunRecord(summary, metrics, trace)
+    return RunRecord(summary, metrics, {"run_id": run_id, "wall_ms": _cell(wall)})
 
 
 def _run_pair(args: Tuple[ExperimentConfig, int]) -> RunRecord:

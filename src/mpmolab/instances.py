@@ -3,16 +3,22 @@
 The fixture is a hand-checked 7-edge digraph whose full path catalog is small
 enough to audit by hand; its totals are pinned by golden tests.
 
-The generator lays vertices on a jittered grid, derives raw edge costs from a
-tiny UAV-flavored model (edge length and hover-point distance for party 1,
-ground-risk and noise-exposure costs for party 2), discretizes them to
-integers >= 2, then plants a breadth-first tree from the source with all
-weights 1. Any path leaving the tree pays at least one weight >= 2, so for
-every endpoint the tree path strictly dominates every alternative in every
-objective of both parties. That makes the common Pareto set per endpoint
-nonempty by construction (it is exactly the tree path), which downstream
-consensus experiments rely on. Each generated graph is checked once against
+The generator takes a kind, a size n and a seed, nothing else. It lays
+vertices on a jittered grid ceil(sqrt(n)) columns wide, derives raw edge costs
+from a tiny UAV-flavored model (edge length and hover-point distance for
+party 1, ground-risk and noise-exposure costs for party 2), discretizes them
+to integers >= 2, then plants a breadth-first tree from the source with all
+weights 1 and raises each off-tree weight by a small random amount. Any path
+leaving the tree pays at least one weight >= 2, so for every endpoint the
+tree path strictly dominates every alternative in every objective of both
+parties. That makes the common Pareto set per endpoint nonempty by
+construction (it is exactly the tree path), which downstream consensus
+experiments rely on. Each generated graph is checked once against
 the exact ideal-point certificate ``oracles.ideal_points``, at every size.
+
+Two streams are seeded with the seed: one draws the density field and the
+altitudes, the other the vertex jitter, the hover points and the off-tree
+weight raises.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ PSI_MU = math.log(35.0)  # lognormal noise-exposure peak altitude
 PSI_SIGMA = 0.5
 DENSITY_BASE = 0.2
 WEIGHT_SPAN = 8         # discretized weights fall in 2 .. 2 + WEIGHT_SPAN
+HOVER_POINTS = 3        # party 1's second cost is the distance to the nearest one
+JITTER = 0.15           # vertex offset amplitude, in grid cells
+JITTER_UP = math.ceil(JITTER * 10)  # off-tree weights rise by 0 .. JITTER_UP
 
 
 def fixture_graph() -> WeightedDigraph:
@@ -56,37 +65,21 @@ def fixture_graph() -> WeightedDigraph:
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Parameters for one generated instance.
-
-    grid_cols defaults to ceil(sqrt(n)); density_seed defaults to seed. The
-    jitter amplitude feeds both vertex positions and the upward perturbation
-    of off-tree weights; zero jitter leaves weights untouched after
-    discretization.
-    """
+    """Every input of one generated instance; the file header spells it out."""
 
     kind: str
     n: int
     seed: int = 0
-    grid_cols: Optional[int] = None
-    hover_points: int = 3
-    jitter: float = 0.15
-    density_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind != KIND_PLANTED:
             raise ValueError(f"unknown instance kind {self.kind!r}; the generator makes {KIND_PLANTED!r}")
         if self.n < 2:
             raise ValueError("instance needs at least 2 vertices")
-        if self.grid_cols is not None and self.grid_cols < 1:
-            raise ValueError("grid_cols must be positive")
-        if self.hover_points < 1:
-            raise ValueError("need at least one hover point")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
 
     @property
     def cols(self) -> int:
-        return self.grid_cols if self.grid_cols is not None else math.ceil(math.sqrt(self.n))
+        return math.ceil(math.sqrt(self.n))
 
     @property
     def rows(self) -> int:
@@ -159,20 +152,17 @@ def _bfs_tree(adjacency: Dict[int, List[int]]) -> Tuple[Dict[int, int], set]:
 
 def _build_planted(spec: InstanceSpec, rng: random.Random) -> Tuple[WeightedDigraph, Dict[int, int]]:
     cols, rows = spec.cols, spec.rows
-    density_rng = random.Random(spec.density_seed if spec.density_seed is not None else spec.seed)
+    density_rng = random.Random(spec.seed)
     field_ = _DensityField(density_rng, cols, rows)
     altitude = {v: 25.0 + 25.0 * density_rng.random() for v in range(1, spec.n + 1)}
 
     positions = {}
     for v in range(1, spec.n + 1):
         r, c = divmod(v - 1, cols)
-        if spec.jitter > 0:
-            positions[v] = (c + rng.uniform(-spec.jitter, spec.jitter), r + rng.uniform(-spec.jitter, spec.jitter))
-        else:
-            positions[v] = (float(c), float(r))
+        positions[v] = (c + rng.uniform(-JITTER, JITTER), r + rng.uniform(-JITTER, JITTER))
     hovers = [
         (rng.uniform(0, max(cols - 1, 1)), rng.uniform(0, max(rows - 1, 1)))
-        for _ in range(spec.hover_points)
+        for _ in range(HOVER_POINTS)
     ]
 
     pairs = _grid_pairs(spec)
@@ -201,19 +191,14 @@ def _build_planted(spec: InstanceSpec, rng: random.Random) -> Tuple[WeightedDigr
         adjacency[v].append(u)
     depth, tree_edges = _bfs_tree(adjacency)
 
-    jitter_up = math.ceil(spec.jitter * 10)
     edges = {}
     for u, v in pairs:
         base = ((w_len[(u, v)], w_hover[(u, v)]), (w_fatal[(u, v)], w_noise[(u, v)]))
         for uv in ((u, v), (v, u)):
             if uv in tree_edges:
                 edges[uv] = ((1, 1), (1, 1))
-            elif spec.jitter > 0 and jitter_up > 0:
-                edges[uv] = tuple(
-                    tuple(w + rng.randrange(jitter_up + 1) for w in ws) for ws in base
-                )
             else:
-                edges[uv] = base
+                edges[uv] = tuple(tuple(w + rng.randrange(JITTER_UP + 1) for w in ws) for ws in base)
     return WeightedDigraph(spec.n, edges), depth
 
 
@@ -234,14 +219,8 @@ def generate_planted_uav(spec: InstanceSpec) -> WeightedDigraph:
 
 
 def provenance_comment(spec: InstanceSpec) -> str:
-    parts = [f"kind={spec.kind}", f"n={spec.n}", f"seed={spec.seed}"]
-    if spec.grid_cols is not None:
-        parts.append(f"grid_cols={spec.grid_cols}")
-    parts.append(f"hover={spec.hover_points}")
-    parts.append(f"jitter={spec.jitter}")
-    if spec.density_seed is not None:
-        parts.append(f"density_seed={spec.density_seed}")
-    return "# spec: " + " ".join(parts)
+    """The header line that names every input, so the file can be regenerated."""
+    return f"# spec: kind={spec.kind} n={spec.n} seed={spec.seed}"
 
 
 def write_instance(g: WeightedDigraph, *, comment: Optional[str] = None) -> str:

@@ -282,9 +282,7 @@ def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) ->
     return None
 
 
-def mutate_path(
-    g: WeightedDigraph, p: Sequence[int], rng: random.Random, *, max_len: Optional[int] = None
-) -> Optional[Path]:
+def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Optional[Path]:
     """One Add/Delete path mutation; returns the new path or None for no change.
 
     A fair coin picks Add or Delete. Add draws a uniform position i in 0..l:
@@ -293,8 +291,8 @@ def mutate_path(
     the last vertex. Delete draws a uniform interior index i in 1..l-1: for
     i <= l-2 the vertex after position i is cut if the shortcut edge exists,
     i = l-1 drops the last vertex. A draw with no valid completion returns
-    None without consuming further randomness; Add on a path already at
-    ``max_len`` vertices (default 2n) returns None before the position draw.
+    None without consuming further randomness; Add on a walk already at 2n
+    vertices returns None before the position draw.
 
     The archive step calls the same edit core, which also reports the edges
     the edit changed, so both make the same draws and the same children.
@@ -302,7 +300,7 @@ def mutate_path(
     p = tuple(p)
     if not p or p[0] != SOURCE:
         raise ValueError("path must start at the source vertex")
-    edit = _edit_path(g, p, rng, 2 * g.n if max_len is None else max_len)
+    edit = _edit_path(g, p, rng, 2 * g.n)
     return None if edit is None else edit[0]
 
 

@@ -144,6 +144,21 @@ def test_validate_flags_broken_files(tmp_path, capsys):
     assert "self loop" in out
 
 
+def test_validate_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    good = tmp_path / "good.bpm"
+    run_cli(["gen", "--n", "6", "--seed", "0", "--out", str(good)])
+    capsys.readouterr()
+    missing = tmp_path / "missing.bpm"
+    other = tmp_path / "other.bpm"
+    other.write_text("bpmosp v1\n2 2 1 1\n1 2 1 | 1\n")
+    assert run_cli(["validate", str(good), str(missing), str(other), str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert f"OK {good}" in out
+    assert f"FAIL {missing}: " in out
+    assert f"OK {other}: n=2, edges=1" in out
+    assert f"FAIL {tmp_path}: " in out
+
+
 @pytest.fixture()
 def sweep_dir(tmp_path, capsys):
     cfg = tmp_path / "mini.cfg"

@@ -118,7 +118,8 @@ def test_run_single_semo_row():
     assert row["instance"] == "" and row["problem"] == "aorz"
     assert int(row["evaluations"]) == int(row["generations"]) + 1
     assert row["hit_time"] == row["evaluations"]
-    assert rec.trace["problem"] == "aorz"
+    assert rec.trace == {"run_id": row["run_id"], "wall_ms": rec.trace["wall_ms"]}
+    assert float(rec.trace["wall_ms"]) >= 0.0
     assert rec.metrics == []
 
 
@@ -129,7 +130,8 @@ def test_run_single_graph_row_fills_n_and_metrics():
     assert rec.summary["error"] == ""
     assert rec.summary["hit_time"] != ""
     assert rec.metrics, "expected metric samples from the graph lane"
-    assert rec.trace["problem"] == "fixture"
+    assert rec.trace == {"run_id": rec.summary["run_id"], "wall_ms": rec.trace["wall_ms"]}
+    assert float(rec.trace["wall_ms"]) >= 0.0
     for m in rec.metrics:
         assert float(m["mean_eps_members"]) >= float(m["mean_eps_endpoints"]) >= 0.0
         assert float(m["max_eps"]) >= float(m["mean_eps_members"])

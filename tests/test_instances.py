@@ -1,5 +1,6 @@
 """Fixture graph, planted generator, and the instance file format."""
 
+import hashlib
 import random
 from collections import deque
 
@@ -59,16 +60,9 @@ def test_spec_validation():
         InstanceSpec("mystery", 10)
     with pytest.raises(ValueError):
         InstanceSpec(KIND_PLANTED, 1)
-    with pytest.raises(ValueError):
-        InstanceSpec(KIND_PLANTED, 10, grid_cols=0)
-    with pytest.raises(ValueError):
-        InstanceSpec(KIND_PLANTED, 10, hover_points=0)
-    with pytest.raises(ValueError):
-        InstanceSpec(KIND_PLANTED, 10, jitter=-0.5)
     spec = InstanceSpec(KIND_PLANTED, 10)
     assert spec.cols == 4
     assert spec.rows == 3
-    assert InstanceSpec(KIND_PLANTED, 12, grid_cols=6).rows == 2
 
 
 def test_generate_requires_planted_kind():
@@ -110,7 +104,7 @@ def test_planted_tree_path_is_the_common_optimum(seed):
 def test_planted_weight_ranges():
     spec = InstanceSpec(KIND_PLANTED, 12, seed=7)
     g = generate_planted_uav(spec)
-    # default jitter 0.15 adds at most ceil(1.5) = 2 on off-tree edges
+    # off-tree weights rise by at most JITTER_UP = ceil(1.5) = 2
     ones = 0
     for (u, v), (w1, w2) in g.edge_items():
         for w in w1 + w2:
@@ -118,15 +112,6 @@ def test_planted_weight_ranges():
         if w1 == (1, 1) and w2 == (1, 1):
             ones += 1
     assert ones >= g.n - 1
-
-
-def test_planted_zero_jitter_is_symmetric_off_tree():
-    g = generate_planted_uav(InstanceSpec(KIND_PLANTED, 9, seed=3, jitter=0.0))
-    for (u, v), ws in g.edge_items():
-        back = g.weights(v, u)
-        tree_like = ws == ((1, 1), (1, 1)) or back == ((1, 1), (1, 1))
-        if not tree_like:
-            assert ws == back
 
 
 def test_planted_large_instance_passes_the_certificate():
@@ -137,12 +122,22 @@ def test_planted_large_instance_passes_the_certificate():
 
 
 def test_provenance_comment_format():
-    spec = InstanceSpec(KIND_PLANTED, 20, seed=9, grid_cols=5, density_seed=11)
-    assert provenance_comment(spec) == (
-        "# spec: kind=planted-uav n=20 seed=9 grid_cols=5 hover=3 jitter=0.15 density_seed=11"
-    )
-    plain = InstanceSpec(KIND_PLANTED, 20, seed=9)
-    assert provenance_comment(plain) == "# spec: kind=planted-uav n=20 seed=9 hover=3 jitter=0.15"
+    spec = InstanceSpec(KIND_PLANTED, 20, seed=9)
+    assert provenance_comment(spec) == "# spec: kind=planted-uav n=20 seed=9"
+
+
+# sha256 over the comment-free text of every planted instance below, in
+# order, as the generator wrote them when it still took grid, hover, jitter
+# and density-seed settings at their defaults
+PLANTED_DIGEST = "856faa14201fb6dcaeb2b75a89ce5dc8c60fef762266434d650494c785e2fdb9"
+
+
+def test_planted_instance_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for n in (2, 3, 5, 7, 10, 12, 16, 30, 50, 100):
+        for seed in (0, 1, 2):
+            digest.update(write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, n, seed=seed))).encode())
+    assert digest.hexdigest() == PLANTED_DIGEST
 
 
 def test_write_then_parse_roundtrip():

@@ -184,8 +184,11 @@ def test_mutate_path_scripted_edits():
     assert mutate_path(g, (1, 3, 5), ScriptedRng([0.1], [1, 0])) == (1, 3, 4, 5)
     # Delete from a two-vertex path has no interior: no change
     assert mutate_path(g, (1, 2), ScriptedRng([0.9], [])) is None
-    # Add past the length cap: no change before any position draw
-    assert mutate_path(g, (1, 3, 4, 5), ScriptedRng([0.1], []), max_len=4) is None
+    # Add on a walk of 2n vertices: no change before any position draw; one
+    # vertex shorter, Add still appends
+    loop = WeightedDigraph(2, {(1, 2): ((1,), (1,)), (2, 1): ((1,), (1,))})
+    assert mutate_path(loop, (1, 2, 1, 2), ScriptedRng([0.1], [])) is None
+    assert mutate_path(loop, (1, 2, 1), ScriptedRng([0.1], [2, 0])) == (1, 2, 1, 2)
     with pytest.raises(ValueError):
         mutate_path(g, (2, 5), random.Random(0))
 
