@@ -79,7 +79,8 @@ GRAPH_SETUP_CACHE_SIZE = 8
 class GraphRow(NamedTuple):
     """A graph adapter's inputs.
 
-    ``fronts`` are the party-2 fronts simple-sp's consensus round reads.
+    ``fronts`` are the party-2 fronts simple-sp's consensus round reads, None
+    when the instance has no references.
     ``refs`` are each endpoint's references: the coverage targets at whose
     hit cons-sp and demo-sp end, and what ``metric_fn`` scores members by.
     """
@@ -126,7 +127,11 @@ RUNNERS: Dict[str, Runner] = {
     ),
     "empmo-simple-sp": Runner(
         GRAPH,
-        lambda r, c, s: run_empmo_simple_sp(r.g, r.params, c.budget, s, party2_fronts=r.fronts, metric_fn=r.metric_fn),
+        # without references the catalog refuses the row; ROADMAP item 3 removes this fallback
+        lambda r, c, s: run_empmo_simple_sp(
+            r.g, r.params, c.budget, s, metric_fn=r.metric_fn,
+            party2_fronts=oracles.exact_party_fronts(r.g, 1) if r.fronts is None else r.fronts,
+        ),
         _SLACKS,
     ),
     "demo-sp": Runner(
@@ -173,6 +178,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
+        if min(self.seeds) < 0:  # random.Random(-s) seeds like random.Random(s)
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         for name in ("eps1", "eps2", "eps2max"):
             v = getattr(self, name)
             if v is not None:
@@ -204,19 +211,6 @@ class ExperimentConfig:
 def compute_run_id(cells: Dict[str, str]) -> str:
     blob = "|".join(cells[f] for f in ID_FIELDS)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def endpoint_commons(
-    g: WeightedDigraph, cat: Optional[oracles.PathCatalog] = None
-) -> Dict[int, Tuple]:
-    """Exact common-set objectives per endpoint, for metrics and hit targets.
-
-    ``cat``, if given, is the graph's exact path catalog, reused instead of
-    enumerating the paths again.
-    """
-    if cat is None:
-        cat = oracles.exact_path_catalog(g)
-    return {e: tuple(cat.common_objectives(e)) for e in cat.per_endpoint}
 
 
 def make_metric_fn(refs: Dict[int, Tuple]):
@@ -269,35 +263,16 @@ class RunRecord:
 
 @functools.lru_cache(maxsize=GRAPH_SETUP_CACHE_SIZE)
 def _graph_setup(text: Optional[str]) -> Tuple[WeightedDigraph, Mapping, Optional[Mapping]]:
-    """The graph of an instance file's text (None: the fixture) and its oracles.
+    """The graph of an instance file's text (None: the fixture) and its
+    ``oracles.references``: (graph, endpoint references, party-2 fronts).
 
-    Returns (graph, endpoint references, party-2 fronts), keyed by endpoint
-    in ascending order. The ideal-point certificate ``oracles.ideal_points``
-    comes first: when it certifies every endpoint, its point is each
-    endpoint's whole common set and its party-2 part the whole party-2 front.
-    Otherwise, as on the fixture, both come from the exact path catalog. Tied
-    paths give the catalog one copy of a vector per path and the certificate
-    one copy; the metric and the target take a max or an all over members,
-    so they read the same either way.
-
-    Graphs above ``oracles.CATALOG_MAX_N`` vertices, the catalog's size
-    limit, get empty references and None. The certificate would answer there
-    too, but using it would change the pinned planted n > 12 rows. Both maps
-    are read-only, since every row of the process shares them. Exceptions
-    are not cached, so a malformed file fails the same way on every row.
+    Both maps are read-only, since every row of the process shares them.
+    Exceptions are not cached, so a malformed file fails the same way on
+    every row.
     """
     g = fixture_graph() if text is None else parse_instance(text)
-    if g.n > oracles.CATALOG_MAX_N:
-        return g, MappingProxyType({}), None
-    ideal = oracles.ideal_points(g)
-    if len(ideal) == g.n - 1:
-        refs = {e: (obj,) for e, obj in ideal.items()}
-        fronts = {e: (obj[1],) for e, obj in ideal.items()}
-    else:
-        cat = oracles.exact_path_catalog(g)
-        refs = endpoint_commons(g, cat)
-        fronts = {e: cat.party_front(e, 1) for e in cat.per_endpoint}
-    return g, MappingProxyType(refs), MappingProxyType(fronts)
+    refs, fronts = oracles.references(g)
+    return g, MappingProxyType(refs), None if fronts is None else MappingProxyType(fronts)
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
@@ -471,13 +446,17 @@ def summarize(summary_rows: Sequence[Dict[str, str]]) -> Dict[str, dict]:
 
 @contextlib.contextmanager
 def atomic_open(path, newline: Optional[str] = None):
-    """Write through a temp file in the target directory, then rename over."""
+    """Write through a temp file in the target directory, then rename over it;
+    the file gets the mode ``open(path, "w")`` would give it, not 0600."""
     path = FsPath(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             yield fh
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

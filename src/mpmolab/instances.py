@@ -76,6 +76,8 @@ class InstanceSpec:
             raise ValueError(f"unknown instance kind {self.kind!r}; the generator makes {KIND_PLANTED!r}")
         if self.n < 2:
             raise ValueError("instance needs at least 2 vertices")
+        if self.seed < 0:  # random.Random(-s) seeds like random.Random(s)
+            raise ValueError(f"instance seed must be non-negative, got {self.seed}")
 
     @property
     def cols(self) -> int:

@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import MultiPartyObjectives, Sense, weakly_dominates
 from .pseudoboolean import BitString, PseudoBooleanProblem
@@ -193,6 +193,31 @@ def ideal_points(g: WeightedDigraph) -> Dict[int, MultiPartyObjectives]:
                 stack.append(v)
     k1 = g.k[0]
     return {v: (ideal[v][:k1], ideal[v][k1:]) for v in sorted(reached - {SOURCE})}
+
+
+def references(g: WeightedDigraph) -> Tuple[Dict[int, Tuple], Optional[Dict[int, Tuple]]]:
+    """A graph's ground truth: (endpoint references, party-2 fronts).
+
+    Each maps the endpoints, ascending, to a tuple of vectors: the common set,
+    which the metric and the coverage targets read, and party 2's front, which
+    simple-sp's consensus round reads. When ``ideal_points`` certifies every
+    endpoint, its point is both; otherwise, as on the fixture, the exact path
+    catalog gives them. Tied paths give the catalog one copy of a vector per
+    path and the certificate one; the metric and the target take a max or an
+    all over members, so they read the same either way. Above
+    ``CATALOG_MAX_N`` this returns ({}, None): the certificate would answer
+    there too, but using it would change the pinned planted n > 12 rows.
+    """
+    if g.n > CATALOG_MAX_N:
+        return {}, None
+    ideal = ideal_points(g)
+    if len(ideal) == g.n - 1:
+        return {e: (obj,) for e, obj in ideal.items()}, {e: (obj[1],) for e, obj in ideal.items()}
+    cat = exact_path_catalog(g)
+    return (
+        {e: tuple(cat.common_objectives(e)) for e in cat.per_endpoint},
+        {e: cat.party_front(e, 1) for e in cat.per_endpoint},
+    )
 
 
 def epsilon_of_solution(

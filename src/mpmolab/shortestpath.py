@@ -89,9 +89,9 @@ class WeightedDigraph:
                 if v not in seen:
                     seen.add(v)
                     frontier.append(v)
-        missing = sorted(set(range(1, n + 1)) - seen)
-        if missing:
-            raise ValueError(f"vertex {missing[0]} unreachable from source")
+        if len(seen) < n:  # scan only on failure, so a huge n costs no memory
+            missing = next(v for v in range(1, n + 1) if v not in seen)
+            raise ValueError(f"vertex {missing} unreachable from source")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedDigraph):
@@ -766,10 +766,8 @@ def ultimatum_consensus(
                         continue
                     if ratio <= params.eps_2:
                         u2 = Fraction(1)
-                    elif params.eps_2_max > params.eps_2:
+                    else:  # eps_2 < ratio <= eps_2_max
                         u2 = (params.eps_2_max - rung) / (params.eps_2_max - params.eps_2)
-                    else:
-                        u2 = Fraction(0)
                     winners.append(SpProposal(path, obj, ratio, Fraction(1), u2))
                     if box not in boxes:
                         boxes.append(box)
@@ -785,8 +783,8 @@ def run_empmo_simple_sp(
     budget: int,
     seed: int,
     *,
+    party2_fronts: Dict[int, Sequence[Sequence[int]]],
     initial_archives: Optional[Tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]] = None,
-    party2_fronts: Optional[Dict[int, Sequence[Sequence[int]]]] = None,
     metric_fn: Optional[MetricFn] = None,
     observer: Optional[Callable] = None,
 ) -> SpRunResult:
@@ -800,18 +798,12 @@ def run_empmo_simple_sp(
     ``initial_archives`` injects given paths into the stage-1 archives before
     the loop (each is evaluated and counted); with ``budget=0`` this replays
     the consensus round on exactly those archives. ``party2_fronts`` supplies
-    each endpoint's exact party-2 Pareto vectors; when omitted they are
-    computed by the exhaustive oracle before stage 1, so a graph above its
-    size cap fails before any generation is spent. ``metric_fn`` is sampled
+    each endpoint's exact party-2 Pareto vectors. ``metric_fn`` is sampled
     over both archives' members as in ``run_empmo_cons_sp``; stage 1 has no
     targets, so it spends the whole budget. When every endpoint agrees, the
-    hit is the run's end; ``wall_ms`` covers the fallback oracle and stage 2.
+    hit is the run's end; ``wall_ms`` covers stage 2.
     """
     t0 = time.perf_counter()
-    if party2_fronts is None:
-        from .oracles import exact_party_fronts
-
-        party2_fronts = exact_party_fronts(g, 1)
     k1, k2 = g.k
     archs = (
         _BoxArchive(g, ((0, k1),), (box_base(g.n, params.eps_1),)),

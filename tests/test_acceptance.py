@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from mpmolab.harness import (
     ExperimentConfig,
-    endpoint_commons,
     make_metric_fn,
     replay_row,
     run_many,
@@ -29,6 +28,7 @@ from mpmolab.oracles import (
     exact_party_fronts,
     exact_path_catalog,
     payoff_runtime_predictor,
+    references,
 )
 from mpmolab.pseudoboolean import (
     KINDS,
@@ -236,7 +236,7 @@ def test_epsilon_convergence_per_algorithm():
     lines = []
 
     for name, g in (("fixture", fixture), ("planted10", planted)):
-        refs = endpoint_commons(g)
+        refs = references(g)[0]
         params = ApproxParams(1, 1)
         res = run_empmo_cons_sp(
             g, params, budget, seed=5,
@@ -255,7 +255,7 @@ def test_epsilon_convergence_per_algorithm():
         assert worst <= 2, name
         lines.append(f"{name} two-archive worst relaxed slack {worst}")
 
-    refs = endpoint_commons(fixture)
+    refs = references(fixture)[0]
     demo = run_demo_sp(
         fixture, ApproxParams(1, 1), budget, seed=5,
         metric_fn=make_metric_fn(refs),

@@ -349,3 +349,17 @@ def test_replaying_an_error_row_of_a_refused_problem_kind_exits_2(tmp_path, caps
     write_csv(summary, SUMMARY_COLUMNS, [row])
     assert run_cli(["replay", "--summary", str(summary)]) == 2
     assert "semo needs problem in" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    # random.Random(-s) seeds like random.Random(s), so a negative seed would alias its absolute value
+    out = tmp_path / "g.bpm"
+    assert run_cli(["gen", "--n", "12", "--seed", "-3", "--out", str(out)]) == 2
+    assert "instance seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+    runs = tmp_path / "r"
+    code = run_cli(["run", "--alg", "empmo-payoff", "--problem", "bpaoaz", "--n", "8", "--seed", "-2", "--out", str(runs)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "seeds must be non-negative, got [-2]" in captured.err and captured.out == ""
+    assert not runs.exists()

@@ -1,5 +1,7 @@
 """Experiment configs, batch running, CSV plumbing, sweeps, and replay."""
 
+import os
+import stat
 import statistics
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ from mpmolab.harness import (
     aggregate_rows,
     compute_run_id,
     config_from_row,
-    endpoint_commons,
     make_metric_fn,
     parse_sweep_text,
     read_csv,
@@ -30,6 +31,7 @@ from mpmolab.instances import (
     KIND_PLANTED,
     fixture_graph,
     generate_planted_uav,
+    parse_instance,
     write_instance,
 )
 from mpmolab.shortestpath import ApproxParams, BoxBase, _BoxArchive, run_empmo_cons_sp
@@ -60,6 +62,9 @@ def test_config_validation():
         ExperimentConfig("semo", problem="aoaz", n=8, seeds=())
     with pytest.raises(ValueError, match="non-empty and distinct"):
         ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, seeds=(2, 0, 2))
+    # random.Random(-2) draws what random.Random(2) does, so -2 would rerun seed 2
+    with pytest.raises(ValueError, match=r"seeds must be non-negative, got \[0, -2\]"):
+        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, seeds=(0, -2))
     # the settings a runner would refuse fail here, before any row runs
     with pytest.raises(ValueError, match="eps_2_max must be at least eps_2"):
         ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, eps2max=Fraction(1, 2))
@@ -205,7 +210,7 @@ def test_graph_setup_takes_certified_references(monkeypatch, fresh_graph_setup):
             g, refs, fronts = harness._graph_setup(planted_text(seed, n))
             cat = oracles.exact_path_catalog(g)
             assert list(refs) == list(fronts) == list(range(2, n + 1))
-            assert dict(refs) == endpoint_commons(g, cat)
+            assert dict(refs) == {e: tuple(cat.common_objectives(e)) for e in cat.per_endpoint}
             assert dict(fronts) == {e: cat.party_front(e, 1) for e in cat.per_endpoint}
 
     built = []
@@ -215,11 +220,19 @@ def test_graph_setup_takes_certified_references(monkeypatch, fresh_graph_setup):
     g, refs, fronts = harness._graph_setup(None)
     assert built == [5]
     cat = exact(g)
-    assert dict(refs) == endpoint_commons(g, cat)
+    assert dict(refs) == {e: tuple(cat.common_objectives(e)) for e in cat.per_endpoint}
     assert dict(fronts) == {e: cat.party_front(e, 1) for e in cat.per_endpoint}
     # above the oracle limit the rows get no references, as before
     _, refs, fronts = harness._graph_setup(planted_text(0, 13))
     assert (dict(refs), fronts, built) == ({}, None, [5])
+
+
+def test_graph_setup_takes_the_oracle_references(fresh_graph_setup):
+    # the harness decides nothing about ground truth: it wraps oracles.references
+    for text in (None, planted_text(0), planted_text(0, 13)):
+        g, refs, fronts = harness._graph_setup(text)
+        assert (refs, fronts) == oracles.references(fixture_graph() if text is None else parse_instance(text))
+    assert (g.n, refs, fronts) == (13, {}, None)
 
 
 def test_graph_setup_is_keyed_by_content(tmp_path, fresh_graph_setup):
@@ -276,7 +289,7 @@ def test_oracle_sized_lane_boundary(tmp_path):
 
 
 def test_metric_fn_on_known_archive():
-    refs = endpoint_commons(fixture_graph())
+    refs = oracles.references(fixture_graph())[0]
     metric = make_metric_fn(refs)
     view = [
         (5, ((10, 4), (8, 5))),
@@ -292,7 +305,7 @@ def test_metric_fn_on_known_archive():
 
 def test_metric_fn_scores_each_member_once(monkeypatch):
     g = fixture_graph()
-    refs = endpoint_commons(g)
+    refs = oracles.references(g)[0]
     views = []
     run_empmo_cons_sp(
         g, ApproxParams(Fraction(1, 2), Fraction(1, 2)), 600, 3,
@@ -312,7 +325,7 @@ def test_metric_fn_scores_each_member_once(monkeypatch):
 
 def test_archive_covers_an_endpoint_by_weak_dominance_of_all_common():
     g = fixture_graph()
-    refs = endpoint_commons(g)
+    refs = oracles.references(g)[0]
     r = BoxBase.power(2, g.n - 1)
 
     def verdict(targets):
@@ -447,6 +460,15 @@ def test_write_csv_atomic_and_roundtrip(tmp_path):
     assert read_csv(target) == rows
     leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+    # the written file gets the mode a plain open() would give it
+    saved = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            write_csv(target, SUMMARY_COLUMNS, rows)
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+    finally:
+        os.umask(saved)
 
 
 def test_write_result_emits_four_files(tmp_path):
@@ -511,6 +533,8 @@ def test_sweep_eps_shorthand_and_instance_resolution(tmp_path):
         ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=5:3\n", "non-empty and distinct"),
         ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=3:3\n", "non-empty and distinct"),
         ("algorithm=semo\nproblem=aoaz\nn=8\nseeds=1,1\n", "non-empty and distinct"),
+        ("algorithm=empmo-payoff\nproblem=bpaoaz\nn=8\nseeds=-2,2\n", "seeds must be non-negative, got [-2, 2]"),
+        ("algorithm=empmo-payoff\nproblem=bpaoaz\nn=8\nseeds=-1:1\n", "seeds must be non-negative, got [-1, 0]"),
         ("algorithm=semo\nproblem=aoaz\nn=8,8\n", "key 'n' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=8, 16,8\n", "key 'n' repeats a value"),
         ("algorithm=semo\nproblem=aoaz\nn=8\nbudget=100,100\n", "key 'budget' repeats a value"),

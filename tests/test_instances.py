@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -60,6 +61,8 @@ def test_spec_validation():
         InstanceSpec("mystery", 10)
     with pytest.raises(ValueError):
         InstanceSpec(KIND_PLANTED, 1)
+    with pytest.raises(ValueError, match="instance seed must be non-negative, got -3"):
+        InstanceSpec(KIND_PLANTED, 10, seed=-3)
     spec = InstanceSpec(KIND_PLANTED, 10)
     assert spec.cols == 4
     assert spec.rows == 3
@@ -150,6 +153,19 @@ def test_write_then_parse_roundtrip():
     assert "# spec: kind=fixture" in commented
     assert "# hand-checked" in commented
     assert parse_instance(commented) == fixture_graph()
+
+
+def test_a_large_vertex_count_is_refused_in_constant_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex 3 unreachable from source"):
+            parse_instance("bpmosp v1\n1000000 2 1 1\n1 2 1 | 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="vertex 3 unreachable from source"):
+        parse_instance("bpmosp v1\n1000000000000 2 1 1\n1 2 1 | 1\n")
 
 
 def test_parse_accepts_blank_lines_and_comments():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpmolab.core import randbelow
-from mpmolab.harness import endpoint_commons, make_metric_fn
+from mpmolab.harness import make_metric_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
-from mpmolab.oracles import exact_party_fronts
+from mpmolab.oracles import exact_party_fronts, references
 from mpmolab.shortestpath import (
     METRIC_CADENCE,
     ApproxParams,
@@ -224,7 +224,7 @@ def test_cons_sp_budget_zero_keeps_bare_source():
 
 def test_cons_sp_converges_on_fixture():
     g = fixture_graph()
-    refs = endpoint_commons(g)
+    refs = references(g)[0]
     res = run_empmo_cons_sp(
         g,
         ApproxParams(1, 1),
@@ -341,7 +341,7 @@ def test_simple_sp_run_reports_outcomes_per_endpoint():
         500,
         seed=3,
         party2_fronts=exact_party_fronts(g, 1),
-        metric_fn=make_metric_fn(endpoint_commons(g)),
+        metric_fn=make_metric_fn(references(g)[0]),
     )
     assert sorted(res.outcomes) == [2, 3, 4, 5]
     for out in res.outcomes.values():
@@ -367,6 +367,12 @@ def test_simple_sp_hit_is_the_run_end_exactly_when_every_endpoint_agrees():
         assert res.hit_evaluations == (res.evaluations if agreed else None)
         seen.add(agreed)
     assert seen == {False, True}
+
+
+def test_simple_sp_takes_its_party2_fronts():
+    # the runner computes no ground truth of its own
+    with pytest.raises(TypeError, match="party2_fronts"):
+        run_empmo_simple_sp(fixture_graph(), ApproxParams(1, 1, 2), 0, seed=0)
 
 
 def test_simple_sp_rejects_seeded_walks_back_to_source():
@@ -521,7 +527,7 @@ def test_drive_observer_payloads_and_hit_stop():
     assert res.generations == 40
 
     # a run given targets ends at its hit generation, before that generation's observer call
-    refs = endpoint_commons(g)
+    refs = references(g)[0]
     for run in (run_empmo_cons_sp, run_demo_sp):
         hit = run(g, params, 100_000, 0, targets=refs).hit_generation
         exact = run(g, params, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
@@ -695,7 +701,7 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
 @pytest.mark.parametrize("name", ["fixture", "planted10", "planted12"])
 def test_step_replays_the_new_record_step(property_graphs, name):
     g = property_graphs[name]
-    refs = endpoint_commons(g)
+    refs = references(g)[0]
     lanes = archive_lanes(g)
     reborn = 0
     for seed in range(12):
@@ -706,7 +712,7 @@ def test_step_replays_the_new_record_step(property_graphs, name):
 
 def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
     g = property_graphs["fixture"]
-    refs = endpoint_commons(g)
+    refs = references(g)[0]
     # a duplicate path, and (1, 3) strictly dominating (1, 2, 3) in both parties
     seeds = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
     lanes = archive_lanes(g)
