@@ -1,4 +1,4 @@
-"""Dominance, payoff and draw primitives shared by every optimizer in the package.
+"""Dominance, approximation, payoff and draw primitives shared by every optimizer.
 
 Objective vectors are plain tuples of numbers. A multi-party objective value is a
 tuple of such vectors, one per party; all parties share the same optimization
@@ -9,6 +9,7 @@ oracles trivially hashable.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
 ObjectiveVector = Tuple[float, ...]
@@ -75,6 +76,22 @@ def weak_ge(a: Sequence[float], b: Sequence[float]) -> bool:
         if x < y:
             return False
     return True
+
+
+def approx_degree(x: Sequence[int], z: Sequence[int]) -> Fraction:
+    """Smallest eps >= 0 with ``x <= (1+eps) * z`` entrywise, for equal-length
+    vectors with every component of ``z`` at least 1.
+
+    The worst ratio x_i / z_i is found by integer cross-multiplication from
+    1/1, so the result is clamped at zero; only it is built as a Fraction.
+    """
+    wx = wz = 1  # the worst ratio so far is wx / wz
+    for a, b in zip(x, z, strict=True):
+        if b < 1:
+            raise ValueError(f"reference component {b} is below 1")
+        if a * wz > wx * b:
+            wx, wz = a, b
+    return Fraction(wx - wz, wz)
 
 
 def randbelow(getrandbits: Callable[[int], int], n: int) -> int:

@@ -151,6 +151,13 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _check_seeds(seeds: Tuple[int, ...]) -> None:
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be non-empty and distinct, got {list(seeds)}")
+    if min(seeds) < 0:  # random.Random(-s) seeds like random.Random(s)
+        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: an algorithm on one problem, swept over seeds.
@@ -176,10 +183,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         runner = RUNNERS[self.algorithm]
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
-        if min(self.seeds) < 0:  # random.Random(-s) seeds like random.Random(s)
-            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+        _check_seeds(self.seeds)
         for name in ("eps1", "eps2", "eps2max"):
             v = getattr(self, name)
             if v is not None:
@@ -214,37 +218,38 @@ def compute_run_id(cells: Dict[str, str]) -> str:
 
 
 def make_metric_fn(refs: Dict[int, Tuple]):
-    """Approximation-degree statistics over archive members.
+    """Set approximation degrees of archive members against their references.
 
-    Returns (max over members, flat mean over members, mean over endpoints of
-    the per-endpoint minimum). Members whose endpoint has no reference are
-    skipped; with the planted and fixture instances every endpoint has one.
-    Each closure memoises a member's degree by its (endpoint, objectives)
-    pair, so a vector that stays in the archive across samples, or comes back
-    to it, is scored once per closure.
+    A member's degree is its min over its endpoint's references of
+    ``epsilon_of_solution`` against that reference alone; an endpoint's is the
+    max over its references of the min over its members. Returns (max over
+    members, flat mean over members, mean over endpoints). Members whose
+    endpoint has no reference are skipped. Each closure memoises a member's
+    per-reference degrees by its (endpoint, objectives) pair, so a vector
+    that stays in the archive, or comes back to it, is scored once.
     """
-    memo: Dict[Tuple[int, Tuple], float] = {}
+    memo: Dict[Tuple[int, Tuple], Tuple[float, ...]] = {}
 
     def metric(view):
         per_member: List[float] = []
-        best: Dict[int, float] = {}
+        best: Dict[int, Tuple[float, ...]] = {}
         for key in view:
             endpoint, obj = key
-            e = memo.get(key)
-            if e is None:
+            degrees = memo.get(key)
+            if degrees is None:
                 common = refs.get(endpoint)
                 if not common:
                     continue
-                e = memo[key] = float(oracles.epsilon_of_solution(obj, common))
-            per_member.append(e)
-            if endpoint not in best or e < best[endpoint]:
-                best[endpoint] = e
+                degrees = memo[key] = tuple([float(oracles.epsilon_of_solution(obj, (z,))) for z in common])
+            per_member.append(min(degrees))
+            seen = best.get(endpoint)
+            best[endpoint] = degrees if seen is None else tuple(map(min, seen, degrees))
         if not per_member:
             return (0.0, 0.0, 0.0)
         return (
             max(per_member),
             statistics.fmean(per_member),
-            statistics.fmean(best.values()),
+            statistics.fmean(map(max, best.values())),
         )
 
     return metric
@@ -280,8 +285,9 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
 
     Graph rows of one process share one parse and one set of references per
     distinct instance content: the file is read on every row, and a file
-    rewritten between rows is set up afresh.
+    rewritten between rows is set up afresh. A negative seed raises.
     """
+    _check_seeds((seed,))
     cells = _config_cells(config, seed)
     evaluations = generations = 0
     hit: Optional[int] = None

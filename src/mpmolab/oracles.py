@@ -16,10 +16,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense, weakly_dominates
+from .core import MultiPartyObjectives, Sense, approx_degree, weakly_dominates
 from .pseudoboolean import BitString, PseudoBooleanProblem
 from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 
@@ -225,27 +226,25 @@ def epsilon_of_solution(
 ) -> Fraction:
     """Smallest eps >= 0 with x (1+eps)-weakly dominating every common member.
 
-    Closed form: the largest ratio of an objective of x to the matching
-    objective of a common member, over all members, parties, and objectives,
-    minus one, clamped at zero. Common members are real paths, so their
-    objective values are at least 1, and the ratios are compared by integer
-    cross-multiplication.
+    The max over members of ``core.approx_degree`` on the concatenated party
+    vectors. Each member is checked before it is scored: its party count,
+    then per party its objective count and that its objectives are at least
+    1, as a real path's are.
     """
     if not common_objectives:
         raise ValueError("common set for the endpoint is empty")
-    wx = wz = None  # the worst ratio so far is wx / wz
+    flat = tuple(chain.from_iterable(objectives))
+    degrees = []
     for member in common_objectives:
         if len(member) != len(objectives):
             raise ValueError("party count mismatch against common member")
         for vec_x, vec_z in zip(objectives, member):
             if len(vec_x) != len(vec_z):
                 raise ValueError("objective count mismatch against common member")
-            for x, z in zip(vec_x, vec_z):
-                if z < 1:
-                    raise ValueError("common member has an objective below 1")
-                if wz is None or x * wz > wx * z:
-                    wx, wz = x, z
-    return Fraction(wx - wz, wz) if wx > wz else Fraction(0)
+            if min(vec_z, default=1) < 1:
+                raise ValueError("common member has an objective below 1")
+        degrees.append(approx_degree(flat, tuple(chain.from_iterable(member))))
+    return max(degrees)
 
 
 def payoff_runtime_predictor(n: int, initial_zero_count: int) -> Fraction:

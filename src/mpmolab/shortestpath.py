@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, weak_ge
+from .core import MultiPartyObjectives, approx_degree, weak_ge
 
 SOURCE = 1
 # graph runs sample their metric every this many generations, and at the last
@@ -305,7 +305,7 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
 
 
 class SpEntry:
-    """Archive member; ``birth`` is the generation that last enrolled it, ``zero`` its coverage."""
+    """Archive member; ``birth`` is the generation that last enrolled it, ``zero`` the references it covers."""
 
     __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "zero")
 
@@ -368,8 +368,11 @@ class _BoxArchive:
     boxes first and objectives only where the boxes are equal.
 
     ``targets`` maps each endpoint to its references, as ``make_metric_fn``
-    takes them. A member covers its endpoint when it weakly dominates each of
-    them in both parties' objectives; an empty map or None never hits.
+    takes them. A member covers each reference it weakly dominates in both
+    parties' objectives, and records their indices. An endpoint is covered
+    when each of its references is, so vacuously when it has none.
+    ``zero_counts`` counts the covering members per covered (endpoint,
+    index), so ``covered`` is its length. An empty map or None never hits.
 
     An accepted child whose path a member already holds drops that member
     (its twin: same vector, so same boxes) with the others it dominates, and
@@ -394,17 +397,17 @@ class _BoxArchive:
         self.max_len = 2 * g.n
         # each endpoint's references as flat vectors, party 1's objectives first
         self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
+        self.reference_count = sum(map(len, self.targets.values()))
         self._views_of: Dict[Tuple[int, ...], tuple] = {}
         k1, k2 = g.k
         zero = (0,) * (k1 + k2)
-        src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, False)
+        src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, ())
         self.pool: List[SpEntry] = [src]
         self.buckets: Dict[int, List[SpEntry]] = {}
         self.evaluations = 0
         self.no_change = 0
         self.max_size = 1
-        self.zero_counts: Dict[int, int] = {}
-        self.covered = 0
+        self.zero_counts: Dict[Tuple[int, int], int] = {}
 
     def _views(self, flat: Tuple[int, ...]):
         """The (objectives, lanes, boxes) of a flat vector, memoised."""
@@ -421,29 +424,26 @@ class _BoxArchive:
     def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> SpEntry:
         obj, lanes, boxes = views
         endpoint = path[-1]
-        refs = self.targets.get(endpoint)
-        zero = refs is not None and all(weak_ge(m, flat) for m in refs)
+        zero = tuple([j for j, ref in enumerate(self.targets.get(endpoint, ())) if weak_ge(ref, flat)])
         return SpEntry(path, endpoint, flat, obj, lanes, boxes, birth, zero)
 
     def _enroll(self, rec: SpEntry) -> None:
         self.buckets.setdefault(rec.endpoint, []).append(rec)
         self.pool.append(rec)
-        if rec.zero:
-            c = self.zero_counts.get(rec.endpoint, 0) + 1
-            self.zero_counts[rec.endpoint] = c
-            if c == 1:
-                self.covered += 1
+        for j in rec.zero:
+            key = (rec.endpoint, j)
+            self.zero_counts[key] = self.zero_counts.get(key, 0) + 1
         if len(self.pool) > self.max_size:
             self.max_size = len(self.pool)
 
     def _drop(self, rec: SpEntry) -> None:
         self.buckets[rec.endpoint].remove(rec)
         self.pool.remove(rec)
-        if rec.zero:
-            c = self.zero_counts[rec.endpoint] - 1
-            self.zero_counts[rec.endpoint] = c
-            if c == 0:
-                self.covered -= 1
+        for j in rec.zero:
+            key = (rec.endpoint, j)
+            c = self.zero_counts.pop(key) - 1
+            if c:
+                self.zero_counts[key] = c
 
     def seed_path(self, path: Sequence[int]) -> None:
         """Insert a given path as-is (evaluated, counted, no acceptance test)."""
@@ -521,8 +521,12 @@ class _BoxArchive:
         return True
 
     @property
+    def covered(self) -> int:
+        return len(self.zero_counts)
+
+    @property
     def all_covered(self) -> bool:
-        return bool(self.targets) and self.covered == len(self.targets)
+        return bool(self.targets) and len(self.zero_counts) == self.reference_count
 
     def real_entries(self) -> List[SpEntry]:
         return self.pool[1:]
@@ -608,10 +612,10 @@ def run_empmo_cons_sp(
 
     ``metric_fn`` is sampled every ``METRIC_CADENCE`` generations (plus once
     at the last) over the real archive members. ``targets`` maps each
-    endpoint to its references; a member covers its endpoint when it weakly
-    dominates all of them. The run ends at its hit: the first generation
-    after which every endpoint in ``targets`` is covered. Without targets it
-    spends the whole budget.
+    endpoint to its references; an endpoint is covered when each of its
+    references is weakly dominated by some member there. The run ends at its
+    hit: the first generation after which every endpoint in ``targets`` is
+    covered. Without targets it spends the whole budget.
     """
     r = box_base(g.n, params.eps_1, params.eps_2)
     k1, k2 = g.k
@@ -677,32 +681,24 @@ class ConsensusOutcome:
     accepted: Tuple[SpProposal, ...]
 
 
-def _relaxation_ladder(eps_2: Fraction, eps_2_max: Fraction) -> List[Fraction]:
-    rungs: List[Fraction] = []
-    k = 1
-    while eps_2 * k < eps_2_max:
-        rungs.append(eps_2 * k)
-        k += 1
-    rungs.append(eps_2_max)
-    return rungs
-
-
 def path_epsilon(vector: Sequence[int], references: Sequence[Sequence[int]]) -> Fraction:
     """Smallest eps with ``vector`` <= (1+eps) * some reference, entrywise.
 
-    Minimized over the references, clamped at zero. Every reference component
-    must be positive.
+    The min over references of ``core.approx_degree``, which refuses a
+    reference component below 1.
     """
     if not references:
         raise ValueError("at least one reference vector is required")
-    best: Optional[Fraction] = None
-    for ref in references:
-        if len(ref) != len(vector):
-            raise ValueError("reference vector length mismatch")
-        worst = max(Fraction(x, z) for x, z in zip(vector, ref))
-        if best is None or worst < best:
-            best = worst
-    return max(best - 1, Fraction(0))
+    if any(len(ref) != len(vector) for ref in references):
+        raise ValueError("reference vector length mismatch")
+    return min(approx_degree(vector, ref) for ref in references)
+
+
+def _by_endpoint(entries: Iterable[Tuple[Path, MultiPartyObjectives]]) -> Dict[int, list]:
+    out: Dict[int, list] = {}
+    for path, obj in entries:
+        out.setdefault(path[-1], []).append((path, obj))
+    return out
 
 
 def ultimatum_consensus(
@@ -719,61 +715,42 @@ def ultimatum_consensus(
     eps_2_max where some proposal's party-2 box (at base 1+rung) coincides
     with the box of a party-2 archive member of the same endpoint. Among the
     box-matched proposals, those whose exact party-2 approximation ratio
-    eps_{2,i} (against the endpoint's true party-2 Pareto vectors) stays
-    within eps_2_max are accepted, and the minimal-ratio ones are returned
-    with the rung as the endpoint's relaxed eps_2'. An endpoint where no rung
-    produces a match is reported as a consensus failure.
+    eps_{2,i} (``path_epsilon`` against the endpoint's true party-2 Pareto
+    vectors) stays within eps_2_max are accepted, and the minimal-ratio ones
+    are returned with the rung as the endpoint's relaxed eps_2'. An endpoint
+    where no rung produces a match is reported as a consensus failure.
 
     Utilities: an accepted proposer scores u1 = 1; the responder scores u2 = 1
-    when the winner's ratio is within eps_2, interpolates linearly down to 0
+    when the winners' ratio is within eps_2, interpolates linearly down to 0
     at eps_2_max when only the relaxed rung admitted it.
     """
-    by_endpoint_p1: Dict[int, List[Tuple[Path, MultiPartyObjectives]]] = {}
-    for path, obj in proposals:
-        by_endpoint_p1.setdefault(path[-1], []).append((path, obj))
-    by_endpoint_p2: Dict[int, List[Tuple[Path, MultiPartyObjectives]]] = {}
-    for path, obj in responders:
-        by_endpoint_p2.setdefault(path[-1], []).append((path, obj))
-
-    rungs = _relaxation_ladder(params.eps_2, params.eps_2_max)
+    props_at, members_at = _by_endpoint(proposals), _by_endpoint(responders)
+    eps_2, eps_2_max = params.eps_2, params.eps_2_max
+    rungs = [eps_2 * k for k in range(1, math.ceil(eps_2_max / eps_2))] + [eps_2_max]
+    bases = [BoxBase.plain(1 + rung) for rung in rungs]
     outcomes: Dict[int, ConsensusOutcome] = {}
     for endpoint in range(2, g.n + 1):
-        props = by_endpoint_p1.get(endpoint, [])
-        members = by_endpoint_p2.get(endpoint, [])
-        fronts = party2_fronts.get(endpoint, ())
-        outcome = ConsensusOutcome(endpoint, True, None, (), ())
-        if props and members and fronts:
-            ratios = [path_epsilon(obj[1], fronts) for _, obj in props]
-            for rung in rungs:
-                base = BoxBase.plain(1 + rung)
-                member_boxes = {
-                    tuple(base.floor_log(c) for c in obj[1]) for _, obj in members
-                }
-                matched = []
-                for (path, obj), ratio in zip(props, ratios):
-                    if ratio > params.eps_2_max:
-                        continue
-                    box = tuple(base.floor_log(c) for c in obj[1])
-                    if box in member_boxes:
-                        matched.append((path, obj, ratio, box))
-                if not matched:
-                    continue
-                best = min(m[2] for m in matched)
-                winners = []
-                boxes = []
-                for path, obj, ratio, box in matched:
-                    if ratio != best:
-                        continue
-                    if ratio <= params.eps_2:
-                        u2 = Fraction(1)
-                    else:  # eps_2 < ratio <= eps_2_max
-                        u2 = (params.eps_2_max - rung) / (params.eps_2_max - params.eps_2)
-                    winners.append(SpProposal(path, obj, ratio, Fraction(1), u2))
-                    if box not in boxes:
-                        boxes.append(box)
-                outcome = ConsensusOutcome(endpoint, False, rung, tuple(boxes), tuple(winners))
-                break
-        outcomes[endpoint] = outcome
+        props = props_at.get(endpoint)
+        members = members_at.get(endpoint)
+        fronts = party2_fronts.get(endpoint)
+        outcomes[endpoint] = ConsensusOutcome(endpoint, True, None, (), ())
+        if not (props and members and fronts):
+            continue
+        scored = [(path_epsilon(obj[1], fronts), path, obj) for path, obj in props]
+        scored = [s for s in scored if s[0] <= eps_2_max]
+        for rung, base in zip(rungs, bases):
+            member_boxes = {tuple([base.floor_log(c) for c in obj[1]]) for _, obj in members}
+            boxed = [(ratio, path, obj, tuple([base.floor_log(c) for c in obj[1]])) for ratio, path, obj in scored]
+            matched = [m for m in boxed if m[3] in member_boxes]
+            if not matched:
+                continue
+            best = min(m[0] for m in matched)
+            winners = [m for m in matched if m[0] == best]
+            u2 = Fraction(1) if best <= eps_2 else (eps_2_max - rung) / (eps_2_max - eps_2)
+            boxes = tuple(dict.fromkeys(box for *_, box in winners))
+            accepted = tuple(SpProposal(path, obj, ratio, Fraction(1), u2) for ratio, path, obj, _ in winners)
+            outcomes[endpoint] = ConsensusOutcome(endpoint, False, rung, boxes, accepted)
+            break
     return outcomes
 
 

@@ -1,6 +1,7 @@
-"""Dominance, payoff and draw primitives."""
+"""Dominance, approximation, payoff and draw primitives."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from mpmolab.core import (
     Dominance,
     Sense,
+    approx_degree,
     dominance_compare,
     payoff_component,
     randbelow,
@@ -121,3 +123,29 @@ def test_randbelow_replays_randrange(seed, bounds):
     for n in bounds:
         assert randbelow(a.getrandbits, n) == b.randrange(n)
         assert a.getstate() == b.getstate()
+
+
+@st.composite
+def degree_pairs(draw):
+    k = draw(st.integers(0, 5))
+    x = draw(st.lists(st.integers(0, 10**6), min_size=k, max_size=k))
+    z = draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))
+    return x, z
+
+
+@given(degree_pairs())
+def test_approx_degree_matches_the_fraction_definition(pair):
+    x, z = pair
+    want = max([Fraction(a, b) - 1 for a, b in zip(x, z)] + [Fraction(0)])
+    got = approx_degree(x, z)
+    assert type(got) is Fraction and got == want
+    # the least eps: x fits under (1+got) z, tightly in some component unless got is 0
+    assert all(a <= (1 + got) * b for a, b in zip(x, z))
+    assert got == 0 or any(a == (1 + got) * b for a, b in zip(x, z))
+
+
+def test_approx_degree_refuses_bad_references():
+    with pytest.raises(ValueError, match="below 1"):
+        approx_degree((3, 4), (1, 0))
+    with pytest.raises(ValueError):
+        approx_degree((3, 4), (1,))

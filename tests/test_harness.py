@@ -34,7 +34,7 @@ from mpmolab.instances import (
     parse_instance,
     write_instance,
 )
-from mpmolab.shortestpath import ApproxParams, BoxBase, _BoxArchive, run_empmo_cons_sp
+from mpmolab.shortestpath import ApproxParams, BoxBase, WeightedDigraph, _BoxArchive, run_demo_sp, run_empmo_cons_sp
 
 
 def test_config_validation():
@@ -126,6 +126,14 @@ def test_run_single_semo_row():
     assert rec.trace == {"run_id": row["run_id"], "wall_ms": rec.trace["wall_ms"]}
     assert float(rec.trace["wall_ms"]) >= 0.0
     assert rec.metrics == []
+
+
+def test_run_single_refuses_a_negative_seed(monkeypatch):
+    # random.Random(-2) seeds like random.Random(2), so the row would repeat seed 2's run
+    monkeypatch.setattr(harness, "run_empmo_payoff", lambda *a, **k: pytest.fail("the runner ran"))
+    cfg = ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=500)
+    with pytest.raises(ValueError, match=r"seeds must be non-negative, got \[-2\]"):
+        run_single(cfg, -2)
 
 
 def test_run_single_graph_row_fills_n_and_metrics():
@@ -338,17 +346,56 @@ def test_archive_covers_an_endpoint_by_weak_dominance_of_all_common():
         return target
 
     target = verdict(refs)
-    assert target(5, ((7, 4), (5, 7)))
-    assert not target(5, ((10, 4), (8, 5)))
-    assert target(2, ((1, 2), (2, 4)))
-    # with two references at endpoint 5 a member must weakly dominate both, in both parties
+    assert target(5, ((7, 4), (5, 7))) == (0,)
+    assert target(5, ((10, 4), (8, 5))) == ()
+    assert target(2, ((1, 2), (2, 4))) == (0,)
+    # with two references at endpoint 5 a member covers each one it weakly dominates, in both parties
     target = verdict({**refs, 5: refs[5] + (((6, 5), (6, 6)),)})
-    assert target(5, ((6, 4), (5, 6)))
-    assert not target(5, ((7, 4), (5, 7)))
-    assert not target(5, ((6, 4), (5, 8)))
-    assert not target(5, ((8, 4), (5, 6)))
-    # an endpoint without references is never covered
-    assert not verdict({2: refs[2]})(3, ((3, 2), (3, 5)))
+    assert target(5, ((6, 4), (5, 6))) == (0, 1)
+    assert target(5, ((7, 4), (5, 7))) == (0,)
+    assert target(5, ((6, 4), (5, 8))) == ()
+    assert target(5, ((8, 4), (5, 6))) == ()
+    # a member at an endpoint without references covers none
+    assert verdict({2: refs[2]})(3, ((3, 2), (3, 5))) == ()
+
+
+def two_reference_graph():
+    """Endpoint 4 has two common vectors, ((2, 4), (2, 4)) and ((4, 2), (4, 2))."""
+    return WeightedDigraph(
+        4,
+        {
+            (1, 2): ((1, 3), (1, 3)),
+            (1, 3): ((3, 1), (3, 1)),
+            (2, 4): ((1, 1), (1, 1)),
+            (3, 4): ((1, 1), (1, 1)),
+        },
+    )
+
+
+def test_two_references_at_an_endpoint_are_covered_as_a_set():
+    g = two_reference_graph()
+    refs = oracles.references(g)[0]
+    assert len(refs[4]) == 2
+    for run in (run_empmo_cons_sp, run_demo_sp):
+        res = run(g, ApproxParams(1, 1), 20000, 0, targets=refs, metric_fn=make_metric_fn(refs))
+        assert res.hit_evaluations == 11
+        last = res.metrics[-1]
+        assert (last.max_eps, last.mean_eps_members, last.mean_eps_endpoints) == (0.0, 0.0, 0.0)
+        assert {r.objectives for r in res.archives[0] if r.endpoint == 4} == set(refs[4])
+
+
+def test_metric_fn_reads_set_degrees():
+    refs = oracles.references(two_reference_graph())[0]
+    metric = make_metric_fn(refs)
+    low, high = refs[4]
+    # each member matches one reference exactly; alone, it leaves the other at ratio 2
+    assert metric([(4, low)]) == (0.0, 0.0, 1.0)
+    assert metric([(4, high)]) == (0.0, 0.0, 1.0)
+    assert metric([(4, low), (4, high)]) == (0.0, 0.0, 0.0)
+    # a member's degree is its least over the references: (3, 3) is 1/2 off either
+    middle = ((3, 3), (3, 3))
+    assert metric([(4, middle)]) == (0.5, 0.5, 0.5)
+    assert metric([(4, middle), (4, low)]) == (0.5, 0.25, 0.5)
 
 
 def test_replay_row_reproduces_and_detects_tampering():

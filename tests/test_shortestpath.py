@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpmolab.core import randbelow
 from mpmolab.harness import make_metric_fn
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
-from mpmolab.oracles import exact_party_fronts, references
+from mpmolab.oracles import exact_party_fronts, exact_path_catalog, references
 from mpmolab.shortestpath import (
     METRIC_CADENCE,
     ApproxParams,
     BoxBase,
+    ConsensusOutcome,
+    SpProposal,
     box_base,
     consensus_archive_bound,
     eval_path,
@@ -333,6 +335,132 @@ def test_ultimatum_unique_path_endpoint_agrees_immediately():
     assert out.accepted[0].eps2 == 0
 
 
+def test_path_epsilon_refuses_a_zero_reference_component():
+    with pytest.raises(ValueError, match="below 1"):
+        path_epsilon((1, 2), [(1, 0)])
+    with pytest.raises(ValueError, match="below 1"):
+        path_epsilon((1, 2), [(3, 3), (0, 5)])
+
+
+def fraction_ultimatum(g, proposals, responders, params, party2_fronts):
+    """The consensus round written out rung by rung, as the reference.
+
+    Ratios are maxima of per-component Fractions, and every endpoint builds a
+    fresh box base per rung and scores each winner on its own.
+    """
+    def ratio_of(vector, references):
+        return max(min(max(Fraction(x, z) for x, z in zip(vector, ref)) for ref in references) - 1, Fraction(0))
+
+    rungs, k = [], 1
+    while params.eps_2 * k < params.eps_2_max:
+        rungs.append(params.eps_2 * k)
+        k += 1
+    rungs.append(params.eps_2_max)
+    p1, p2 = {}, {}
+    for table, entries in ((p1, proposals), (p2, responders)):
+        for path, obj in entries:
+            table.setdefault(path[-1], []).append((path, obj))
+    outcomes = {}
+    for endpoint in range(2, g.n + 1):
+        props, members = p1.get(endpoint, []), p2.get(endpoint, [])
+        fronts = party2_fronts.get(endpoint, ())
+        outcome = ConsensusOutcome(endpoint, True, None, (), ())
+        if props and members and fronts:
+            ratios = [ratio_of(obj[1], fronts) for _, obj in props]
+            for rung in rungs:
+                base = BoxBase.plain(1 + rung)
+                member_boxes = {tuple(base.floor_log(c) for c in obj[1]) for _, obj in members}
+                matched = []
+                for (path, obj), ratio in zip(props, ratios):
+                    box = tuple(base.floor_log(c) for c in obj[1])
+                    if ratio <= params.eps_2_max and box in member_boxes:
+                        matched.append((path, obj, ratio, box))
+                if not matched:
+                    continue
+                best = min(m[2] for m in matched)
+                winners, boxes = [], []
+                for path, obj, ratio, box in matched:
+                    if ratio != best:
+                        continue
+                    if ratio <= params.eps_2:
+                        u2 = Fraction(1)
+                    else:
+                        u2 = (params.eps_2_max - rung) / (params.eps_2_max - params.eps_2)
+                    winners.append(SpProposal(path, obj, ratio, Fraction(1), u2))
+                    if box not in boxes:
+                        boxes.append(box)
+                outcome = ConsensusOutcome(endpoint, False, rung, tuple(boxes), tuple(winners))
+                break
+        outcomes[endpoint] = outcome
+    return outcomes
+
+
+def perturbed(fronts, rng):
+    """Fronts moved so that proposals score nonzero ratios: lowered, extended or emptied."""
+    out = {}
+    for e, front in fronts.items():
+        kind = rng.choice(("keep", "lower", "lower", "extend", "empty"))
+        if kind == "lower":
+            front = tuple(tuple(max(1, c - rng.randrange(c // 2 + 1)) for c in v) for v in front)
+        elif kind == "extend":
+            front = front + (tuple(rng.randint(1, 12) for _ in front[0]),)
+        elif kind == "empty":
+            front = ()
+        out[e] = front
+    return out
+
+
+def moved(responders, rng):
+    """Responders whose party-2 objectives each grow by up to a factor of two."""
+    return [(path, (obj[0], tuple(c + rng.randrange(c + 1) for c in obj[1]))) for path, obj in responders]
+
+
+def test_ultimatum_consensus_matches_the_fraction_round(monkeypatch):
+    import mpmolab.shortestpath as sp
+
+    rounds = []
+    real = sp.ultimatum_consensus
+
+    def capture(*args):
+        rounds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sp, "ultimatum_consensus", capture)
+    graphs = [fixture_graph()] + [generate_planted_uav(InstanceSpec(KIND_PLANTED, n, seed=n)) for n in (6, 9, 12)]
+    # eps_2_max / eps_2 is 1, 2, 4, 5/2 and 7/3
+    slacks = [(1, 1, 1), (1, 1, 2), (Fraction(1, 2), Fraction(1, 2), 2),
+              (Fraction(1, 3), Fraction(1, 2), Fraction(5, 4)), (Fraction(1, 2), Fraction(3, 10), Fraction(7, 10))]
+    for g in graphs:
+        fronts = references(g)[1]
+        for slack in slacks:
+            for seed in range(3):
+                run_empmo_simple_sp(g, ApproxParams(*slack), 40 * (seed + 1), seed, party2_fronts=fronts)
+    rng = random.Random(7)
+    # each round again with perturbed fronts, then also with moved responders
+    # and every proposal made twice, so that winners share boxes
+    rounds += [
+        variant
+        for g, props, resp, params, fronts in list(rounds)
+        for variant in (
+            (g, props, resp, params, perturbed(fronts, rng)),
+            (g, props + props, moved(resp, rng), params, perturbed(fronts, rng)),
+        )
+    ]
+    seen = {"failed": 0, "agreed": 0, "relaxed": 0, "ratio": 0, "middle rung": 0, "shared box": 0}
+    for args in rounds:
+        want = fraction_ultimatum(*args)
+        assert real(*args) == want
+        params = args[3]
+        for out in want.values():
+            seen["failed" if out.failed else "agreed"] += 1
+            seen["relaxed"] += any(p.u2 < 1 for p in out.accepted)
+            seen["ratio"] += any(p.eps2 > 0 for p in out.accepted)
+            seen["middle rung"] += not out.failed and params.eps_2 < out.eps2_prime < params.eps_2_max
+            seen["shared box"] += len(out.boxes) < len(out.accepted)
+    assert len(rounds) == 3 * len(graphs) * len(slacks) * 3
+    assert min(seen.values()) > 0, seen
+
+
 def test_simple_sp_run_reports_outcomes_per_endpoint():
     g = fixture_graph()
     res = run_empmo_simple_sp(
@@ -599,11 +727,13 @@ class NewRecordArchive(_BoxArchive):
         self.refs = targets
 
     def covers(self, endpoint, obj):
+        """The indices of the references at ``endpoint`` that ``obj`` weakly dominates."""
         if self.refs is None or endpoint not in self.refs:
-            return False
-        return all(
-            all(a <= b for a, b in zip(obj[0], m[0])) and all(a <= b for a, b in zip(obj[1], m[1]))
-            for m in self.refs[endpoint]
+            return ()
+        return tuple(
+            j
+            for j, m in enumerate(self.refs[endpoint])
+            if all(a <= b for a, b in zip(obj[0], m[0])) and all(a <= b for a, b in zip(obj[1], m[1]))
         )
 
     def step(self, rng, generation):
@@ -696,6 +826,65 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
                 crowded += len(new.pool) < size
             enrolled.add(rec)
     return reborn, crowded
+
+
+def test_an_endpoint_without_references_is_covered_vacuously():
+    g = fixture_graph()
+    refs = references(g)[0]
+    k1, k2 = g.k
+    lanes = ((0, k1), (k1, k1 + k2))
+    bases = (box_base(g.n, 1), box_base(g.n, 1))
+    arch = _BoxArchive(g, lanes, bases, {2: refs[2], 3: ()})
+    assert not arch.all_covered
+    arch.seed_path((1, 2))
+    # no member ends at 3, yet its empty reference tuple asks for nothing
+    assert arch.all_covered and not arch.buckets.get(3)
+    assert _BoxArchive(g, lanes, bases, {3: ()}).all_covered
+    # an empty map has no endpoint to cover, and never hits
+    assert not _BoxArchive(g, lanes, bases, {}).all_covered
+
+
+def joint_targets(g):
+    """Each endpoint's joint-front vectors, several per endpoint on the fixture."""
+    cat = exact_path_catalog(g)
+    return {e: tuple(dict.fromkeys(obj for _, obj in ec.joint)) for e, ec in cat.per_endpoint.items()}
+
+
+FIXTURE_JOINT = joint_targets(fixture_graph())
+
+
+def recount_coverage(arch, targets):
+    """(endpoint, reference index) -> covering members, counted from the pool."""
+    counts = {}
+    for rec in arch.real_entries():
+        x = rec.objectives[0] + rec.objectives[1]
+        for j, ref in enumerate(targets.get(rec.endpoint, ())):
+            if all(a <= b for a, b in zip(x, ref[0] + ref[1])):
+                counts[(rec.endpoint, j)] = counts.get((rec.endpoint, j), 0) + 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lane=st.integers(0, 3),
+    emptied=st.sets(st.sampled_from(sorted(FIXTURE_JOINT))),
+    generations=st.integers(1, 400),
+)
+def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations):
+    assert any(len(refs) > 1 for refs in FIXTURE_JOINT.values())
+    g = fixture_graph()
+    targets = {e: () if e in emptied else refs for e, refs in FIXTURE_JOINT.items()}
+    total = sum(map(len, targets.values()))
+    _, slices, bases, _ = archive_lanes(g)[lane]
+    arch = _BoxArchive(g, slices, bases, targets)
+    rng = random.Random(seed)
+    for gen in range(1, generations + 1):
+        arch.step(rng, gen)
+        counts = recount_coverage(arch, targets)
+        assert arch.zero_counts == counts
+        assert arch.covered == len(counts)
+        assert arch.all_covered == (len(counts) == total)
 
 
 @pytest.mark.parametrize("name", ["fixture", "planted10", "planted12"])
