@@ -20,7 +20,7 @@ import math
 import os
 import statistics
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path as FsPath
@@ -285,7 +285,8 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
 
     Graph rows of one process share one parse and one set of references per
     distinct instance content: the file is read on every row, and a file
-    rewritten between rows is set up afresh. A negative seed raises.
+    rewritten between rows is set up afresh. A negative seed raises. The
+    trace row's ``wall_ms`` times the runner call alone; an error row reads 0.
     """
     _check_seeds((seed,))
     cells = _config_cells(config, seed)
@@ -297,17 +298,18 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     try:
         family, run, *_ = RUNNERS[config.algorithm]
         if family == PB:
-            trace = run(PseudoBooleanProblem(config.problem, config.n), config, seed)
-            evaluations, generations = trace.evaluations, trace.iterations
-            hit, wall = trace.hit_time, trace.wall_ms
+            arg = PseudoBooleanProblem(config.problem, config.n)
         else:
             text = None if config.instance == "fixture" else FsPath(config.instance).read_text()
             g, refs, fronts = _graph_setup(text)
             cells["n"] = _cell(g.n)
             params = ApproxParams(config.eps1, config.eps2, config.eps2max)
-            result = run(GraphRow(g, params, fronts, refs, make_metric_fn(refs) if refs else None), config, seed)
-            evaluations, generations = result.evaluations, result.generations
-            hit, wall = result.hit_evaluations, result.wall_ms
+            arg = GraphRow(g, params, fronts, refs, make_metric_fn(refs) if refs else None)
+        t0 = time.perf_counter()
+        result = run(arg, config, seed)
+        wall = (time.perf_counter() - t0) * 1000.0
+        evaluations, generations, hit = result.evaluations, result.generations, result.hit_evaluations
+        if family == GRAPH:
             metric_samples = result.metrics
     except Exception as exc:
         error = " ".join(f"{type(exc).__name__}: {exc}".split())
@@ -341,14 +343,8 @@ class ExperimentResult:
 
 
 def _sort_key(row: Dict[str, str]):
-    return (
-        row["algorithm"], row["problem"], row["instance"],
-        int(row["n"] or 0),
-        float(row["phi"]) if row["phi"] else -1.0,
-        row["eps1"], row["eps2"], row["eps2max"],
-        int(row["budget"]),
-        int(row["seed"]),
-    )
+    """Each config cell, then the seed, parsed as its field; a blank cell sorts first."""
+    return tuple((_PARSERS[f](row[f]),) if row[f] else () for f in (*CONFIG_FIELDS, "seed"))
 
 
 def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> ExperimentResult:
@@ -362,6 +358,9 @@ def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> Experimen
     pairs = [(c, s) for c in configs for s in c.seeds]
     workers = min(jobs, len(pairs))
     if workers > 1:
+        # imported here: the pool loads multiprocessing, which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_pair, pairs))
     else:
@@ -380,11 +379,10 @@ def aggregate_rows(summary_rows: Sequence[Dict[str, str]]) -> List[Dict[str, str
         key = tuple(row[f] for f in CONFIG_FIELDS)
         groups.setdefault(key, []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: _sort_key(dict(zip(CONFIG_FIELDS, k), seed="0"))):
-        rows = groups[key]
+    for rows in sorted(groups.values(), key=lambda rows: _sort_key(rows[0])):
         ok = [r for r in rows if not r["error"]]
         hits = [int(r["hit_time"]) for r in ok if r["hit_time"]]
-        agg = dict(zip(CONFIG_FIELDS, key))
+        agg = {f: rows[0][f] for f in CONFIG_FIELDS}
         agg["runs"] = _cell(len(rows))
         agg["errors"] = _cell(len(rows) - len(ok))
         agg["hits"] = _cell(len(hits))

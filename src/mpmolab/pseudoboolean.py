@@ -22,7 +22,6 @@ bit. Integer draws call ``getrandbits`` in ``randrange``'s exact pattern
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -161,13 +160,13 @@ class PopulationEntry:
 
 @dataclass
 class RunTrace:
-    """Outcome of one optimizer run; time counters are evaluation counts."""
+    """Outcome of one optimizer run: its evaluations, its generations (loop
+    iterations), and the evaluation count at its hit, None without one."""
 
     evaluations: int
-    iterations: int
-    hit_time: Optional[int]
+    generations: int
+    hit_evaluations: Optional[int]
     final_population: List[PopulationEntry]
-    wall_ms: float
     archives: Optional[Tuple[List[PopulationEntry], ...]] = None
 
 
@@ -185,25 +184,6 @@ def _start(problem: PseudoBooleanProblem, rng: random.Random, initial: Optional[
     """The initial word and its cell (i, j); with no ``initial`` the word is ``rng.getrandbits(n)``."""
     x = initial if initial is not None else BitString(problem.n, rng.getrandbits(problem.n))
     return (x.word,) + problem.counts(x)
-
-
-def _finish(
-    t0: float,
-    evaluations: int,
-    iterations: int,
-    hit: Optional[int],
-    population: List[PopulationEntry],
-    archives: Optional[Tuple[List[PopulationEntry], ...]] = None,
-) -> RunTrace:
-    """The trace of a run that started at ``time.perf_counter()`` reading ``t0``."""
-    return RunTrace(
-        evaluations=evaluations,
-        iterations=iterations,
-        hit_time=hit,
-        final_population=population,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        archives=archives,
-    )
 
 
 def _memo_search(
@@ -323,11 +303,10 @@ def run_semo(
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
     _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     targets = analytic_fronts(problem) if stop == "target" else None
     (archive,), evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     population = [_entry(problem, e[1], e[4]) for e in archive]
-    return _finish(t0, evaluations, iterations, hit, population)
+    return RunTrace(evaluations, iterations, hit, population)
 
 
 def run_empmo_simple(
@@ -365,7 +344,6 @@ def run_empmo_simple(
         raise ValueError("run_empmo_simple requires the bi-party problem")
     _check_stop(stop, ("target", "fronts", "budget"))
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     if stop == "target":
         targets = (frozenset({(problem.half, problem.half)}),) * 2
     else:
@@ -380,7 +358,7 @@ def run_empmo_simple(
     per_party = tuple(
         [_entry(problem, e[1], e[4]) for e in P] for P in archives
     )
-    return _finish(t0, evaluations, iterations, hit, population, per_party)
+    return RunTrace(evaluations, iterations, hit, population, per_party)
 
 
 def run_empmo_random(
@@ -422,7 +400,6 @@ def run_empmo_random(
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
     _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     n, half = problem.n, problem.half
     ones_word = (1 << n) - 1
     word, i0, j0 = _start(problem, rng, initial)
@@ -473,7 +450,7 @@ def run_empmo_random(
             observer(iterations, archive)
 
     population = [_entry(problem, z[2], z[5]) for z in archive]
-    return _finish(t0, evaluations, iterations, hit, population)
+    return RunTrace(evaluations, iterations, hit, population)
 
 
 def run_empmo_payoff(
@@ -499,13 +476,12 @@ def run_empmo_payoff(
         raise ValueError("run_empmo_payoff requires the bi-party problem")
     _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
-    t0 = time.perf_counter()
     n, half = problem.n, problem.half
     ones_word = (1 << n) - 1
     word, i, j = _start(problem, rng, initial)
     v1, v2 = _party1(half, i, j), _party2(half, i, j)
     evaluations = 1
-    iterations = 0
+    iterations = born = 0  # born: the generation of the last accepted move
     hit = evaluations if (stop == "target" and word == ones_word) else None
     getrandbits = rng.getrandbits
 
@@ -521,11 +497,11 @@ def run_empmo_payoff(
         total = payoff_component(v1, nv1, SENSE) + payoff_component(v2, nv2, SENSE)
         if total > 0:
             word ^= 1 << b
-            i, j, v1, v2 = i2, j2, nv1, nv2
+            i, j, v1, v2, born = i2, j2, nv1, nv2, iterations
             if stop == "target" and word == ones_word:
                 hit = evaluations
         if observer is not None:
             observer(iterations, word)
 
-    population = [_entry(problem, word, iterations)]
-    return _finish(t0, evaluations, iterations, hit, population)
+    population = [_entry(problem, word, born)]
+    return RunTrace(evaluations, iterations, hit, population)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt, sub
@@ -338,10 +337,8 @@ class SpRunResult:
     no_change: int
     archives: Tuple[List[SpEntry], ...]
     metrics: List[MetricSample]
-    hit_generation: Optional[int]
     hit_evaluations: Optional[int]
     max_archive_size: int
-    wall_ms: float
     outcomes: Optional[Dict[int, ConsensusOutcome]] = None
 
 
@@ -551,7 +548,6 @@ def _search(
     ``observer(generation, pools)`` sees the live pool of a single archive, or
     the tuple of pools, after every generation but a hit.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     metrics: List[MetricSample] = []
     hit_evals: Optional[int] = None
@@ -585,10 +581,8 @@ def _search(
         no_change=sum(a.no_change for a in archs),
         archives=tuple(list(a.pool) for a in archs),
         metrics=metrics,
-        hit_generation=None if hit_evals is None else gen,
         hit_evaluations=hit_evals,
         max_archive_size=max(a.max_size for a in archs),
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -778,9 +772,8 @@ def run_empmo_simple_sp(
     each endpoint's exact party-2 Pareto vectors. ``metric_fn`` is sampled
     over both archives' members as in ``run_empmo_cons_sp``; stage 1 has no
     targets, so it spends the whole budget. When every endpoint agrees, the
-    hit is the run's end; ``wall_ms`` covers stage 2.
+    hit is the run's end.
     """
-    t0 = time.perf_counter()
     k1, k2 = g.k
     archs = (
         _BoxArchive(g, ((0, k1),), (box_base(g.n, params.eps_1),)),
@@ -799,6 +792,5 @@ def run_empmo_simple_sp(
         party2_fronts,
     )
     if all(not o.failed for o in res.outcomes.values()):
-        res.hit_generation, res.hit_evaluations = res.generations, res.evaluations
-    res.wall_ms = (time.perf_counter() - t0) * 1000.0
+        res.hit_evaluations = res.evaluations
     return res

@@ -119,8 +119,8 @@ def test_payoff_hitting_time_matches_harmonic_prediction():
     hits = []
     for seed in range(seeds):
         trace = run_empmo_payoff(problem, seed, initial=start)
-        assert trace.hit_time is not None
-        hits.append(trace.hit_time)
+        assert trace.hit_evaluations is not None
+        hits.append(trace.hit_evaluations)
     mean = statistics.fmean(hits)
     predicted = float(payoff_runtime_predictor(n, n))
     assert abs(mean - predicted) <= 0.10 * predicted, (mean, predicted)
@@ -242,9 +242,9 @@ def test_epsilon_convergence_per_algorithm():
             g, params, budget, seed=5,
             metric_fn=make_metric_fn(refs), targets=refs,
         )
-        assert res.hit_generation is not None, name
+        assert res.hit_evaluations is not None, name
         assert res.metrics[-1].mean_eps_endpoints == 0.0, name
-        lines.append(f"{name} consensus hit at gen {res.hit_generation}")
+        lines.append(f"{name} consensus hit at gen {res.generations}")
 
         relax = ApproxParams(1, 1, 2)
         sp = run_empmo_simple_sp(

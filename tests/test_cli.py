@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,15 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["run"]) == 1  # --alg is required
     assert run_cli(["run", "--alg", "nope"]) == 1
     assert run_cli(["run", "--alg", "semo", "--cadence", "10"]) == 1  # rows sample at one fixed cadence
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with more than one worker imports the pool, and multiprocessing with it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, mpmolab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_oracle_problem_report(capsys):

@@ -163,7 +163,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 10, 0, 'target'):
         '6f7bbb7a61c9d563807c6eb26ba301e628282e610c40704693e84bbf66dd610c',
     ('empmo-payoff', 'bpaoaz', None, 10, 0, 'budget'):
-        '92c1ec2c8a73fe65ae276b11ab4324119563bd473c2adbc37d11534ccfc3067e',
+        'eb133670cdd9bfa146f9d4c1f5b3afe615ef54b88c7df1e0f84f809ee145295e',
     ('semo', 'aoaz', None, 10, 1, 'target'):
         'daea3079c1e71b900c1be7a9bcbd0ad2afa6e9036a842de0f7a77564d7960314',
     ('semo', 'aoaz', None, 10, 1, 'budget'):
@@ -197,7 +197,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 10, 1, 'target'):
         'ee646b9b6831ef28993bdcafa00aa6a83af8ddffc5a5b7bcdd6f0017119e5f5b',
     ('empmo-payoff', 'bpaoaz', None, 10, 1, 'budget'):
-        '92c1ec2c8a73fe65ae276b11ab4324119563bd473c2adbc37d11534ccfc3067e',
+        'd70a2846632c98faef45809c73bfe11ea20ccc1ba5b41043db0dbb577d2abc51',
     ('semo', 'aoaz', None, 10, 2, 'target'):
         '553dfe11e2d5bd737d6a6ccd0153004c41a9e893303f10915d33d2b3586a7b7c',
     ('semo', 'aoaz', None, 10, 2, 'budget'):
@@ -231,7 +231,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 10, 2, 'target'):
         '7010265a4322118b98b1a9f4f36e826f68c1efc56304ff1127a552e698ec34ad',
     ('empmo-payoff', 'bpaoaz', None, 10, 2, 'budget'):
-        '92c1ec2c8a73fe65ae276b11ab4324119563bd473c2adbc37d11534ccfc3067e',
+        'e5ce98ec61dc9e6bf4e3512d4bedf589f6ef7b195816d9164f5385f9e1e7293a',
     ('semo', 'aoaz', None, 24, 0, 'target'):
         'a2613fabf9c71e46eac9d7a8ffda3e674499cde47d75e50e94e7405251b8a9b2',
     ('semo', 'aoaz', None, 24, 0, 'budget'):
@@ -265,7 +265,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 24, 0, 'target'):
         'dd4bb0b8b8bf894b26d1f029ca682f3ae557f259a506d46c6f50e566fafb984e',
     ('empmo-payoff', 'bpaoaz', None, 24, 0, 'budget'):
-        '8447ae78941910ea26b136200d098ac9bd701444145e7dcb1391173c316f510f',
+        'c09a7946deb8edb72acb09189b6c760d31c838e174a68a0f6f36c87108a31d1a',
     ('semo', 'aoaz', None, 24, 1, 'target'):
         '1197cb8e58331540da67c4d1dfb4aefd9717653ddfe8a0c79032fcaf6ae68551',
     ('semo', 'aoaz', None, 24, 1, 'budget'):
@@ -299,7 +299,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 24, 1, 'target'):
         '38b51cbc4489977081b52692068631a5d96eb59ae07464ac05b16a3d0092305c',
     ('empmo-payoff', 'bpaoaz', None, 24, 1, 'budget'):
-        '8447ae78941910ea26b136200d098ac9bd701444145e7dcb1391173c316f510f',
+        '564d2734d8038a99b8880ecdf9edc80401a6789b4a30034bea9a732ede5aeb3c',
     ('semo', 'aoaz', None, 24, 2, 'target'):
         '701e7eb2addad5564d9dc94dc76f69c049e795e3cde40bcb69e0c5483e1d9075',
     ('semo', 'aoaz', None, 24, 2, 'budget'):
@@ -333,7 +333,7 @@ GOLDEN_RUNS = {
     ('empmo-payoff', 'bpaoaz', None, 24, 2, 'target'):
         'd4dbb1143e78e7075b59fd78e2d07f43179698839392b0e33155ab914389b3fa',
     ('empmo-payoff', 'bpaoaz', None, 24, 2, 'budget'):
-        '8447ae78941910ea26b136200d098ac9bd701444145e7dcb1391173c316f510f',
+        '2dab30a7d44caba78d0aeb9668f35fae105cd2564cef30aa4062fdd8653975e8',
 }
 
 
@@ -348,7 +348,7 @@ def members(entries) -> str:
 
 
 def outcome_text(trace) -> str:
-    parts = [f"{trace.evaluations},{trace.iterations},{trace.hit_time}", members(trace.final_population)]
+    parts = [f"{trace.evaluations},{trace.generations},{trace.hit_evaluations}", members(trace.final_population)]
     for archive in trace.archives or ():
         parts.append(members(archive))
     return "|".join(parts)

@@ -1,5 +1,6 @@
 """Experiment configs, batch running, CSV plumbing, sweeps, and replay."""
 
+import concurrent.futures
 import os
 import stat
 import statistics
@@ -463,7 +464,7 @@ def test_run_many_starts_no_more_workers_than_pairs(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     two = [ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=200, seeds=(0, 1))]
     serial = run_many(two)
     assert run_many(two, jobs=64).summary_rows == serial.summary_rows
@@ -525,6 +526,15 @@ def test_write_result_emits_four_files(tmp_path):
     for p in paths.values():
         assert p.exists()
     assert read_csv(paths["summary"]) == result.summary_rows
+
+
+def test_rows_sort_numerically_on_every_config_column(tmp_path):
+    configs = parse_sweep_text("algorithm=demo-sp\ninstance=fixture\neps=10,2,1/2,1\nseeds=0:2\nbudget=50\n")
+    paths = write_result(run_many(configs), tmp_path)
+    order = ["1/2", "1", "2", "10"]
+    summary = read_csv(paths["summary"])
+    assert [(r["eps1"], r["seed"]) for r in summary] == [(e, s) for e in order for s in ("0", "1")]
+    assert [r["eps1"] for r in read_csv(paths["aggregates"])] == order
 
 
 def test_sweep_product_and_seed_forms():

@@ -109,16 +109,16 @@ def test_semo_rejects_biparty_kind():
 def test_semo_hits_and_archive_equals_front():
     p = PseudoBooleanProblem("aorz", 10)
     trace = run_semo(p, seed=11)
-    assert trace.hit_time is not None
-    assert trace.evaluations == trace.iterations + 1
+    assert trace.hit_evaluations is not None
+    assert trace.evaluations == trace.generations + 1
     got = {e.objectives[0] for e in trace.final_population}
     assert got == analytic_fronts(p)[0]
 
     again = run_semo(p, seed=11)
-    assert (again.evaluations, again.iterations, again.hit_time) == (
+    assert (again.evaluations, again.generations, again.hit_evaluations) == (
         trace.evaluations,
-        trace.iterations,
-        trace.hit_time,
+        trace.generations,
+        trace.hit_evaluations,
     )
 
 
@@ -145,7 +145,7 @@ def test_semo_archive_stays_mutually_incomparable():
 def test_semo_budget_stop():
     p = PseudoBooleanProblem("aoaz", 20)
     trace = run_semo(p, seed=0, budget=50, stop="budget")
-    assert trace.hit_time is None
+    assert trace.hit_evaluations is None
     assert trace.evaluations == 50
 
 
@@ -157,7 +157,7 @@ def test_empmo_simple_requires_biparty():
 def test_empmo_simple_hit_exposes_common_member():
     p = PseudoBooleanProblem("bpaoaz", 10)
     trace = run_empmo_simple(p, seed=2)
-    assert trace.hit_time is not None
+    assert trace.hit_evaluations is not None
     # the objective-level intersection: members of either archive whose party-1
     # vector party 1's archive holds and whose party-2 vector party 2's holds
     objs1 = {e.objectives[0] for e in trace.archives[0]}
@@ -181,10 +181,10 @@ def test_empmo_simple_budget_accounting():
     p = PseudoBooleanProblem("bpaoaz", 16)
     trace = run_empmo_simple(p, seed=1, budget=100, stop="budget")
     assert trace.evaluations == 100
-    assert trace.hit_time is None
+    assert trace.hit_evaluations is None
 
     hit = run_empmo_simple(p, seed=1)
-    assert hit.hit_time == hit.evaluations
+    assert hit.hit_evaluations == hit.evaluations
 
 
 def test_empmo_random_validates_phi():
@@ -207,12 +207,12 @@ def test_empmo_random_hits_and_keeps_distinct_words():
         assert len(words) == len(set(words))
 
     trace = run_empmo_random(p, 0.5, seed=6, observer=watch)
-    assert trace.hit_time is not None
+    assert trace.hit_evaluations is not None
     ones = BitString.ones(8)
     assert any(e.solution.word == ones.word for e in trace.final_population)
 
     again = run_empmo_random(p, 0.5, seed=6)
-    assert again.hit_time == trace.hit_time
+    assert again.hit_evaluations == trace.hit_evaluations
     assert again.evaluations == trace.evaluations
 
 
@@ -255,9 +255,9 @@ def test_empmo_payoff_accepts_only_positive_totals():
 def test_empmo_payoff_hit_is_all_ones():
     p = PseudoBooleanProblem("bpaoaz", 10)
     trace = run_empmo_payoff(p, seed=5, initial=BitString.zeros(10))
-    assert trace.hit_time is not None
-    assert trace.hit_time == trace.evaluations
-    assert trace.evaluations == trace.iterations + 1
+    assert trace.hit_evaluations is not None
+    assert trace.hit_evaluations == trace.evaluations
+    assert trace.evaluations == trace.generations + 1
     assert trace.final_population[0].solution.word == BitString.ones(10).word
 
 
@@ -270,8 +270,8 @@ def test_runners_respect_explicit_initial():
         lambda: run_empmo_payoff(p, 0, initial=start),
     ):
         trace = runner()
-        assert trace.hit_time == trace.evaluations
-        assert trace.iterations == 0
+        assert trace.hit_evaluations == trace.evaluations
+        assert trace.generations == 0
     with pytest.raises(ValueError):
         run_empmo_payoff(p, 0, initial=BitString.ones(6))
 
@@ -308,5 +308,31 @@ def test_initial_word_replaces_the_first_draw():
     ):
         for initial, want in ((x, x), (None, drawn)):
             trace = runner(problem, 9, budget=budget, initial=initial, stop="budget")
-            assert trace.iterations == 0
+            assert trace.generations == 0
             assert [e.solution for e in trace.final_population] == [want]
+
+
+def test_runs_of_one_seed_return_equal_traces():
+    # a trace holds counts and members only, so one seed gives one trace
+    bp, single = PseudoBooleanProblem("bpaoaz", 10), PseudoBooleanProblem("aoaz", 10)
+    calls = [
+        lambda s: run_semo(single, s),
+        lambda s: run_empmo_simple(bp, s),
+        lambda s: run_empmo_random(bp, 0.5, s),
+        lambda s: run_empmo_payoff(bp, s, budget=500, stop="budget"),
+    ]
+    for run in calls:
+        for seed in range(3):
+            assert run(seed) == run(seed)
+
+
+def test_empmo_payoff_final_birth_is_the_last_accepted_move():
+    # the observer sees the word after every iteration; the start word is
+    # the seed's first getrandbits(n) draw, born at 0
+    p = PseudoBooleanProblem("bpaoaz", 24)
+    for seed in range(4):
+        words = [(0, random.Random(seed).getrandbits(24))]
+        trace = run_empmo_payoff(p, seed, budget=3000, stop="budget", observer=lambda it, w: words.append((it, w)))
+        changed = [it for (it, w), (_, prev) in zip(words[1:], words) if w != prev]
+        assert trace.generations == len(words) - 1 == 2999
+        assert trace.final_population[0].birth_iteration == (changed[-1] if changed else 0) < 2999

@@ -3,12 +3,11 @@
 The references below are the full-scan loops the runners used before the
 memo: every offspring is judged by a scan of its archive. For any seed, size,
 kind and stop mode the memoised runners must show the observer the same
-archive at every iteration and return the same trace, apart from wall time.
+archive at every iteration and return the same trace.
 ``run_empmo_random`` is held the same way to its all-pairs prune, run after
 every accept under either party.
 """
 
-import dataclasses
 import random
 
 from hypothesis import Phase, given, settings, strategies as st
@@ -67,8 +66,8 @@ def full_scan_semo(problem, seed, *, budget, stop, observer):
                     hit = evaluations
         observer(iterations, archive)
     return RunTrace(
-        evaluations=evaluations, iterations=iterations, hit_time=hit,
-        final_population=[_entry(problem, e[1], e[4]) for e in archive], wall_ms=0.0,
+        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
+        final_population=[_entry(problem, e[1], e[4]) for e in archive],
     )
 
 
@@ -126,9 +125,8 @@ def full_scan_empmo_simple(problem, seed, *, budget, stop, observer):
             if e[1] not in seen or e[4] < seen[e[1]]:
                 seen[e[1]] = e[4]
     return RunTrace(
-        evaluations=evaluations, iterations=iterations, hit_time=hit,
+        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
         final_population=[_entry(problem, w, birth) for w, birth in sorted(seen.items())],
-        wall_ms=0.0,
         archives=tuple([_entry(problem, e[1], e[4]) for e in P] for P in archives),
     )
 
@@ -182,8 +180,8 @@ def all_pairs_empmo_random(problem, phi, seed, *, budget, stop, observer):
             pruned[m] = True
         observer(iterations, archive)
     return RunTrace(
-        evaluations=evaluations, iterations=iterations, hit_time=hit,
-        final_population=[_entry(problem, z[2], z[5]) for z in archive], wall_ms=0.0,
+        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
+        final_population=[_entry(problem, z[2], z[5]) for z in archive],
     )
 
 
@@ -201,7 +199,7 @@ def recorded(runner, problem, seed, budget, stop):
         frames.append((iteration, archive))
 
     trace = runner(problem, seed, budget=budget, stop=stop, observer=observer)
-    return frames, dataclasses.replace(trace, wall_ms=0.0)
+    return frames, trace
 
 
 def assert_same_run(runner, reference, problem, seed, budget, stop):

@@ -491,7 +491,6 @@ def test_simple_sp_hit_is_the_run_end_exactly_when_every_endpoint_agrees():
     for budget in (0, 50, 500):
         res = run_empmo_simple_sp(g, params, budget, 3, party2_fronts=fronts)
         agreed = all(not o.failed for o in res.outcomes.values())
-        assert res.hit_generation == (res.generations if agreed else None)
         assert res.hit_evaluations == (res.evaluations if agreed else None)
         seen.add(agreed)
     assert seen == {False, True}
@@ -657,7 +656,7 @@ def test_drive_observer_payloads_and_hit_stop():
     # a run given targets ends at its hit generation, before that generation's observer call
     refs = references(g)[0]
     for run in (run_empmo_cons_sp, run_demo_sp):
-        hit = run(g, params, 100_000, 0, targets=refs).hit_generation
+        hit = run(g, params, 100_000, 0, targets=refs).generations
         exact = run(g, params, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
         seen = []
         res = run(
@@ -665,13 +664,11 @@ def test_drive_observer_payloads_and_hit_stop():
             metric_fn=make_metric_fn(refs), targets=refs, observer=lambda gen, pool: seen.append(gen),
         )
         assert seen == list(range(1, hit))
-        assert exact.hit_generation == exact.generations == hit
+        assert exact.hit_evaluations is not None and exact.generations == hit
         assert (res.generations, res.evaluations, res.no_change, res.max_archive_size) == (
             exact.generations, exact.evaluations, exact.no_change, exact.max_archive_size
         )
-        assert (res.hit_generation, res.hit_evaluations, res.metrics) == (
-            exact.hit_generation, exact.hit_evaluations, exact.metrics
-        )
+        assert (res.hit_evaluations, res.metrics) == (exact.hit_evaluations, exact.metrics)
         assert [(e.path, e.birth) for e in res.archives[0]] == [(e.path, e.birth) for e in exact.archives[0]]
 
 
