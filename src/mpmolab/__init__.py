@@ -4,6 +4,12 @@ The package has three layers: exact primitives (dominance, payoffs, box
 indices), optimizers over two problem families (pseudo-Boolean benchmarks and
 bi-party shortest paths), and brute-force oracles plus a batch harness that
 make every run checkable and replayable.
+
+Observer contract of all seven runners: ``observer(generation, archives)``
+runs once after each generation 1..G, G being the result's ``generations``,
+the last included, hit or budget. ``archives`` is a tuple of live lists, one
+per archive in the runner's order (party 1's first); the payoff climb's one
+list holds the current solution, laid out as an empmo-random member.
 """
 
 from .core import Dominance, Sense, dominance_compare, payoff_component

@@ -84,9 +84,9 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     if (args.problem is None) == (args.instance is None):
         raise ValueError("give exactly one of --problem or --instance")
+    if (args.problem is None) != (args.n is None):
+        raise ValueError("--problem needs --n" if args.n is None else "oracle --instance does not take --n")
     if args.problem is not None:
-        if args.n is None:
-            raise ValueError("--problem needs --n")
         catalog = oracles.brute_force_pseudoboolean(PseudoBooleanProblem(args.problem, args.n))
         sys.stdout.write(oracles.pseudoboolean_report(catalog))
     else:

@@ -27,6 +27,8 @@ from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 PathObj = Tuple[Path, MultiPartyObjectives]
 # The largest graph whose simple paths ``exact_path_catalog`` enumerates.
 CATALOG_MAX_N = 12
+# The longest bit string whose 2^n words ``brute_force_pseudoboolean`` enumerates.
+BRUTE_FORCE_MAX_N = 16
 
 
 def _pareto_distinct(vectors, sense: Sense) -> frozenset:
@@ -51,15 +53,15 @@ class ParetoCatalog:
         return [BitString(self.n, w) for w in sorted(self.common_solutions)]
 
 
-def brute_force_pseudoboolean(problem: PseudoBooleanProblem, *, max_n: int = 16) -> ParetoCatalog:
+def brute_force_pseudoboolean(problem: PseudoBooleanProblem) -> ParetoCatalog:
     """Exact Pareto catalog by enumerating all 2^n solutions.
 
     Membership is objective-level: a solution belongs to a party's set iff its
     vector for that party is non-dominated over the whole space. The common
     set is the intersection of the per-party sets.
     """
-    if problem.n > max_n:
-        raise ValueError(f"exhaustive enumeration refused for n > {max_n}")
+    if problem.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"exhaustive enumeration refused for n > {BRUTE_FORCE_MAX_N}")
     n = problem.n
     groups: Dict[MultiPartyObjectives, List[int]] = {}
     for word in range(1 << n):
@@ -78,15 +80,12 @@ def brute_force_pseudoboolean(problem: PseudoBooleanProblem, *, max_n: int = 16)
             if obj[m] in front:
                 members.update(words)
         solutions.append(frozenset(members))
-    common = solutions[0]
-    for s in solutions[1:]:
-        common = common & s
     return ParetoCatalog(
         kind=problem.kind,
         n=n,
         party_solutions=tuple(solutions),
         party_fronts=tuple(fronts),
-        common_solutions=frozenset(common),
+        common_solutions=frozenset.intersection(*solutions),
     )
 
 

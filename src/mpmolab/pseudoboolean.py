@@ -205,10 +205,8 @@ def _memo_search(
 
     ``targets`` holds one set of vectors per lane, or None for a budget run.
     The run hits, and stops, at the evaluation where every lane has accepted
-    every vector of its set. ``observer``, if given, sees the live archive of
-    a one-lane kind after each iteration, or the tuple of archives. Members
-    are ``(vector, word, i, j, birth)`` tuples. Returns (archives,
-    evaluations, iterations, hit).
+    every vector of its set. Members are ``(vector, word, i, j, birth)``
+    tuples. Returns (archives, evaluations, iterations, hit).
 
     The vector is a function of the cell, so each archive remembers the cells
     whose offspring it rejected and skips the scan when one comes back. This
@@ -271,7 +269,7 @@ def _memo_search(
                         hit = evaluations
                         break
         if observer is not None:
-            observer(iterations, archives[0] if len(archives) == 1 else tuple(archives))
+            observer(iterations, tuple(archives))
     return archives, evaluations, iterations, hit
 
 
@@ -292,9 +290,8 @@ def run_semo(
     rejected too); everything the offspring dominates is removed.
 
     ``stop="target"`` ends the run when the archive covers the analytic front;
-    ``stop="budget"`` runs out the evaluation budget. ``observer``, if given,
-    is called as ``observer(iteration, archive)`` with the live archive (a list
-    of ``(vector, word, i, j, birth)`` tuples; treat it as read-only).
+    ``stop="budget"`` runs out the evaluation budget. ``observer`` follows the
+    package's observer contract; members are ``(vector, word, i, j, birth)``.
 
     This is the one-lane case of ``_memo_search``, with the analytic front as
     the target; it skips the scan for cells (i, j) the archive once rejected.
@@ -331,9 +328,8 @@ def run_empmo_simple(
     party. ``stop="target"`` ends the run when the intersection covers the
     analytic common optimum (equivalently, the all-ones string sits in both
     archives); ``stop="fronts"`` runs until both archives cover their full
-    per-party fronts; ``stop="budget"`` runs out the budget. ``observer`` is
-    called as ``observer(iteration, (P1, P2))`` with live archives of
-    ``(vector, word, i, j, birth)`` tuples.
+    per-party fronts; ``stop="budget"`` runs out the budget. ``observer``
+    follows the package's observer contract, as in ``run_semo``.
 
     This is the two-lane case of ``_memo_search``, so each archive skips the
     scan for cells it once rejected. The all-ones string is the one word whose
@@ -384,9 +380,8 @@ def run_empmo_random(
     members never share a vector under either party.
 
     ``stop="target"`` ends the run once the all-ones string is accepted into
-    the archive; it is never removed afterwards. ``observer`` is called as
-    ``observer(iteration, archive)`` with live ``(v1, v2, word, i, j, birth)``
-    entries.
+    the archive; it is never removed afterwards. ``observer`` follows the
+    package's observer contract; members are ``(v1, v2, word, i, j, birth)``.
 
     Unlike ``run_semo`` and ``run_empmo_simple`` this runner scans the archive
     for every offspring and keeps no memo of rejected cells: a removal under
@@ -447,7 +442,7 @@ def run_empmo_random(
             archive = [z for z in archive if z[m] in kept]
             pruned[m] = True
         if observer is not None:
-            observer(iterations, archive)
+            observer(iterations, (archive,))
 
     population = [_entry(problem, z[2], z[5]) for z in archive]
     return RunTrace(evaluations, iterations, hit, population)
@@ -469,8 +464,8 @@ def run_empmo_payoff(
     the parties that strictly lose; a move that leaves a party's vector
     incomparable or identical earns that party's vote of zero.
 
-    ``stop="target"`` ends the run when the current solution is the all-ones
-    string. ``observer`` is called as ``observer(iteration, word)``.
+    ``stop="target"`` ends the run at the all-ones string. ``observer``
+    follows the package's observer contract.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_payoff requires the bi-party problem")
@@ -501,7 +496,7 @@ def run_empmo_payoff(
             if stop == "target" and word == ones_word:
                 hit = evaluations
         if observer is not None:
-            observer(iterations, word)
+            observer(iterations, ([(v1, v2, word, i, j, born)],))
 
     population = [_entry(problem, word, born)]
     return RunTrace(evaluations, iterations, hit, population)

@@ -544,14 +544,13 @@ def _search(
     Draws come from ``random.Random(seed)``. The run ends after the first
     generation at which every archive covers its targets (never, if one has
     none). ``metric_fn`` is sampled over the real members of all archives
-    every ``METRIC_CADENCE`` generations and once at the last.
-    ``observer(generation, pools)`` sees the live pool of a single archive, or
-    the tuple of pools, after every generation but a hit.
+    every ``METRIC_CADENCE`` generations and once at the last. ``observer``
+    follows the package's observer contract, with each archive's pool.
     """
     rng = random.Random(seed)
     metrics: List[MetricSample] = []
     hit_evals: Optional[int] = None
-    pools = archs[0].pool if len(archs) == 1 else tuple(a.pool for a in archs)
+    pools = tuple(a.pool for a in archs)
     steps = tuple((a, a.step) for a in archs)
 
     def sample(gen: int) -> None:
@@ -566,13 +565,13 @@ def _search(
             # only an accepted offspring can complete the coverage, and only in its own archive
             if step(rng, gen) and hit_evals is None and arch.all_covered and all(a.all_covered for a in archs):
                 hit_evals = sum(a.evaluations for a in archs)
+        if observer is not None:
+            observer(gen, pools)
         if hit_evals is not None:
             break
         if metric_fn is not None and gen % METRIC_CADENCE == 0:
             sample(gen)
             sampled_at = gen
-        if observer is not None:
-            observer(gen, pools)
     if metric_fn is not None and gen > 0 and sampled_at != gen:
         sample(gen)
     return SpRunResult(
@@ -605,11 +604,12 @@ def run_empmo_cons_sp(
     Per generation the draws are: parent index, then the mutation draws.
 
     ``metric_fn`` is sampled every ``METRIC_CADENCE`` generations (plus once
-    at the last) over the real archive members. ``targets`` maps each
-    endpoint to its references; an endpoint is covered when each of its
-    references is weakly dominated by some member there. The run ends at its
-    hit: the first generation after which every endpoint in ``targets`` is
-    covered. Without targets it spends the whole budget.
+    at the last) over the real archive members; ``observer`` follows the
+    package's observer contract. ``targets`` maps each endpoint to its
+    references; an endpoint is covered when each of its references is weakly
+    dominated by some member there. The run ends at its hit: the first
+    generation after which every endpoint in ``targets`` is covered.
+    Without targets it spends the whole budget.
     """
     r = box_base(g.n, params.eps_1, params.eps_2)
     k1, k2 = g.k
@@ -631,8 +631,8 @@ def run_demo_sp(
 
     Party attributions are ignored; dominance and box tests use the joint
     (k_1+k_2)-objective vector at the consensus run's box base.
-    ``metric_fn`` and ``targets``, with the stop at the hit, act as in
-    ``run_empmo_cons_sp``.
+    ``metric_fn``, ``targets`` and ``observer``, with the stop at the hit, act
+    as in ``run_empmo_cons_sp``.
     """
     arch = _BoxArchive(g, ((0, sum(g.k)),), (box_base(g.n, params.eps_1, params.eps_2),), targets)
     return _search((arch,), budget, seed, metric_fn, observer)
@@ -769,10 +769,10 @@ def run_empmo_simple_sp(
     ``initial_archives`` injects given paths into the stage-1 archives before
     the loop (each is evaluated and counted); with ``budget=0`` this replays
     the consensus round on exactly those archives. ``party2_fronts`` supplies
-    each endpoint's exact party-2 Pareto vectors. ``metric_fn`` is sampled
-    over both archives' members as in ``run_empmo_cons_sp``; stage 1 has no
-    targets, so it spends the whole budget. When every endpoint agrees, the
-    hit is the run's end.
+    each endpoint's exact party-2 Pareto vectors. ``metric_fn`` and
+    ``observer`` see stage 1's two archives as in ``run_empmo_cons_sp``; stage
+    1 has no targets, so it spends the whole budget. When every endpoint
+    agrees, the hit is the run's end.
     """
     k1, k2 = g.k
     archs = (

@@ -57,15 +57,15 @@ def test_brute_force_matches_analytic_sets():
         half = n // 2
         for kind in KINDS:
             problem = PseudoBooleanProblem(kind, n)
-            cat = brute_force_pseudoboolean(problem, max_n=14)
+            cat = brute_force_pseudoboolean(problem)
             assert cat.party_fronts == analytic_fronts(problem)
-        two = brute_force_pseudoboolean(PseudoBooleanProblem("bpaoaz", n), max_n=14)
+        two = brute_force_pseudoboolean(PseudoBooleanProblem("bpaoaz", n))
         assert all(len(front) == half + 1 for front in two.party_fronts)
         assert all(len(sols) == 1 << half for sols in two.party_solutions)
         assert two.common_solutions == frozenset({(1 << n) - 1})
-        single = brute_force_pseudoboolean(PseudoBooleanProblem("aorz", n), max_n=14)
+        single = brute_force_pseudoboolean(PseudoBooleanProblem("aorz", n))
         assert len(single.party_solutions[0]) == 1 << half
-        joint = brute_force_pseudoboolean(PseudoBooleanProblem("aoaz", n), max_n=14)
+        joint = brute_force_pseudoboolean(PseudoBooleanProblem("aoaz", n))
         assert len(joint.party_solutions[0]) == (1 << (half + 1)) - 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -186,12 +186,13 @@ def test_consensus_archive_never_exceeds_size_bound():
         bound = consensus_archive_bound(g, params)
         peak = 0
 
-        def watch(gen, pool, bound=bound):
+        def watch(gen, pools, bound=bound):
             nonlocal peak, checked
             checked += 1
-            assert len(pool) <= bound, (gen, len(pool), bound)
-            if len(pool) > peak:
-                peak = len(pool)
+            size = len(pools[0])
+            assert size <= bound, (gen, size, bound)
+            if size > peak:
+                peak = size
 
         for seed in seeds:
             run_empmo_cons_sp(g, params, 20000, seed, observer=watch)

@@ -60,6 +60,10 @@ def test_oracle_flag_validation(capsys):
     assert run_cli(["oracle"]) == 2
     assert run_cli(["oracle", "--problem", "bpaoaz"]) == 2
     assert "--problem needs --n" in capsys.readouterr().err
+    # an instance sets its own size, so --n would be dropped
+    assert run_cli(["oracle", "--instance", "fixture", "--n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "does not take --n" in err
 
 
 def test_run_writes_summary_and_prints_row(tmp_path, capsys):

@@ -318,7 +318,7 @@ def test_metric_fn_scores_each_member_once(monkeypatch):
     views = []
     run_empmo_cons_sp(
         g, ApproxParams(Fraction(1, 2), Fraction(1, 2)), 600, 3,
-        observer=lambda gen, pool: views.append([(r.endpoint, r.objectives) for r in pool[1:]]),
+        observer=lambda gen, pools: views.append([(r.endpoint, r.objectives) for r in pools[0][1:]]),
     )
     calls = []
     score = oracles.epsilon_of_solution

@@ -25,9 +25,6 @@ from mpmolab.shortestpath import WeightedDigraph
 def test_brute_force_refuses_large_n():
     with pytest.raises(ValueError, match="refused"):
         brute_force_pseudoboolean(PseudoBooleanProblem("bpaoaz", 18))
-    # the cap is adjustable for callers that accept the cost
-    cat = brute_force_pseudoboolean(PseudoBooleanProblem("bpaoaz", 18), max_n=18)
-    assert cat.common_solutions == frozenset({(1 << 18) - 1})
 
 
 def test_biparty_catalog_structure():

@@ -126,12 +126,12 @@ def test_semo_archive_stays_mutually_incomparable():
     p = PseudoBooleanProblem("aoaz", 8)
     checked = 0
 
-    def watch(iteration, archive):
+    def watch(iteration, archives):
         nonlocal checked
         if iteration % 25:
             return
         checked += 1
-        vecs = [e[0] for e in archive]
+        vecs = [e[0] for e in archives[0]]
         for a in range(len(vecs)):
             for b in range(len(vecs)):
                 if a == b:
@@ -200,10 +200,10 @@ def test_empmo_random_validates_phi():
 def test_empmo_random_hits_and_keeps_distinct_words():
     p = PseudoBooleanProblem("bpaoaz", 8)
 
-    def watch(iteration, archive):
+    def watch(iteration, archives):
         if iteration % 20:
             return
-        words = [e[2] for e in archive]
+        words = [e[2] for e in archives[0]]
         assert len(words) == len(set(words))
 
     trace = run_empmo_random(p, 0.5, seed=6, observer=watch)
@@ -223,8 +223,8 @@ def test_empmo_random_members_hold_distinct_cells(phi):
     p = PseudoBooleanProblem("bpaoaz", 12)
     sizes = []
 
-    def watch(iteration, archive):
-        cells = [(z[3], z[4]) for z in archive]
+    def watch(iteration, archives):
+        cells = [(z[3], z[4]) for z in archives[0]]
         assert len(cells) == len(set(cells))
         sizes.append(len(cells))
 
@@ -236,7 +236,7 @@ def test_empmo_random_members_hold_distinct_cells(phi):
 def test_empmo_payoff_accepts_only_positive_totals():
     p = PseudoBooleanProblem("bpaoaz", 12)
     words = []
-    run_empmo_payoff(p, seed=13, observer=lambda it, w: words.append(w))
+    run_empmo_payoff(p, seed=13, observer=lambda it, archives: words.append(archives[0][0][2]))
     prev = None
     changes = 0
     for w in words:
@@ -332,7 +332,9 @@ def test_empmo_payoff_final_birth_is_the_last_accepted_move():
     p = PseudoBooleanProblem("bpaoaz", 24)
     for seed in range(4):
         words = [(0, random.Random(seed).getrandbits(24))]
-        trace = run_empmo_payoff(p, seed, budget=3000, stop="budget", observer=lambda it, w: words.append((it, w)))
+        trace = run_empmo_payoff(
+            p, seed, budget=3000, stop="budget", observer=lambda it, archives: words.append((it, archives[0][0][2]))
+        )
         changed = [it for (it, w), (_, prev) in zip(words[1:], words) if w != prev]
         assert trace.generations == len(words) - 1 == 2999
         assert trace.final_population[0].birth_iteration == (changed[-1] if changed else 0) < 2999

@@ -64,7 +64,7 @@ def full_scan_semo(problem, seed, *, budget, stop, observer):
                 covered.add(v2)
                 if len(covered) == len(target):
                     hit = evaluations
-        observer(iterations, archive)
+        observer(iterations, (archive,))
     return RunTrace(
         evaluations=evaluations, generations=iterations, hit_evaluations=hit,
         final_population=[_entry(problem, e[1], e[4]) for e in archive],
@@ -178,7 +178,7 @@ def all_pairs_empmo_random(problem, phi, seed, *, budget, stop, observer):
                     kept.append(z)
             archive = kept
             pruned[m] = True
-        observer(iterations, archive)
+        observer(iterations, (archive,))
     return RunTrace(
         evaluations=evaluations, generations=iterations, hit_evaluations=hit,
         final_population=[_entry(problem, z[2], z[5]) for z in archive],
@@ -188,15 +188,11 @@ def all_pairs_empmo_random(problem, phi, seed, *, budget, stop, observer):
 def recorded(runner, problem, seed, budget, stop):
     frames = []
 
-    def observer(iteration, archive):
+    def observer(iteration, archives):
         # Every iteration spends an evaluation, so a runner past this point
         # has stopped counting them and would never end.
         assert iteration < budget
-        if isinstance(archive, tuple):
-            archive = tuple(list(P) for P in archive)
-        else:
-            archive = list(archive)
-        frames.append((iteration, archive))
+        frames.append((iteration, tuple(list(P) for P in archives)))
 
     trace = runner(problem, seed, budget=budget, stop=stop, observer=observer)
     return frames, trace

@@ -255,7 +255,7 @@ def test_cons_sp_observer_sees_source_first():
         ApproxParams(1, 1),
         50,
         seed=2,
-        observer=lambda gen, pool: seen.append(pool[0].path),
+        observer=lambda gen, pools: seen.append(pools[0][0].path),
     )
     assert set(seen) == {(1,)}
 
@@ -612,10 +612,11 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
     )
     generations = 3000
 
-    def watch(lanes):
-        def observer(gen, pool):
+    def watch(*lane_sets):
+        def observer(gen, pools):
             if gen % 500 == 0:
-                check_members(g, pool, lanes)
+                for lanes, pool in zip(lane_sets, pools, strict=True):
+                    check_members(g, pool, lanes)
         return observer
 
     res = run_empmo_cons_sp(g, params, generations, 0, observer=watch(both))
@@ -628,42 +629,24 @@ def test_incremental_objectives_equal_eval_path(property_graphs, name):
         p for p in ((1, 2), (1, 2, 3), (1, 2, 1, 2)) if all(g.has_edge(u, v) for u, v in zip(p, p[1:]))
     ]
     assert seeds
-    watch_parties = lambda gen, pools: [watch(lanes)(gen, pool) for lanes, pool in zip(party, pools)]
     res = run_empmo_simple_sp(
         g, params, generations, 2,
-        initial_archives=(seeds, seeds), party2_fronts={}, observer=watch_parties,
+        initial_archives=(seeds, seeds), party2_fronts={}, observer=watch(*party),
     )
     assert res.evaluations >= 2 * len(seeds)
     for lanes, members in zip(party, res.archives):
         check_members(g, members, lanes)
 
 
-def test_drive_observer_payloads_and_hit_stop():
+def test_graph_run_given_targets_ends_at_its_hit():
+    # a larger budget changes nothing once the run has hit
     g = fixture_graph()
     params = ApproxParams(1, 1)
-    frames = []
-    run_empmo_cons_sp(g, params, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
-    run_demo_sp(g, params, 40, 0, observer=lambda gen, pool: frames.append((gen, type(pool))))
-    assert frames == [(gen, list) for gen in range(1, 41)] * 2
-    pairs = []
-    res = run_empmo_simple_sp(
-        g, params, 40, 0, party2_fronts={},
-        observer=lambda gen, pools: pairs.append((gen, len(pools), [p[0].path for p in pools])),
-    )
-    assert pairs == [(gen, 2, [(1,), (1,)]) for gen in range(1, 41)]
-    assert res.generations == 40
-
-    # a run given targets ends at its hit generation, before that generation's observer call
     refs = references(g)[0]
     for run in (run_empmo_cons_sp, run_demo_sp):
         hit = run(g, params, 100_000, 0, targets=refs).generations
         exact = run(g, params, hit, 0, metric_fn=make_metric_fn(refs), targets=refs)
-        seen = []
-        res = run(
-            g, params, hit + 50, 0,
-            metric_fn=make_metric_fn(refs), targets=refs, observer=lambda gen, pool: seen.append(gen),
-        )
-        assert seen == list(range(1, hit))
+        res = run(g, params, hit + 50, 0, metric_fn=make_metric_fn(refs), targets=refs)
         assert exact.hit_evaluations is not None and exact.generations == hit
         assert (res.generations, res.evaluations, res.no_change, res.max_archive_size) == (
             exact.generations, exact.evaluations, exact.no_change, exact.max_archive_size
