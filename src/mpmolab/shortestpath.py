@@ -223,15 +223,15 @@ class ApproxParams:
             raise ValueError("eps_2_max must be at least eps_2")
 
 
-# An edit is (child, sign, u, v, w): the child path, +1 for an Add or -1 for
-# a Delete, and the edges it changes. With w set, v was inserted between u
-# and w or cut from between them; with w None, the end edge u->v was appended
-# or dropped.
-_Edit = Tuple[Path, int, int, int, Optional[int]]
+# An edit is (i, sign, u, v, w): the position it acts after, +1 for an Add or
+# -1 for a Delete, and the edges it changes. With w set, v was inserted between
+# u and w or cut from between them; with w None, the end edge u->v was appended
+# or dropped. ``_child`` builds the path it makes.
+_Edit = Tuple[int, int, int, int, Optional[int]]
 
 
 def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) -> Optional[_Edit]:
-    """The mutation of ``mutate_path`` on a valid tuple path, with its edit.
+    """The draws of ``mutate_path`` on a valid tuple path, as an edit.
 
     Each integer draw is ``core.randbelow`` written inline: randrange(size).
     """
@@ -247,24 +247,21 @@ def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) ->
             i = getrandbits(k)
         u = p[i]
         if i == last:
-            options = g.successors(u)
-            if not options:
-                return None
+            options = g._succ.get(u)
             w = None
         else:
             w = p[i + 1]
-            options = g.bridges(u, w)
-            if not options:
-                return None
+            options = g._bridges.get((u, w))
+            if options is None:
+                options = g.bridges(u, w)
+        if not options:
+            return None
         size = len(options)
         k = size.bit_length()
         j = getrandbits(k)
         while j >= size:
             j = getrandbits(k)
-        v = options[j]
-        if w is None:
-            return p + (v,), 1, u, v, None
-        return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
+        return i, 1, u, options[j], w
     if last < 2:
         return None
     size = last - 1
@@ -274,11 +271,18 @@ def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) ->
         i = getrandbits(k)
     i += 1
     if i == last - 1:
-        return p[:-1], -1, p[i], p[last], None
+        return i, -1, p[i], p[last], None
     u, w = p[i], p[i + 2]
-    if g.has_edge(u, w):
-        return p[: i + 1] + p[i + 2 :], -1, u, p[i + 1], w
+    if (u, w) in g._edges:
+        return i, -1, u, p[i + 1], w
     return None
+
+
+def _child(p: Path, i: int, sign: int, v: int) -> Path:
+    """The path an edit makes: v inserted after position i, or the vertex after i cut."""
+    if sign > 0:
+        return p[: i + 1] + (v,) + p[i + 1 :]
+    return p[: i + 1] + p[i + 2 :]
 
 
 def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Optional[Path]:
@@ -293,14 +297,17 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
     None without consuming further randomness; Add on a walk already at 2n
     vertices returns None before the position draw.
 
-    The archive step calls the same edit core, which also reports the edges
-    the edit changed, so both make the same draws and the same children.
+    It is the edit core ``_edit_path`` followed by ``_child``; the archive
+    step makes the same draws through the same core.
     """
     p = tuple(p)
     if not p or p[0] != SOURCE:
         raise ValueError("path must start at the source vertex")
     edit = _edit_path(g, p, rng, 2 * g.n)
-    return None if edit is None else edit[0]
+    if edit is None:
+        return None
+    i, sign, _, v, _ = edit
+    return _child(p, i, sign, v)
 
 
 class SpEntry:
@@ -378,7 +385,10 @@ class _BoxArchive:
     vector, views and target verdict, and a drop followed by an append leaves
     pool order, bucket order, ``zero_counts`` and ``covered`` as a new record
     would. The verdict reads only the endpoint, the vector and ``targets``,
-    so the twin's verdict is the child's.
+    so the twin's verdict is the child's. A twin alone at its endpoint is just
+    moved to the end of the pool, without the scans: an equal vector is
+    strictly dominated in no lane and drops only its twin there. The child
+    path is built only when it is accepted or compared with a twin.
     """
 
     def __init__(
@@ -463,13 +473,15 @@ class _BoxArchive:
         while i >= size:
             i = getrandbits(k)
         parent = pool[i]
-        edit = _edit_path(self.g, parent.path, rng, self.max_len)
+        p = parent.path
+        edit = _edit_path(self.g, p, rng, self.max_len)
         if edit is None:
             self.no_change += 1
             return False
-        child, sign, u, v, w = edit
+        i, sign, u, v, w = edit
         self.evaluations += 1
-        endpoint = child[-1]
+        # an interior edit keeps the endpoint; an end edit appends v or falls back to u
+        endpoint = p[-1] if w is not None else v if sign > 0 else u
         if endpoint == SOURCE:
             return False
         weights = self.g.flat
@@ -477,11 +489,17 @@ class _BoxArchive:
         if w is not None:
             delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
         flat = tuple(map(add if sign > 0 else sub, parent.flat, delta))
-        views = self._views(flat)
-        _, lanes, boxes = views
-        twin = None
         bucket = self.buckets.get(endpoint)
+        doomed = ()
         if bucket:
+            z = bucket[0]
+            if len(bucket) == 1 and z.flat == flat and z.path == _child(p, i, sign, v):
+                # a twin alone at its endpoint only moves to the end of the pool
+                pool.remove(z)
+                pool.append(z)
+                z.birth = generation
+                return True
+            _, lanes, boxes = self._views_of.get(flat) or self._views(flat)
             # accept at the first lane where no incumbent strictly dominates
             # the child in boxes or, with equal boxes, in objectives
             for li in range(len(lanes)):
@@ -506,12 +524,14 @@ class _BoxArchive:
                         break
                 else:
                     doomed.append(z)
-            for z in doomed:
-                self._drop(z)
-                if z.path == child:
-                    twin = z
+        child = _child(p, i, sign, v)
+        twin = None
+        for z in doomed:
+            self._drop(z)
+            if z.path == child:
+                twin = z
         if twin is None:
-            self._enroll(self._make_rec(child, flat, views, generation))
+            self._enroll(self._make_rec(child, flat, self._views(flat), generation))
         else:
             twin.birth = generation
             self._enroll(twin)

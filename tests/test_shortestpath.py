@@ -783,7 +783,11 @@ def archive_lanes(g):
 
 
 def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
-    """Step the archive and its new-record copy on equal streams; count rebirths."""
+    """Step the archive and its new-record copy on equal streams.
+
+    Counts rebirths, those that shrink the pool, and new records that replace
+    the lone member of their endpoint with an equal vector on another path.
+    """
     _, slices, bases, targeted = lanes
     targets = refs if targeted else None
     new, old = (cls(g, slices, bases, targets) for cls in (_BoxArchive, NewRecordArchive))
@@ -792,9 +796,10 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
         old.seed_path(path)
     a, b = random.Random(seed), random.Random(seed)
     enrolled = set(new.pool)
-    reborn = crowded = 0
+    reborn = crowded = replaced = 0
     for gen in range(1, generations + 1):
         size = len(new.pool)
+        alone = {e: bucket[0] for e, bucket in new.buckets.items() if len(bucket) == 1}
         accepted = new.step(a, gen)
         assert accepted == old.step(b, gen)
         assert archive_state(new) == archive_state(old), (seed, gen)
@@ -804,8 +809,11 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
             if rec in enrolled:
                 reborn += 1
                 crowded += len(new.pool) < size
+            else:
+                z = alone.get(rec.endpoint)
+                replaced += z is not None and z.flat == rec.flat and z.path != rec.path
             enrolled.add(rec)
-    return reborn, crowded
+    return reborn, crowded, replaced
 
 
 def test_an_endpoint_without_references_is_covered_vacuously():
@@ -890,3 +898,16 @@ def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
         crowded += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000, seeds)[1]
     # a reborn twin drops other members with it
     assert crowded > 0
+
+
+def test_step_replays_an_equal_vector_on_another_path():
+    # both routes to vertex 4 cost (3, 3 | 3, 3), so each replaces the other there
+    g = WeightedDigraph(
+        4,
+        {(1, 2): ((1, 2), (2, 1)), (1, 3): ((2, 1), (1, 2)), (2, 4): ((2, 1), (1, 2)), (3, 4): ((1, 2), (2, 1))},
+    )
+    assert eval_path(g, (1, 2, 4)) == eval_path(g, (1, 3, 4)) == ((3, 3), (3, 3))
+    refs = references(g)[0]
+    for lanes in archive_lanes(g):
+        replaced = sum(replay_side_by_side(g, lanes, refs, seed, 2000)[2] for seed in range(4))
+        assert replaced > 400, lanes[0]
