@@ -17,6 +17,7 @@ from .pseudoboolean import (
     BitString,
     PseudoBooleanProblem,
     analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -57,6 +58,7 @@ __all__ = [
     "WeightedDigraph",
     "analytic_fronts",
     "brute_force_pseudoboolean",
+    "common_optimum",
     "consensus_archive_bound",
     "dominance_compare",
     "epsilon_of_solution",

@@ -32,6 +32,8 @@ from .instances import fixture_graph, parse_instance
 from .pseudoboolean import (
     DEFAULT_BUDGET,
     PseudoBooleanProblem,
+    analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -114,12 +116,19 @@ _SINGLE_PARTY, _BI_PARTY = ("aorz", "aofz", "aoaz"), ("bpaoaz",)
 # The adapters name the runners as module globals, so each call looks them
 # up when it runs: replacing ``harness.run_semo`` replaces what rows call.
 RUNNERS: Dict[str, Runner] = {
-    "semo": Runner(PB, lambda p, c, s: run_semo(p, s, budget=c.budget), _BITS, _SINGLE_PARTY),
-    "empmo-simple": Runner(PB, lambda p, c, s: run_empmo_simple(p, s, budget=c.budget), _BITS, _BI_PARTY),
-    "empmo-random": Runner(
-        PB, lambda p, c, s: run_empmo_random(p, c.phi, s, budget=c.budget), _BITS + ("phi",), _BI_PARTY
+    "semo": Runner(
+        PB, lambda p, c, s: run_semo(p, s, targets=analytic_fronts(p), budget=c.budget), _BITS, _SINGLE_PARTY
     ),
-    "empmo-payoff": Runner(PB, lambda p, c, s: run_empmo_payoff(p, s, budget=c.budget), _BITS, _BI_PARTY),
+    "empmo-simple": Runner(
+        PB, lambda p, c, s: run_empmo_simple(p, s, targets=common_optimum(p), budget=c.budget), _BITS, _BI_PARTY
+    ),
+    "empmo-random": Runner(
+        PB, lambda p, c, s: run_empmo_random(p, c.phi, s, targets=common_optimum(p), budget=c.budget),
+        _BITS + ("phi",), _BI_PARTY,
+    ),
+    "empmo-payoff": Runner(
+        PB, lambda p, c, s: run_empmo_payoff(p, s, targets=common_optimum(p), budget=c.budget), _BITS, _BI_PARTY
+    ),
     "empmo-cons-sp": Runner(
         GRAPH,
         lambda r, c, s: run_empmo_cons_sp(r.g, r.params, c.budget, s, metric_fn=r.metric_fn, targets=r.refs),

@@ -13,6 +13,13 @@ all-ones second half (party 2), so the unique common optimum is the all-ones
 string. ``aoaz`` concatenates all four objectives into one party; ``aorz`` and
 ``aofz`` are the single-party halves. All objectives are maximized.
 
+Stop events are data: every runner takes ``targets``, one set of vectors per
+lane (party), or None for a budget run. A run hits, and stops, at the
+evaluation by which every lane has accepted every vector of its set, the start
+counted; a lane accepts a vector when its archive (empmo-random's shared one,
+the payoff climb's current solution) takes in a solution with that vector for
+the lane's party. Sets of another arity raise ValueError.
+
 Every runner draws from a single ``random.Random(seed)``; the per-iteration
 draw order is documented on each runner so traces can be reproduced bit for
 bit. Integer draws call ``getrandbits`` in ``randrange``'s exact pattern
@@ -151,6 +158,11 @@ def analytic_fronts(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
     return tuple(fronts[lane] for lane in _LANES[problem.kind])
 
 
+def common_optimum(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
+    """The all-ones string's vector in each lane, a one-vector set per party."""
+    return tuple(frozenset({v}) for v in problem.evaluate(BitString.ones(problem.n)))
+
+
 @dataclass(frozen=True)
 class PopulationEntry:
     solution: BitString
@@ -175,9 +187,11 @@ def _entry(problem: PseudoBooleanProblem, word: int, birth: int) -> PopulationEn
     return PopulationEntry(x, problem.evaluate(x), birth)
 
 
-def _check_stop(stop: str, modes: Tuple[str, ...]) -> None:
-    if stop not in modes:
-        raise ValueError(f"unknown stop mode {stop!r}")
+def _accept(left: List[set], vectors: Tuple) -> bool:
+    """Strike each lane's accepted vector from its set of vectors ``left``; True once all are empty."""
+    for rest, v in zip(left, vectors, strict=True):
+        rest.discard(v)
+    return not any(left)
 
 
 def _start(problem: PseudoBooleanProblem, rng: random.Random, initial: Optional[BitString]) -> Tuple[int, int, int]:
@@ -203,10 +217,8 @@ def _memo_search(
     dominates it under the lane (equal vectors are rejected too); every
     member it weakly dominates is removed.
 
-    ``targets`` holds one set of vectors per lane, or None for a budget run.
-    The run hits, and stops, at the evaluation where every lane has accepted
-    every vector of its set. Members are ``(vector, word, i, j, birth)``
-    tuples. Returns (archives, evaluations, iterations, hit).
+    ``targets`` sets the stop (module docstring). Members are ``(vector, word,
+    i, j, birth)`` tuples. Returns (archives, evaluations, iterations, hit).
 
     The vector is a function of the cell, so each archive remembers the cells
     whose offspring it rejected and skips the scan when one comes back. This
@@ -221,11 +233,9 @@ def _memo_search(
     stride = half + 1
     archives = [[(lane(half, i, j), word, i, j, 0)] for lane in lanes]
     memos = [bytearray(stride * stride) for _ in lanes]
-    evaluations = len(lanes)
-    iterations = 0
-    # the target vectors each lane has yet to accept
-    left = None if targets is None else [set(t) - {A[0][0]} for t, A in zip(targets, archives)]
-    hit = evaluations if left is not None and not any(left) else None
+    evaluations, iterations = len(lanes), 0
+    left = None if targets is None else [set(t) for t in targets]
+    hit = evaluations if left is not None and _accept(left, [A[0][0] for A in archives]) else None
     order = range(len(lanes))
     getrandbits = rng.getrandbits
     nk = n.bit_length()
@@ -277,9 +287,9 @@ def run_semo(
     problem: PseudoBooleanProblem,
     seed: int,
     *,
+    targets: Optional[Tuple[frozenset, ...]],
     budget: int = DEFAULT_BUDGET,
     initial: Optional[BitString] = None,
-    stop: str = "target",
     observer: Optional[Callable] = None,
 ) -> RunTrace:
     """Single-archive global search keeping mutually incomparable solutions.
@@ -289,18 +299,15 @@ def run_semo(
     enters the archive iff no incumbent weakly dominates it (equal vectors are
     rejected too); everything the offspring dominates is removed.
 
-    ``stop="target"`` ends the run when the archive covers the analytic front;
-    ``stop="budget"`` runs out the evaluation budget. ``observer`` follows the
-    package's observer contract; members are ``(vector, word, i, j, birth)``.
+    ``targets`` sets the stop (module docstring); ``observer`` follows the
+    package's observer contract, members ``(vector, word, i, j, birth)``.
 
-    This is the one-lane case of ``_memo_search``, with the analytic front as
-    the target; it skips the scan for cells (i, j) the archive once rejected.
+    This is the one-lane case of ``_memo_search``; it skips the scan for
+    cells (i, j) the archive once rejected.
     """
     if problem.parties != 1:
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
-    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
-    targets = analytic_fronts(problem) if stop == "target" else None
     (archive,), evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     population = [_entry(problem, e[1], e[4]) for e in archive]
     return RunTrace(evaluations, iterations, hit, population)
@@ -310,9 +317,9 @@ def run_empmo_simple(
     problem: PseudoBooleanProblem,
     seed: int,
     *,
+    targets: Optional[Tuple[frozenset, ...]],
     budget: int = DEFAULT_BUDGET,
     initial: Optional[BitString] = None,
-    stop: str = "target",
     observer: Optional[Callable] = None,
 ) -> RunTrace:
     """Per-party archives evolved side by side from a shared start.
@@ -323,27 +330,16 @@ def run_empmo_simple(
     index. Acceptance and removal inside an archive use only that party's
     objectives, with equal vectors rejected.
 
-    The common set is the objective-level intersection of the two archives: a
-    member belongs to it iff each party's archive carries its vector for that
-    party. ``stop="target"`` ends the run when the intersection covers the
-    analytic common optimum (equivalently, the all-ones string sits in both
-    archives); ``stop="fronts"`` runs until both archives cover their full
-    per-party fronts; ``stop="budget"`` runs out the budget. ``observer``
-    follows the package's observer contract, as in ``run_semo``.
+    ``targets`` sets the stop (module docstring); ``common_optimum`` stops it
+    once both archives have taken in the all-ones string, the one common
+    optimum. ``observer`` follows the observer contract, as in ``run_semo``.
 
     This is the two-lane case of ``_memo_search``, so each archive skips the
-    scan for cells it once rejected. The all-ones string is the one word whose
-    vector is (n/2, n/2) under either party, so that vector is each lane's
-    target under ``stop="target"``.
+    scan for cells it once rejected.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_simple requires the bi-party problem")
-    _check_stop(stop, ("target", "fronts", "budget"))
     rng = random.Random(seed)
-    if stop == "target":
-        targets = (frozenset({(problem.half, problem.half)}),) * 2
-    else:
-        targets = analytic_fronts(problem) if stop == "fronts" else None
     archives, evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
     seen = {}
     for P in archives:
@@ -351,9 +347,7 @@ def run_empmo_simple(
             if e[1] not in seen or e[4] < seen[e[1]]:
                 seen[e[1]] = e[4]
     population = [_entry(problem, w, birth) for w, birth in sorted(seen.items())]
-    per_party = tuple(
-        [_entry(problem, e[1], e[4]) for e in P] for P in archives
-    )
+    per_party = tuple([_entry(problem, e[1], e[4]) for e in P] for P in archives)
     return RunTrace(evaluations, iterations, hit, population, per_party)
 
 
@@ -362,9 +356,9 @@ def run_empmo_random(
     phi: float,
     seed: int,
     *,
+    targets: Optional[Tuple[frozenset, ...]],
     budget: int = DEFAULT_BUDGET,
     initial: Optional[BitString] = None,
-    stop: str = "target",
     observer: Optional[Callable] = None,
 ) -> RunTrace:
     """Single shared archive judged each iteration by a randomly drawn party.
@@ -379,9 +373,8 @@ def run_empmo_random(
     offspring whose cell is already in the archive is rejected as equal, so
     members never share a vector under either party.
 
-    ``stop="target"`` ends the run once the all-ones string is accepted into
-    the archive; it is never removed afterwards. ``observer`` follows the
-    package's observer contract; members are ``(v1, v2, word, i, j, birth)``.
+    ``targets`` sets the stop (module docstring); ``observer`` follows the
+    package's observer contract, members ``(v1, v2, word, i, j, birth)``.
 
     Unlike ``run_semo`` and ``run_empmo_simple`` this runner scans the archive
     for every offspring and keeps no memo of rejected cells: a removal under
@@ -393,16 +386,14 @@ def run_empmo_random(
         raise ValueError("run_empmo_random requires the bi-party problem")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
     n, half = problem.n, problem.half
-    ones_word = (1 << n) - 1
     word, i0, j0 = _start(problem, rng, initial)
     archive = [(_party1(half, i0, j0), _party2(half, i0, j0), word, i0, j0, 0)]
-    evaluations = 1
-    iterations = 0
+    evaluations, iterations = 1, 0
     pruned = [True, True]
-    hit = evaluations if (stop == "target" and word == ones_word) else None
+    left = None if targets is None else [set(t) for t in targets]
+    hit = evaluations if left is not None and _accept(left, archive[0][:2]) else None
     getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
@@ -427,7 +418,7 @@ def run_empmo_random(
             archive = [z for z in archive if not weak_ge(vm, z[m])]
             archive.append((v2[0], v2[1], w2, i2, j2, iterations))
             pruned[1 - m] = False
-            if stop == "target" and w2 == ones_word:
+            if left is not None and _accept(left, v2):
                 hit = evaluations
         if not pruned[m]:
             # The members' vectors are distinct; taken in descending order, a
@@ -452,9 +443,9 @@ def run_empmo_payoff(
     problem: PseudoBooleanProblem,
     seed: int,
     *,
+    targets: Optional[Tuple[frozenset, ...]],
     budget: int = DEFAULT_BUDGET,
     initial: Optional[BitString] = None,
-    stop: str = "target",
     observer: Optional[Callable] = None,
 ) -> RunTrace:
     """Single-solution hill climb gated by the summed per-party payoff.
@@ -464,20 +455,18 @@ def run_empmo_payoff(
     the parties that strictly lose; a move that leaves a party's vector
     incomparable or identical earns that party's vote of zero.
 
-    ``stop="target"`` ends the run at the all-ones string. ``observer``
-    follows the package's observer contract.
+    ``targets`` and ``observer`` act as the module and package docstrings state.
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_payoff requires the bi-party problem")
-    _check_stop(stop, ("target", "budget"))
     rng = random.Random(seed)
     n, half = problem.n, problem.half
-    ones_word = (1 << n) - 1
     word, i, j = _start(problem, rng, initial)
     v1, v2 = _party1(half, i, j), _party2(half, i, j)
     evaluations = 1
     iterations = born = 0  # born: the generation of the last accepted move
-    hit = evaluations if (stop == "target" and word == ones_word) else None
+    left = None if targets is None else [set(t) for t in targets]
+    hit = evaluations if left is not None and _accept(left, (v1, v2)) else None
     getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
@@ -493,7 +482,7 @@ def run_empmo_payoff(
         if total > 0:
             word ^= 1 << b
             i, j, v1, v2, born = i2, j2, nv1, nv2, iterations
-            if stop == "target" and word == ones_word:
+            if left is not None and _accept(left, (v1, v2)):
                 hit = evaluations
         if observer is not None:
             observer(iterations, ([(v1, v2, word, i, j, born)],))

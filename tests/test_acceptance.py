@@ -35,6 +35,7 @@ from mpmolab.pseudoboolean import (
     BitString,
     PseudoBooleanProblem,
     analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -118,7 +119,7 @@ def test_payoff_hitting_time_matches_harmonic_prediction():
     start = BitString.zeros(n)
     hits = []
     for seed in range(seeds):
-        trace = run_empmo_payoff(problem, seed, initial=start)
+        trace = run_empmo_payoff(problem, seed, targets=common_optimum(problem), initial=start)
         assert trace.hit_evaluations is not None
         hits.append(trace.hit_evaluations)
     mean = statistics.fmean(hits)
@@ -140,10 +141,11 @@ def test_runtime_ordering_across_optimizers():
     for n in (40, 80):
         joint = PseudoBooleanProblem("aoaz", n)
         two = PseudoBooleanProblem("bpaoaz", n)
-        semo = statistics.fmean(run_semo(joint, s).evaluations for s in seeds)
-        simple = statistics.fmean(run_empmo_simple(two, s).evaluations for s in seeds)
-        rand = statistics.fmean(run_empmo_random(two, 0.5, s).evaluations for s in seeds)
-        payoff = statistics.fmean(run_empmo_payoff(two, s).evaluations for s in seeds)
+        goal = common_optimum(two)
+        semo = statistics.fmean(run_semo(joint, s, targets=analytic_fronts(joint)).evaluations for s in seeds)
+        simple = statistics.fmean(run_empmo_simple(two, s, targets=goal).evaluations for s in seeds)
+        rand = statistics.fmean(run_empmo_random(two, 0.5, s, targets=goal).evaluations for s in seeds)
+        payoff = statistics.fmean(run_empmo_payoff(two, s, targets=goal).evaluations for s in seeds)
         assert semo >= 1.2 * simple, (n, semo, simple)
         assert simple >= 1.2 * rand, (n, simple, rand)
         assert rand >= payoff, (n, rand, payoff)
@@ -162,7 +164,9 @@ def test_extreme_party_bias_slows_random_arbitration():
     n, seeds = 60, range(10)
     problem = PseudoBooleanProblem("bpaoaz", n)
     means = {
-        phi: statistics.fmean(run_empmo_random(problem, phi, s).evaluations for s in seeds)
+        phi: statistics.fmean(
+            run_empmo_random(problem, phi, s, targets=common_optimum(problem)).evaluations for s in seeds
+        )
         for phi in (0.05, 0.5, 0.95)
     }
     assert means[0.05] > 1.5 * means[0.5], means
@@ -348,3 +352,23 @@ def test_scaling_slopes_reported():
         )
     elapsed = time.perf_counter() - t0
     print(f"slope report complete ({elapsed:.1f}s)")
+
+
+def test_same_event_runtimes_reported():
+    """SEMO and empmo-simple on each of two events, reported; the ordering is not gated."""
+    t0 = time.perf_counter()
+    n, seeds = 20, range(100, 140)
+    runs = {
+        "semo": (run_semo, PseudoBooleanProblem("aoaz", n)),
+        "empmo-simple": (run_empmo_simple, PseudoBooleanProblem("bpaoaz", n)),
+    }
+    cells = []
+    for name, (runner, problem) in runs.items():
+        for event in (common_optimum, analytic_fronts):
+            hits = [runner(problem, s, targets=event(problem)).hit_evaluations for s in seeds]
+            assert None not in hits, (name, event.__name__)
+            se = statistics.stdev(hits) / len(hits) ** 0.5
+            cells.append(f"{name} at {event.__name__} {statistics.fmean(hits):,.0f} ± {se:,.0f}")
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    print(f"same-event report: n={n}, seeds 100-139: {'; '.join(cells)} ({elapsed:.2f}s)")

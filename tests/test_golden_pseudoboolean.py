@@ -20,6 +20,8 @@ import pytest
 from mpmolab.harness import SUMMARY_COLUMNS, ExperimentConfig, run_single
 from mpmolab.pseudoboolean import (
     PseudoBooleanProblem,
+    analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -357,13 +359,19 @@ def outcome_text(trace) -> str:
 def run_direct(runner, kind, phi, n, seed, stop):
     problem = PseudoBooleanProblem(kind, n)
     budget = BUDGET_STOP if stop == "budget" else 10**8
+    # each stop key's targets: "target" is the runner's harness event
+    targets = {
+        "target": analytic_fronts(problem) if runner == "semo" else common_optimum(problem),
+        "fronts": analytic_fronts(problem),
+        "budget": None,
+    }[stop]
     if runner == "semo":
-        return run_semo(problem, seed, budget=budget, stop=stop)
+        return run_semo(problem, seed, budget=budget, targets=targets)
     if runner == "empmo-simple":
-        return run_empmo_simple(problem, seed, budget=budget, stop=stop)
+        return run_empmo_simple(problem, seed, budget=budget, targets=targets)
     if runner == "empmo-random":
-        return run_empmo_random(problem, phi, seed, budget=budget, stop=stop)
-    return run_empmo_payoff(problem, seed, budget=budget, stop=stop)
+        return run_empmo_random(problem, phi, seed, budget=budget, targets=targets)
+    return run_empmo_payoff(problem, seed, budget=budget, targets=targets)
 
 
 @pytest.mark.parametrize("algorithm,problem,phi,n,seed", sorted(GOLDEN_ROWS, key=repr))

@@ -12,6 +12,8 @@ from mpmolab.instances import fixture_graph
 from mpmolab.oracles import references
 from mpmolab.pseudoboolean import (
     PseudoBooleanProblem,
+    analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -30,23 +32,23 @@ GRAPH_BUDGET = 300  # generations; simple-sp has no stopping rule, so its hit ru
 RUNS = {
     "semo": (
         1,
-        lambda s, o: run_semo(AOAZ, s, observer=o),
-        lambda s, o: run_semo(AOAZ, s, budget=BITS_BUDGET, stop="budget", observer=o),
+        lambda s, o: run_semo(AOAZ, s, targets=analytic_fronts(AOAZ), observer=o),
+        lambda s, o: run_semo(AOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-simple": (
         2,
-        lambda s, o: run_empmo_simple(BPAOAZ, s, observer=o),
-        lambda s, o: run_empmo_simple(BPAOAZ, s, budget=BITS_BUDGET, stop="budget", observer=o),
+        lambda s, o: run_empmo_simple(BPAOAZ, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_simple(BPAOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-random": (
         1,
-        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, observer=o),
-        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, budget=BITS_BUDGET, stop="budget", observer=o),
+        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-payoff": (
         1,
-        lambda s, o: run_empmo_payoff(BPAOAZ, s, observer=o),
-        lambda s, o: run_empmo_payoff(BPAOAZ, s, budget=BITS_BUDGET, stop="budget", observer=o),
+        lambda s, o: run_empmo_payoff(BPAOAZ, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_payoff(BPAOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "cons-sp": (
         1,

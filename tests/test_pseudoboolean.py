@@ -11,6 +11,7 @@ from mpmolab.pseudoboolean import (
     BitString,
     PseudoBooleanProblem,
     analytic_fronts,
+    common_optimum,
     run_empmo_payoff,
     run_empmo_random,
     run_empmo_simple,
@@ -100,21 +101,22 @@ def test_front_sizes():
 
 
 def test_semo_rejects_biparty_kind():
+    bp = PseudoBooleanProblem("bpaoaz", 8)
     with pytest.raises(ValueError):
-        run_semo(PseudoBooleanProblem("bpaoaz", 8), 0)
+        run_semo(bp, 0, targets=analytic_fronts(bp))
     with pytest.raises(ValueError):
-        run_semo(PseudoBooleanProblem("aorz", 8), 0, stop="nope")
+        run_semo(PseudoBooleanProblem("aorz", 8), 0, targets=analytic_fronts(bp))
 
 
 def test_semo_hits_and_archive_equals_front():
     p = PseudoBooleanProblem("aorz", 10)
-    trace = run_semo(p, seed=11)
+    trace = run_semo(p, seed=11, targets=analytic_fronts(p))
     assert trace.hit_evaluations is not None
     assert trace.evaluations == trace.generations + 1
     got = {e.objectives[0] for e in trace.final_population}
     assert got == analytic_fronts(p)[0]
 
-    again = run_semo(p, seed=11)
+    again = run_semo(p, seed=11, targets=analytic_fronts(p))
     assert (again.evaluations, again.generations, again.hit_evaluations) == (
         trace.evaluations,
         trace.generations,
@@ -138,25 +140,25 @@ def test_semo_archive_stays_mutually_incomparable():
                     continue
                 assert not all(x >= y for x, y in zip(vecs[a], vecs[b]))
 
-    run_semo(p, seed=4, observer=watch)
+    run_semo(p, seed=4, targets=analytic_fronts(p), observer=watch)
     assert checked > 0
 
 
 def test_semo_budget_stop():
     p = PseudoBooleanProblem("aoaz", 20)
-    trace = run_semo(p, seed=0, budget=50, stop="budget")
+    trace = run_semo(p, seed=0, budget=50, targets=None)
     assert trace.hit_evaluations is None
     assert trace.evaluations == 50
 
 
 def test_empmo_simple_requires_biparty():
     with pytest.raises(ValueError):
-        run_empmo_simple(PseudoBooleanProblem("aorz", 8), 0)
+        run_empmo_simple(PseudoBooleanProblem("aorz", 8), 0, targets=None)
 
 
 def test_empmo_simple_hit_exposes_common_member():
     p = PseudoBooleanProblem("bpaoaz", 10)
-    trace = run_empmo_simple(p, seed=2)
+    trace = run_empmo_simple(p, seed=2, targets=common_optimum(p))
     assert trace.hit_evaluations is not None
     # the objective-level intersection: members of either archive whose party-1
     # vector party 1's archive holds and whose party-2 vector party 2's holds
@@ -171,7 +173,7 @@ def test_empmo_simple_hit_exposes_common_member():
 
 def test_empmo_simple_fronts_stop_covers_both_parties():
     p = PseudoBooleanProblem("bpaoaz", 8)
-    trace = run_empmo_simple(p, seed=9, stop="fronts")
+    trace = run_empmo_simple(p, seed=9, targets=analytic_fronts(p))
     f1, f2 = analytic_fronts(p)
     assert {e.objectives[0] for e in trace.archives[0]} == f1
     assert {e.objectives[1] for e in trace.archives[1]} == f2
@@ -179,22 +181,22 @@ def test_empmo_simple_fronts_stop_covers_both_parties():
 
 def test_empmo_simple_budget_accounting():
     p = PseudoBooleanProblem("bpaoaz", 16)
-    trace = run_empmo_simple(p, seed=1, budget=100, stop="budget")
+    trace = run_empmo_simple(p, seed=1, budget=100, targets=None)
     assert trace.evaluations == 100
     assert trace.hit_evaluations is None
 
-    hit = run_empmo_simple(p, seed=1)
+    hit = run_empmo_simple(p, seed=1, targets=common_optimum(p))
     assert hit.hit_evaluations == hit.evaluations
 
 
 def test_empmo_random_validates_phi():
     p = PseudoBooleanProblem("bpaoaz", 8)
     with pytest.raises(ValueError):
-        run_empmo_random(p, -0.1, 0)
+        run_empmo_random(p, -0.1, 0, targets=common_optimum(p))
     with pytest.raises(ValueError):
-        run_empmo_random(p, 1.5, 0)
+        run_empmo_random(p, 1.5, 0, targets=common_optimum(p))
     with pytest.raises(ValueError):
-        run_empmo_random(PseudoBooleanProblem("aoaz", 8), 0.5, 0)
+        run_empmo_random(PseudoBooleanProblem("aoaz", 8), 0.5, 0, targets=common_optimum(p))
 
 
 def test_empmo_random_hits_and_keeps_distinct_words():
@@ -206,12 +208,12 @@ def test_empmo_random_hits_and_keeps_distinct_words():
         words = [e[2] for e in archives[0]]
         assert len(words) == len(set(words))
 
-    trace = run_empmo_random(p, 0.5, seed=6, observer=watch)
+    trace = run_empmo_random(p, 0.5, seed=6, targets=common_optimum(p), observer=watch)
     assert trace.hit_evaluations is not None
     ones = BitString.ones(8)
     assert any(e.solution.word == ones.word for e in trace.final_population)
 
-    again = run_empmo_random(p, 0.5, seed=6)
+    again = run_empmo_random(p, 0.5, seed=6, targets=common_optimum(p))
     assert again.hit_evaluations == trace.hit_evaluations
     assert again.evaluations == trace.evaluations
 
@@ -229,14 +231,16 @@ def test_empmo_random_members_hold_distinct_cells(phi):
         sizes.append(len(cells))
 
     for seed in range(3):
-        run_empmo_random(p, phi, seed, budget=3000, stop="budget", observer=watch)
+        run_empmo_random(p, phi, seed, budget=3000, targets=None, observer=watch)
     assert max(sizes) > 3
 
 
 def test_empmo_payoff_accepts_only_positive_totals():
     p = PseudoBooleanProblem("bpaoaz", 12)
     words = []
-    run_empmo_payoff(p, seed=13, observer=lambda it, archives: words.append(archives[0][0][2]))
+    run_empmo_payoff(
+        p, seed=13, targets=common_optimum(p), observer=lambda it, archives: words.append(archives[0][0][2])
+    )
     prev = None
     changes = 0
     for w in words:
@@ -254,7 +258,7 @@ def test_empmo_payoff_accepts_only_positive_totals():
 
 def test_empmo_payoff_hit_is_all_ones():
     p = PseudoBooleanProblem("bpaoaz", 10)
-    trace = run_empmo_payoff(p, seed=5, initial=BitString.zeros(10))
+    trace = run_empmo_payoff(p, seed=5, targets=common_optimum(p), initial=BitString.zeros(10))
     assert trace.hit_evaluations is not None
     assert trace.hit_evaluations == trace.evaluations
     assert trace.evaluations == trace.generations + 1
@@ -265,33 +269,68 @@ def test_runners_respect_explicit_initial():
     p = PseudoBooleanProblem("bpaoaz", 8)
     start = BitString.ones(8)
     for runner in (
-        lambda: run_empmo_simple(p, 0, initial=start),
-        lambda: run_empmo_random(p, 0.5, 0, initial=start),
-        lambda: run_empmo_payoff(p, 0, initial=start),
+        lambda: run_empmo_simple(p, 0, targets=common_optimum(p), initial=start),
+        lambda: run_empmo_random(p, 0.5, 0, targets=common_optimum(p), initial=start),
+        lambda: run_empmo_payoff(p, 0, targets=common_optimum(p), initial=start),
     ):
         trace = runner()
         assert trace.hit_evaluations == trace.evaluations
         assert trace.generations == 0
     with pytest.raises(ValueError):
-        run_empmo_payoff(p, 0, initial=BitString.ones(6))
+        run_empmo_payoff(p, 0, targets=common_optimum(p), initial=BitString.ones(6))
 
 
-def test_runners_check_stop_mode_and_initial_length():
+def test_runners_check_target_arity_and_initial_length():
     bp, single = PseudoBooleanProblem("bpaoaz", 8), PseudoBooleanProblem("aoaz", 8)
     calls = [
-        (run_semo, single, ("target", "budget")),
-        (run_empmo_simple, bp, ("target", "fronts", "budget")),
-        (lambda p, s, **k: run_empmo_random(p, 0.5, s, **k), bp, ("target", "budget")),
-        (run_empmo_payoff, bp, ("target", "budget")),
+        (run_semo, single),
+        (run_empmo_simple, bp),
+        (lambda p, s, **k: run_empmo_random(p, 0.5, s, **k), bp),
+        (run_empmo_payoff, bp),
     ]
-    for runner, problem, modes in calls:
-        for stop in modes:
-            runner(problem, 0, budget=50, stop=stop)
-        for stop in {"target", "fronts", "budget", "nope"} - set(modes):
-            with pytest.raises(ValueError, match="unknown stop mode"):
-                runner(problem, 0, budget=50, stop=stop)
+    for runner, problem in calls:
+        for targets in (None, common_optimum(problem), analytic_fronts(problem)):
+            runner(problem, 0, budget=50, targets=targets)
+        other = single if problem is bp else bp
+        for targets in ((), common_optimum(other)):
+            with pytest.raises(ValueError):
+                runner(problem, 0, budget=50, targets=targets)
         with pytest.raises(ValueError, match="does not match"):
-            runner(problem, 0, budget=50, initial=BitString.ones(10))
+            runner(problem, 0, budget=50, targets=None, initial=BitString.ones(10))
+
+
+AOAZ10, BPAOAZ10 = PseudoBooleanProblem("aoaz", 10), PseudoBooleanProblem("bpaoaz", 10)
+# name: (problem, evaluations of the start, run(seed, **keywords))
+STOP_RULE_RUNS = {
+    "semo": (AOAZ10, 1, lambda s, **k: run_semo(AOAZ10, s, **k)),
+    "empmo-simple": (BPAOAZ10, 2, lambda s, **k: run_empmo_simple(BPAOAZ10, s, **k)),
+    "empmo-random": (BPAOAZ10, 1, lambda s, **k: run_empmo_random(BPAOAZ10, 0.5, s, **k)),
+    "empmo-payoff": (BPAOAZ10, 1, lambda s, **k: run_empmo_payoff(BPAOAZ10, s, **k)),
+}
+
+
+@pytest.mark.parametrize("name", STOP_RULE_RUNS)
+def test_stop_rule(name):
+    # a run hits at the evaluation by which every lane has accepted every
+    # vector of its set, the start counted; None runs out the budget
+    problem, start, run = STOP_RULE_RUNS[name]
+    lanes = problem.parties
+    x = BitString.from01("0110010111")
+    for initial, targets in (
+        (BitString.ones(10), common_optimum(problem)),
+        (x, tuple(frozenset({v}) for v in problem.evaluate(x))),
+        (x, (frozenset(),) * lanes),
+    ):
+        trace = run(3, budget=100, initial=initial, targets=targets)
+        assert trace.hit_evaluations == trace.evaluations == start
+        assert trace.generations == 0
+    for budget in (2, 3, 101):
+        trace = run(3, budget=budget, targets=None)
+        assert trace.evaluations == budget
+        assert trace.hit_evaluations is None
+    for targets in ((), (frozenset(),) * (lanes + 1), analytic_fronts(problem) * 2):
+        with pytest.raises(ValueError):
+            run(3, budget=10, targets=targets)
 
 
 def test_initial_word_replaces_the_first_draw():
@@ -307,7 +346,7 @@ def test_initial_word_replaces_the_first_draw():
         (bp, run_empmo_payoff, 1),
     ):
         for initial, want in ((x, x), (None, drawn)):
-            trace = runner(problem, 9, budget=budget, initial=initial, stop="budget")
+            trace = runner(problem, 9, budget=budget, initial=initial, targets=None)
             assert trace.generations == 0
             assert [e.solution for e in trace.final_population] == [want]
 
@@ -316,10 +355,10 @@ def test_runs_of_one_seed_return_equal_traces():
     # a trace holds counts and members only, so one seed gives one trace
     bp, single = PseudoBooleanProblem("bpaoaz", 10), PseudoBooleanProblem("aoaz", 10)
     calls = [
-        lambda s: run_semo(single, s),
-        lambda s: run_empmo_simple(bp, s),
-        lambda s: run_empmo_random(bp, 0.5, s),
-        lambda s: run_empmo_payoff(bp, s, budget=500, stop="budget"),
+        lambda s: run_semo(single, s, targets=analytic_fronts(single)),
+        lambda s: run_empmo_simple(bp, s, targets=common_optimum(bp)),
+        lambda s: run_empmo_random(bp, 0.5, s, targets=common_optimum(bp)),
+        lambda s: run_empmo_payoff(bp, s, budget=500, targets=None),
     ]
     for run in calls:
         for seed in range(3):
@@ -333,7 +372,7 @@ def test_empmo_payoff_final_birth_is_the_last_accepted_move():
     for seed in range(4):
         words = [(0, random.Random(seed).getrandbits(24))]
         trace = run_empmo_payoff(
-            p, seed, budget=3000, stop="budget", observer=lambda it, archives: words.append((it, archives[0][0][2]))
+            p, seed, budget=3000, targets=None, observer=lambda it, archives: words.append((it, archives[0][0][2]))
         )
         changed = [it for (it, w), (_, prev) in zip(words[1:], words) if w != prev]
         assert trace.generations == len(words) - 1 == 2999
