@@ -12,7 +12,7 @@ per archive in the runner's order (party 1's first); the payoff climb's one
 list holds the current solution, laid out as an empmo-random member.
 """
 
-from .core import Dominance, Sense, dominance_compare, payoff_component
+from .core import payoff_component
 from .pseudoboolean import (
     BitString,
     PseudoBooleanProblem,
@@ -50,17 +50,14 @@ __all__ = [
     "ApproxParams",
     "BitString",
     "BoxBase",
-    "Dominance",
     "ExperimentConfig",
     "InstanceSpec",
     "PseudoBooleanProblem",
-    "Sense",
     "WeightedDigraph",
     "analytic_fronts",
     "brute_force_pseudoboolean",
     "common_optimum",
     "consensus_archive_bound",
-    "dominance_compare",
     "epsilon_of_solution",
     "eval_path",
     "exact_path_catalog",

@@ -1,14 +1,16 @@
 """Dominance, approximation, payoff and draw primitives shared by every optimizer.
 
 Objective vectors are plain tuples of numbers. A multi-party objective value is a
-tuple of such vectors, one per party; all parties share the same optimization
-sense. Keeping these as bare tuples keeps the optimizer inner loops cheap and the
-oracles trivially hashable.
+tuple of such vectors, one per party. Keeping these as bare tuples keeps the
+optimizer inner loops cheap and the oracles trivially hashable.
+
+``weak_ge`` is the one Pareto comparison. Maximizing callers (the bit-string
+side) use it as it stands; minimizing callers (the path side) swap its
+arguments, so ``weak_ge(ref, flat)`` holds when ``flat`` is no worse than ``ref``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
@@ -16,62 +18,10 @@ ObjectiveVector = Tuple[float, ...]
 MultiPartyObjectives = Tuple[ObjectiveVector, ...]
 
 
-class Sense(Enum):
-    """Direction of improvement for every objective of every party."""
-
-    MINIMIZE = "min"
-    MAXIMIZE = "max"
-
-
-class Dominance(Enum):
-    """Outcome of comparing two objective vectors of equal length."""
-
-    DOMINATES = "dominates"
-    DOMINATED_BY = "dominated_by"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def _check_pair(a: Sequence[float], b: Sequence[float]) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"objective vectors differ in length: {len(a)} vs {len(b)}")
-    if not a:
-        raise ValueError("objective vectors must have at least one component")
-
-
-def dominance_compare(a: Sequence[float], b: Sequence[float], sense: Sense) -> Dominance:
-    """Compare two objective vectors under Pareto dominance.
-
-    ``a`` dominates ``b`` when it is no worse in every component and strictly
-    better in at least one; "better" follows ``sense``. Vectors of unequal
-    length raise ValueError.
-    """
-    _check_pair(a, b)
-    a_better = False
-    b_better = False
-    if sense is Sense.MAXIMIZE:
-        for x, y in zip(a, b):
-            if x > y:
-                a_better = True
-            elif x < y:
-                b_better = True
-    else:
-        for x, y in zip(a, b):
-            if x < y:
-                a_better = True
-            elif x > y:
-                b_better = True
-    if a_better and not b_better:
-        return Dominance.DOMINATES
-    if b_better and not a_better:
-        return Dominance.DOMINATED_BY
-    if a_better:
-        return Dominance.INCOMPARABLE
-    return Dominance.EQUAL
-
-
 def weak_ge(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when ``a >= b`` componentwise; unchecked, for optimizer hot loops."""
+    """True when ``a >= b`` componentwise, the one dominance test: ``a`` weakly
+    dominates ``b`` when maximizing, and ``b`` weakly dominates ``a`` when
+    minimizing. Unchecked, for optimizer hot loops."""
     for x, y in zip(a, b):
         if x < y:
             return False
@@ -114,23 +64,16 @@ def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def weakly_dominates(a: Sequence[float], b: Sequence[float], sense: Sense) -> bool:
-    """True when ``a`` is no worse than ``b`` in every component."""
-    _check_pair(a, b)
-    return weak_ge(a, b) if sense is Sense.MAXIMIZE else weak_ge(b, a)
-
-
-def payoff_component(before: Sequence[float], after: Sequence[float], sense: Sense) -> int:
-    """Single party's vote on a move from ``before`` to ``after``.
+def payoff_component(before: Sequence[float], after: Sequence[float]) -> int:
+    """Single party's vote on a move from ``before`` to ``after``, maximizing.
 
     +1 when every objective weakly improves and at least one strictly improves,
     -1 for the mirror case, 0 otherwise. Two identical vectors vote 0: a move
-    that changes nothing for this party earns no credit and no blame.
+    that changes nothing for this party earns no credit and no blame. Vectors
+    of unequal or zero length raise ValueError.
     """
-    rel = dominance_compare(after, before, sense)
-    if rel is Dominance.DOMINATES:
-        return 1
-    if rel is Dominance.DOMINATED_BY:
-        return -1
-    return 0
-
+    if len(before) != len(after):
+        raise ValueError(f"objective vectors differ in length: {len(before)} vs {len(after)}")
+    if not before:
+        raise ValueError("objective vectors must have at least one component")
+    return weak_ge(after, before) - weak_ge(before, after)

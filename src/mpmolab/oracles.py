@@ -20,7 +20,7 @@ from itertools import chain
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, Sense, approx_degree, weakly_dominates
+from .core import MultiPartyObjectives, approx_degree, weak_ge
 from .pseudoboolean import BitString, PseudoBooleanProblem
 from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 
@@ -31,12 +31,15 @@ CATALOG_MAX_N = 12
 BRUTE_FORCE_MAX_N = 16
 
 
-def _pareto_distinct(vectors, sense: Sense) -> frozenset:
-    """Non-dominated subset of a collection of distinct vectors."""
+def _pareto_distinct(vectors, ge) -> frozenset:
+    """Non-dominated subset of distinct vectors; ``ge(u, v)``: u is no worse than v."""
     vecs = list(vectors)
-    return frozenset(
-        v for v in vecs if not any(u != v and weakly_dominates(u, v, sense) for u in vecs)
-    )
+    return frozenset(v for v in vecs if not any(u != v and ge(u, v) for u in vecs))
+
+
+def _weak_le(a, b) -> bool:
+    """``weak_ge`` mirrored, for the minimized path objectives."""
+    return weak_ge(b, a)
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ def brute_force_pseudoboolean(problem: PseudoBooleanProblem) -> ParetoCatalog:
     solutions = []
     for m in range(parties):
         distinct = {obj[m] for obj in groups}
-        front = _pareto_distinct(distinct, Sense.MAXIMIZE)
+        front = _pareto_distinct(distinct, weak_ge)
         fronts.append(front)
         members = set()
         for obj, words in groups.items():
@@ -145,11 +148,11 @@ def exact_path_catalog(g: WeightedDigraph) -> PathCatalog:
         entries = sorted(by_endpoint[endpoint])
         party_sets = []
         for m in (0, 1):
-            front = _pareto_distinct({obj[m] for _, obj in entries}, Sense.MINIMIZE)
+            front = _pareto_distinct({obj[m] for _, obj in entries}, _weak_le)
             party_sets.append(tuple(pe for pe in entries if pe[1][m] in front))
         in_both = set(p for p, _ in party_sets[0]) & set(p for p, _ in party_sets[1])
         common = tuple(pe for pe in entries if pe[0] in in_both)
-        joint_front = _pareto_distinct({obj[0] + obj[1] for _, obj in entries}, Sense.MINIMIZE)
+        joint_front = _pareto_distinct({obj[0] + obj[1] for _, obj in entries}, _weak_le)
         joint = tuple(pe for pe in entries if pe[1][0] + pe[1][1] in joint_front)
         catalogs[endpoint] = EndpointCatalog(endpoint, tuple(party_sets), common, joint)
     return PathCatalog(n=g.n, per_endpoint=catalogs)

@@ -32,10 +32,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .core import MultiPartyObjectives, Sense, payoff_component, randbelow, weak_ge
+from .core import MultiPartyObjectives, payoff_component, randbelow, weak_ge
 
 KINDS = ("aorz", "aofz", "aoaz", "bpaoaz")
-SENSE = Sense.MAXIMIZE
 DEFAULT_BUDGET = 10**8
 
 
@@ -478,7 +477,7 @@ def run_empmo_payoff(
             i2, j2 = i, j + (1 if not (word >> b) & 1 else -1)
         nv1, nv2 = _party1(half, i2, j2), _party2(half, i2, j2)
         evaluations += 1
-        total = payoff_component(v1, nv1, SENSE) + payoff_component(v2, nv2, SENSE)
+        total = payoff_component(v1, nv1) + payoff_component(v2, nv2)
         if total > 0:
             word ^= 1 << b
             i, j, v1, v2, born = i2, j2, nv1, nv2, iterations

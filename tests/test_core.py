@@ -1,4 +1,4 @@
-"""Dominance, approximation, payoff and draw primitives."""
+"""Approximation, payoff and draw primitives."""
 
 import random
 from fractions import Fraction
@@ -6,43 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mpmolab.core import (
-    Dominance,
-    Sense,
-    approx_degree,
-    dominance_compare,
-    payoff_component,
-    randbelow,
-    weakly_dominates,
-)
-
-MAX = Sense.MAXIMIZE
-MIN = Sense.MINIMIZE
-
-
-@pytest.mark.parametrize(
-    "a,b,sense,expected",
-    [
-        ((3, 3), (2, 3), MAX, Dominance.DOMINATES),
-        ((2, 3), (3, 3), MAX, Dominance.DOMINATED_BY),
-        ((2, 3), (2, 3), MAX, Dominance.EQUAL),
-        ((3, 1), (1, 3), MAX, Dominance.INCOMPARABLE),
-        ((3, 3), (2, 3), MIN, Dominance.DOMINATED_BY),
-        ((1, 2), (2, 3), MIN, Dominance.DOMINATES),
-        ((10, 4), (5, 8), MAX, Dominance.INCOMPARABLE),
-        ((0,), (1,), MIN, Dominance.DOMINATES),
-    ],
-)
-def test_dominance_compare_examples(a, b, sense, expected):
-    assert dominance_compare(a, b, sense) is expected
-
-
-def test_dominance_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        dominance_compare((1, 2), (1, 2, 3), MAX)
-    with pytest.raises(ValueError):
-        dominance_compare((), (), MAX)
-
+from mpmolab.core import approx_degree, payoff_component, randbelow
 
 vectors = st.integers(min_value=0, max_value=20)
 
@@ -55,58 +19,37 @@ def vector_pairs(draw):
     return a, b
 
 
-@given(vector_pairs(), st.sampled_from([MAX, MIN]))
-def test_dominance_is_antisymmetric(pair, sense):
-    a, b = pair
-    fwd = dominance_compare(a, b, sense)
-    rev = dominance_compare(b, a, sense)
-    flip = {
-        Dominance.DOMINATES: Dominance.DOMINATED_BY,
-        Dominance.DOMINATED_BY: Dominance.DOMINATES,
-        Dominance.EQUAL: Dominance.EQUAL,
-        Dominance.INCOMPARABLE: Dominance.INCOMPARABLE,
-    }
-    assert rev is flip[fwd]
-    assert (fwd is Dominance.EQUAL) == (a == b)
+@given(vector_pairs())
+def test_payoff_component_follows_the_definition(pair):
+    before, after = pair
+    up = all(a >= b for a, b in zip(after, before)) and any(a > b for a, b in zip(after, before))
+    down = all(a <= b for a, b in zip(after, before)) and any(a < b for a, b in zip(after, before))
+    assert payoff_component(before, after) == (1 if up else -1 if down else 0)
 
 
 @given(vector_pairs())
-def test_sense_flip_swaps_direction(pair):
-    a, b = pair
-    fwd = dominance_compare(a, b, MAX)
-    rev = dominance_compare(a, b, MIN)
-    if fwd is Dominance.DOMINATES:
-        assert rev is Dominance.DOMINATED_BY
-    elif fwd is Dominance.DOMINATED_BY:
-        assert rev is Dominance.DOMINATES
-    else:
-        assert rev is fwd
-
-
-@given(vector_pairs(), st.sampled_from([MAX, MIN]))
-def test_weak_dominance_agrees_with_compare(pair, sense):
-    a, b = pair
-    rel = dominance_compare(a, b, sense)
-    expected = rel in (Dominance.DOMINATES, Dominance.EQUAL)
-    assert weakly_dominates(a, b, sense) == expected
-
-
-@given(vector_pairs(), st.sampled_from([MAX, MIN]))
-def test_payoff_component_is_a_signed_vote(pair, sense):
+def test_payoff_component_is_a_signed_vote(pair):
     before, after = pair
-    vote = payoff_component(before, after, sense)
+    vote = payoff_component(before, after)
     assert vote in (-1, 0, 1)
-    assert payoff_component(after, before, sense) == -vote
-    assert payoff_component(before, before, sense) == 0
+    assert payoff_component(after, before) == -vote
+    assert payoff_component(before, before) == 0
 
 
 def test_payoff_component_examples():
     # strictly better in one objective, equal in the other: credit
-    assert payoff_component((2, 5), (3, 5), MAX) == 1
+    assert payoff_component((2, 5), (3, 5)) == 1
     # mixed move: no vote either way
-    assert payoff_component((2, 5), (3, 4), MAX) == 0
-    # strictly worse under minimization
-    assert payoff_component((2, 5), (3, 5), MIN) == -1
+    assert payoff_component((2, 5), (3, 4)) == 0
+    # strictly worse in one objective, equal in the other: blame
+    assert payoff_component((3, 5), (2, 5)) == -1
+
+
+def test_payoff_component_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="differ in length"):
+        payoff_component((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="at least one"):
+        payoff_component((), ())
 
 
 # bounds around every word boundary of the 32-bit Mersenne Twister output

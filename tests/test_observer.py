@@ -26,38 +26,39 @@ G = fixture_graph()
 REFS, FRONTS = references(G)
 PARAMS = ApproxParams(1, 1)
 BITS_BUDGET = 300  # evaluations
+HIT_BUDGET = 10**5  # evaluations, or generations on graphs; every hit run here hits far sooner
 GRAPH_BUDGET = 300  # generations; simple-sp has no stopping rule, so its hit run spends it too
 
 # name: (archive count, hit run, budget run); a run takes (seed, observer)
 RUNS = {
     "semo": (
         1,
-        lambda s, o: run_semo(AOAZ, s, targets=analytic_fronts(AOAZ), observer=o),
+        lambda s, o: run_semo(AOAZ, s, budget=HIT_BUDGET, targets=analytic_fronts(AOAZ), observer=o),
         lambda s, o: run_semo(AOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-simple": (
         2,
-        lambda s, o: run_empmo_simple(BPAOAZ, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_simple(BPAOAZ, s, budget=HIT_BUDGET, targets=common_optimum(BPAOAZ), observer=o),
         lambda s, o: run_empmo_simple(BPAOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-random": (
         1,
-        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, budget=HIT_BUDGET, targets=common_optimum(BPAOAZ), observer=o),
         lambda s, o: run_empmo_random(BPAOAZ, 0.5, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "empmo-payoff": (
         1,
-        lambda s, o: run_empmo_payoff(BPAOAZ, s, targets=common_optimum(BPAOAZ), observer=o),
+        lambda s, o: run_empmo_payoff(BPAOAZ, s, budget=HIT_BUDGET, targets=common_optimum(BPAOAZ), observer=o),
         lambda s, o: run_empmo_payoff(BPAOAZ, s, budget=BITS_BUDGET, targets=None, observer=o),
     ),
     "cons-sp": (
         1,
-        lambda s, o: run_empmo_cons_sp(G, PARAMS, 10**6, s, targets=REFS, observer=o),
+        lambda s, o: run_empmo_cons_sp(G, PARAMS, HIT_BUDGET, s, targets=REFS, observer=o),
         lambda s, o: run_empmo_cons_sp(G, PARAMS, 20, s, observer=o),
     ),
     "demo-sp": (
         1,
-        lambda s, o: run_demo_sp(G, PARAMS, 10**6, s, targets=REFS, observer=o),
+        lambda s, o: run_demo_sp(G, PARAMS, HIT_BUDGET, s, targets=REFS, observer=o),
         lambda s, o: run_demo_sp(G, PARAMS, 20, s, observer=o),
     ),
     "simple-sp": (

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mpmolab.core import Sense, weakly_dominates
+from mpmolab.core import weak_ge
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, _build_planted, fixture_graph
 from mpmolab.oracles import (
     brute_force_pseudoboolean,
@@ -262,7 +262,7 @@ def test_epsilon_closed_form_agrees_with_bisection():
         approx = epsilon_bisection(x, members)
         assert abs(float(exact) - approx) <= 1e-6, (trial, x, members)
         dominates_everyone = all(
-            weakly_dominates(xv, zv, Sense.MINIMIZE)
+            weak_ge(zv, xv)
             for member in members
             for xv, zv in zip(x, member)
         )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mpmolab.core import Sense, payoff_component
+from mpmolab.core import payoff_component
 from mpmolab.oracles import brute_force_pseudoboolean
 from mpmolab.pseudoboolean import (
     KINDS,
@@ -17,6 +17,10 @@ from mpmolab.pseudoboolean import (
     run_empmo_simple,
     run_semo,
 )
+
+# the budget of every run that expects a hit: each hits far sooner, so a stop
+# rule that misses its event fails here instead of running 10**8 evaluations
+HIT_BUDGET = 10**5
 
 
 def test_bitstring_roundtrip_and_counts():
@@ -110,13 +114,13 @@ def test_semo_rejects_biparty_kind():
 
 def test_semo_hits_and_archive_equals_front():
     p = PseudoBooleanProblem("aorz", 10)
-    trace = run_semo(p, seed=11, targets=analytic_fronts(p))
+    trace = run_semo(p, seed=11, budget=HIT_BUDGET, targets=analytic_fronts(p))
     assert trace.hit_evaluations is not None
     assert trace.evaluations == trace.generations + 1
     got = {e.objectives[0] for e in trace.final_population}
     assert got == analytic_fronts(p)[0]
 
-    again = run_semo(p, seed=11, targets=analytic_fronts(p))
+    again = run_semo(p, seed=11, budget=HIT_BUDGET, targets=analytic_fronts(p))
     assert (again.evaluations, again.generations, again.hit_evaluations) == (
         trace.evaluations,
         trace.generations,
@@ -140,7 +144,8 @@ def test_semo_archive_stays_mutually_incomparable():
                     continue
                 assert not all(x >= y for x, y in zip(vecs[a], vecs[b]))
 
-    run_semo(p, seed=4, targets=analytic_fronts(p), observer=watch)
+    trace = run_semo(p, seed=4, budget=HIT_BUDGET, targets=analytic_fronts(p), observer=watch)
+    assert trace.hit_evaluations is not None
     assert checked > 0
 
 
@@ -158,7 +163,7 @@ def test_empmo_simple_requires_biparty():
 
 def test_empmo_simple_hit_exposes_common_member():
     p = PseudoBooleanProblem("bpaoaz", 10)
-    trace = run_empmo_simple(p, seed=2, targets=common_optimum(p))
+    trace = run_empmo_simple(p, seed=2, budget=HIT_BUDGET, targets=common_optimum(p))
     assert trace.hit_evaluations is not None
     # the objective-level intersection: members of either archive whose party-1
     # vector party 1's archive holds and whose party-2 vector party 2's holds
@@ -173,7 +178,8 @@ def test_empmo_simple_hit_exposes_common_member():
 
 def test_empmo_simple_fronts_stop_covers_both_parties():
     p = PseudoBooleanProblem("bpaoaz", 8)
-    trace = run_empmo_simple(p, seed=9, targets=analytic_fronts(p))
+    trace = run_empmo_simple(p, seed=9, budget=HIT_BUDGET, targets=analytic_fronts(p))
+    assert trace.hit_evaluations is not None
     f1, f2 = analytic_fronts(p)
     assert {e.objectives[0] for e in trace.archives[0]} == f1
     assert {e.objectives[1] for e in trace.archives[1]} == f2
@@ -185,7 +191,7 @@ def test_empmo_simple_budget_accounting():
     assert trace.evaluations == 100
     assert trace.hit_evaluations is None
 
-    hit = run_empmo_simple(p, seed=1, targets=common_optimum(p))
+    hit = run_empmo_simple(p, seed=1, budget=HIT_BUDGET, targets=common_optimum(p))
     assert hit.hit_evaluations == hit.evaluations
 
 
@@ -208,12 +214,12 @@ def test_empmo_random_hits_and_keeps_distinct_words():
         words = [e[2] for e in archives[0]]
         assert len(words) == len(set(words))
 
-    trace = run_empmo_random(p, 0.5, seed=6, targets=common_optimum(p), observer=watch)
+    trace = run_empmo_random(p, 0.5, seed=6, budget=HIT_BUDGET, targets=common_optimum(p), observer=watch)
     assert trace.hit_evaluations is not None
     ones = BitString.ones(8)
     assert any(e.solution.word == ones.word for e in trace.final_population)
 
-    again = run_empmo_random(p, 0.5, seed=6, targets=common_optimum(p))
+    again = run_empmo_random(p, 0.5, seed=6, budget=HIT_BUDGET, targets=common_optimum(p))
     assert again.hit_evaluations == trace.hit_evaluations
     assert again.evaluations == trace.evaluations
 
@@ -238,9 +244,14 @@ def test_empmo_random_members_hold_distinct_cells(phi):
 def test_empmo_payoff_accepts_only_positive_totals():
     p = PseudoBooleanProblem("bpaoaz", 12)
     words = []
-    run_empmo_payoff(
-        p, seed=13, targets=common_optimum(p), observer=lambda it, archives: words.append(archives[0][0][2])
+    trace = run_empmo_payoff(
+        p,
+        seed=13,
+        budget=HIT_BUDGET,
+        targets=common_optimum(p),
+        observer=lambda it, archives: words.append(archives[0][0][2]),
     )
+    assert trace.hit_evaluations is not None
     prev = None
     changes = 0
     for w in words:
@@ -249,7 +260,7 @@ def test_empmo_payoff_accepts_only_positive_totals():
             assert (w ^ prev).bit_count() == 1
             before = p.evaluate(BitString(12, prev))
             after = p.evaluate(BitString(12, w))
-            assert sum(payoff_component(fb, fa, Sense.MAXIMIZE) for fb, fa in zip(before, after)) > 0
+            assert sum(payoff_component(fb, fa) for fb, fa in zip(before, after)) > 0
             # each accepted vote adds a one; losing a one never clears the vote
             assert w.bit_count() == prev.bit_count() + 1
         prev = w
@@ -258,7 +269,7 @@ def test_empmo_payoff_accepts_only_positive_totals():
 
 def test_empmo_payoff_hit_is_all_ones():
     p = PseudoBooleanProblem("bpaoaz", 10)
-    trace = run_empmo_payoff(p, seed=5, targets=common_optimum(p), initial=BitString.zeros(10))
+    trace = run_empmo_payoff(p, seed=5, budget=HIT_BUDGET, targets=common_optimum(p), initial=BitString.zeros(10))
     assert trace.hit_evaluations is not None
     assert trace.hit_evaluations == trace.evaluations
     assert trace.evaluations == trace.generations + 1
@@ -269,9 +280,9 @@ def test_runners_respect_explicit_initial():
     p = PseudoBooleanProblem("bpaoaz", 8)
     start = BitString.ones(8)
     for runner in (
-        lambda: run_empmo_simple(p, 0, targets=common_optimum(p), initial=start),
-        lambda: run_empmo_random(p, 0.5, 0, targets=common_optimum(p), initial=start),
-        lambda: run_empmo_payoff(p, 0, targets=common_optimum(p), initial=start),
+        lambda: run_empmo_simple(p, 0, budget=HIT_BUDGET, targets=common_optimum(p), initial=start),
+        lambda: run_empmo_random(p, 0.5, 0, budget=HIT_BUDGET, targets=common_optimum(p), initial=start),
+        lambda: run_empmo_payoff(p, 0, budget=HIT_BUDGET, targets=common_optimum(p), initial=start),
     ):
         trace = runner()
         assert trace.hit_evaluations == trace.evaluations
@@ -355,9 +366,9 @@ def test_runs_of_one_seed_return_equal_traces():
     # a trace holds counts and members only, so one seed gives one trace
     bp, single = PseudoBooleanProblem("bpaoaz", 10), PseudoBooleanProblem("aoaz", 10)
     calls = [
-        lambda s: run_semo(single, s, targets=analytic_fronts(single)),
-        lambda s: run_empmo_simple(bp, s, targets=common_optimum(bp)),
-        lambda s: run_empmo_random(bp, 0.5, s, targets=common_optimum(bp)),
+        lambda s: run_semo(single, s, budget=HIT_BUDGET, targets=analytic_fronts(single)),
+        lambda s: run_empmo_simple(bp, s, budget=HIT_BUDGET, targets=common_optimum(bp)),
+        lambda s: run_empmo_random(bp, 0.5, s, budget=HIT_BUDGET, targets=common_optimum(bp)),
         lambda s: run_empmo_payoff(bp, s, budget=500, targets=None),
     ]
     for run in calls:
