@@ -2,7 +2,7 @@
 
 The package has three layers: exact primitives (dominance, payoffs, box
 indices), optimizers over two problem families (pseudo-Boolean benchmarks and
-bi-party shortest paths), and brute-force oracles plus a batch harness that
+bi-party shortest paths), and exact oracles plus a batch harness that
 make every run checkable and replayable.
 
 Observer contract of all seven runners: ``observer(generation, archives)``
@@ -36,7 +36,6 @@ from .shortestpath import (
     ultimatum_consensus,
 )
 from .oracles import (
-    brute_force_pseudoboolean,
     epsilon_of_solution,
     exact_path_catalog,
     payoff_runtime_predictor,
@@ -55,7 +54,6 @@ __all__ = [
     "PseudoBooleanProblem",
     "WeightedDigraph",
     "analytic_fronts",
-    "brute_force_pseudoboolean",
     "common_optimum",
     "consensus_archive_bound",
     "epsilon_of_solution",

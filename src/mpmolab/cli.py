@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: run (one algorithm, one seed), sweep (a config file of runs),
-oracle (exact catalogs for small instances), gen (planted instance files),
-validate (instance file checks), replay (re-execute summary rows and compare).
+oracle (closed-form bit-string optima at any n, exhaustive path catalogs for
+small graphs), gen (planted instance files), validate (instance file checks),
+replay (re-execute summary rows and compare).
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
 The default output directory is $MPMOLAB_OUT, falling back to the working
@@ -87,8 +88,7 @@ def cmd_oracle(args) -> int:
     if (args.problem is None) != (args.n is None):
         raise ValueError("--problem needs --n" if args.n is None else "oracle --instance does not take --n")
     if args.problem is not None:
-        catalog = oracles.brute_force_pseudoboolean(PseudoBooleanProblem(args.problem, args.n))
-        sys.stdout.write(oracles.pseudoboolean_report(catalog))
+        sys.stdout.write(oracles.pseudoboolean_report(PseudoBooleanProblem(args.problem, args.n)))
     else:
         g = fixture_graph() if args.instance == "fixture" else parse_instance(Path(args.instance).read_text())
         sys.stdout.write(oracles.path_report(oracles.exact_path_catalog(g)))

@@ -1,14 +1,16 @@
-"""Exhaustive ground truth for small instances, plus analytic predictors.
+"""Exhaustive ground truth for small graphs, plus closed-form reports and predictors.
 
-Everything here is deliberately brute force: the optimizers and their analytic
-target sets are validated against these functions, so they must stay simple
-enough to trust by inspection. Size guards are hard errors rather than silent
-truncation.
+The path catalog is deliberately brute force: the graph optimizers and their
+references are validated against it, so it must stay simple enough to trust
+by inspection. Its size guard is a hard error rather than silent truncation.
 
-The one exception is ``ideal_points``, exact at any size where it answers. At
-an endpoint it certifies, one path attains every objective's least value, so it
-weakly dominates every other path there under each party and jointly: both
-party fronts, the joint front and the common set are that one ideal point.
+``ideal_points`` is exact at any size where it answers. At an endpoint it
+certifies, one path attains every objective's least value, so it weakly
+dominates every other path there under each party and jointly: both party
+fronts, the joint front and the common set are that one ideal point.
+
+The bit-string report reads the closed form and answers at every n; the
+2^n enumeration that cross-checks it is a test helper, not package code.
 """
 
 from __future__ import annotations
@@ -17,18 +19,17 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import MultiPartyObjectives, approx_degree, weak_ge
-from .pseudoboolean import BitString, PseudoBooleanProblem
+from .pseudoboolean import BitString, PseudoBooleanProblem, analytic_fronts
 from .shortestpath import SOURCE, Path, WeightedDigraph, eval_path
 
 PathObj = Tuple[Path, MultiPartyObjectives]
 # The largest graph whose simple paths ``exact_path_catalog`` enumerates.
 CATALOG_MAX_N = 12
-# The longest bit string whose 2^n words ``brute_force_pseudoboolean`` enumerates.
-BRUTE_FORCE_MAX_N = 16
 
 
 def _pareto_distinct(vectors, ge) -> frozenset:
@@ -40,56 +41,6 @@ def _pareto_distinct(vectors, ge) -> frozenset:
 def _weak_le(a, b) -> bool:
     """``weak_ge`` mirrored, for the minimized path objectives."""
     return weak_ge(b, a)
-
-
-@dataclass(frozen=True)
-class ParetoCatalog:
-    """Exact per-party optima of a pseudo-Boolean problem, as solution words."""
-
-    kind: str
-    n: int
-    party_solutions: Tuple[frozenset, ...]
-    party_fronts: Tuple[frozenset, ...]
-    common_solutions: frozenset
-
-    def common_bitstrings(self) -> List[BitString]:
-        return [BitString(self.n, w) for w in sorted(self.common_solutions)]
-
-
-def brute_force_pseudoboolean(problem: PseudoBooleanProblem) -> ParetoCatalog:
-    """Exact Pareto catalog by enumerating all 2^n solutions.
-
-    Membership is objective-level: a solution belongs to a party's set iff its
-    vector for that party is non-dominated over the whole space. The common
-    set is the intersection of the per-party sets.
-    """
-    if problem.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"exhaustive enumeration refused for n > {BRUTE_FORCE_MAX_N}")
-    n = problem.n
-    groups: Dict[MultiPartyObjectives, List[int]] = {}
-    for word in range(1 << n):
-        obj = problem.evaluate(BitString(n, word))
-        groups.setdefault(obj, []).append(word)
-
-    parties = problem.parties
-    fronts = []
-    solutions = []
-    for m in range(parties):
-        distinct = {obj[m] for obj in groups}
-        front = _pareto_distinct(distinct, weak_ge)
-        fronts.append(front)
-        members = set()
-        for obj, words in groups.items():
-            if obj[m] in front:
-                members.update(words)
-        solutions.append(frozenset(members))
-    return ParetoCatalog(
-        kind=problem.kind,
-        n=n,
-        party_solutions=tuple(solutions),
-        party_fronts=tuple(fronts),
-        common_solutions=frozenset.intersection(*solutions),
-    )
 
 
 @dataclass(frozen=True)
@@ -259,20 +210,33 @@ def payoff_runtime_predictor(n: int, initial_zero_count: int) -> Fraction:
     return total
 
 
-def pseudoboolean_report(cat: ParetoCatalog) -> str:
-    """Plain-text catalog report, the CLI's oracle output."""
-    lines = [f"problem {cat.kind} n={cat.n}"]
-    for m, (front, members) in enumerate(zip(cat.party_fronts, cat.party_solutions), start=1):
-        lines.append(f"party {m}: front size {len(front)}, solutions {len(members)}")
-        for vec in sorted(front):
-            lines.append(f"  front vector {vec}")
-    commons = cat.common_bitstrings()
-    lines.append(f"common solutions ({len(commons)}):")
-    shown = commons if len(commons) <= 16 else commons[:16]
-    for x in shown:
-        lines.append(f"  {x.to01()}")
-    if len(commons) > len(shown):
-        lines.append(f"  ... {len(commons) - len(shown)} more")
+def pseudoboolean_report(problem: PseudoBooleanProblem) -> str:
+    """Plain-text optimum report, the CLI's oracle output, from the closed form.
+
+    A word's vectors depend only on its cell (i, j), which C(n/2, i) *
+    C(n/2, j) words share. Every optimum lies in a cell with i = n/2 or
+    j = n/2 (``analytic_fronts``), so only those cells are walked. Each common
+    cell prints with its word count and one of its words: i ones heading the
+    first half, j ones heading the second.
+    """
+    n, half = problem.n, problem.half
+    slab = {(half, j) for j in range(half + 1)} | {(i, half) for i in range(half + 1)}
+    words = {c: (1 << c[0]) - 1 | ((1 << c[1]) - 1) << half for c in slab}
+    vectors = {c: problem.evaluate(BitString(n, w)) for c, w in words.items()}
+    size = {c: comb(half, c[0]) * comb(half, c[1]) for c in slab}
+    lines = [f"problem {problem.kind} n={n}"]
+    common = set(slab)
+    for m, front in enumerate(analytic_fronts(problem)):
+        cells = {c for c in slab if vectors[c][m] in front}
+        common &= cells
+        lines.append(f"party {m + 1}: front size {len(front)}, solutions {sum(size[c] for c in cells)}")
+        lines.extend(f"  front vector {vec}" for vec in sorted(front))
+    shown = sorted(common)
+    lines.append(f"common solutions ({sum(size[c] for c in shown)}):")
+    for c in shown[:16]:
+        lines.append(f"  cell {c}, solutions {size[c]}: {BitString(n, words[c]).to01()}")
+    if len(shown) > 16:
+        lines.append(f"  ... {len(shown) - 16} more cells")
     return "\n".join(lines) + "\n"
 
 

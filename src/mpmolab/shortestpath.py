@@ -573,13 +573,7 @@ def _search(
     pools = tuple(a.pool for a in archs)
     steps = tuple((a, a.step) for a in archs)
 
-    def sample(gen: int) -> None:
-        recs = [r for a in archs for r in a.real_entries()]
-        if recs:
-            mx, mm, me = metric_fn([(r.endpoint, r.objectives) for r in recs])
-            metrics.append(MetricSample(gen, sum(a.evaluations for a in archs), mx, mm, me))
-
-    gen = sampled_at = 0
+    gen = 0
     for gen in range(1, budget + 1):
         for arch, step in steps:
             # only an accepted offspring can complete the coverage, and only in its own archive
@@ -587,13 +581,13 @@ def _search(
                 hit_evals = sum(a.evaluations for a in archs)
         if observer is not None:
             observer(gen, pools)
+        if metric_fn is not None and (gen % METRIC_CADENCE == 0 or hit_evals is not None or gen == budget):
+            recs = [r for a in archs for r in a.real_entries()]
+            if recs:
+                mx, mm, me = metric_fn([(r.endpoint, r.objectives) for r in recs])
+                metrics.append(MetricSample(gen, sum(a.evaluations for a in archs), mx, mm, me))
         if hit_evals is not None:
             break
-        if metric_fn is not None and gen % METRIC_CADENCE == 0:
-            sample(gen)
-            sampled_at = gen
-    if metric_fn is not None and gen > 0 and sampled_at != gen:
-        sample(gen)
     return SpRunResult(
         generations=gen,
         evaluations=sum(a.evaluations for a in archs),

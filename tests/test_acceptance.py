@@ -9,6 +9,7 @@ import statistics
 import time
 from fractions import Fraction
 
+from brute import brute_force_pseudoboolean
 from mpmolab.harness import (
     ExperimentConfig,
     make_metric_fn,
@@ -23,7 +24,6 @@ from mpmolab.instances import (
     generate_planted_uav,
 )
 from mpmolab.oracles import (
-    brute_force_pseudoboolean,
     epsilon_of_solution,
     exact_party_fronts,
     exact_path_catalog,
@@ -49,6 +49,11 @@ from mpmolab.shortestpath import (
     run_empmo_cons_sp,
     run_empmo_simple_sp,
 )
+
+# Budget of every bit-string run that must hit: far above the largest hit these
+# runs take (about 41,000 evaluations), so a stop rule that never fires fails
+# the run's hit assertion in seconds instead of spinning to the 10^8 default.
+HIT_BUDGET = 10**6
 
 
 def test_brute_force_matches_analytic_sets():
@@ -119,7 +124,7 @@ def test_payoff_hitting_time_matches_harmonic_prediction():
     start = BitString.zeros(n)
     hits = []
     for seed in range(seeds):
-        trace = run_empmo_payoff(problem, seed, targets=common_optimum(problem), initial=start)
+        trace = run_empmo_payoff(problem, seed, targets=common_optimum(problem), initial=start, budget=HIT_BUDGET)
         assert trace.hit_evaluations is not None
         hits.append(trace.hit_evaluations)
     mean = statistics.fmean(hits)
@@ -133,6 +138,16 @@ def test_payoff_hitting_time_matches_harmonic_prediction():
     )
 
 
+def _mean_hit_run(runner, problem, *args, targets, seeds):
+    """Mean evaluations over seeds of runs capped at ``HIT_BUDGET``, each of which must hit."""
+    evaluations = []
+    for s in seeds:
+        trace = runner(problem, *args, s, targets=targets, budget=HIT_BUDGET)
+        assert trace.hit_evaluations is not None, (runner.__name__, problem, s)
+        evaluations.append(trace.evaluations)
+    return statistics.fmean(evaluations)
+
+
 def test_runtime_ordering_across_optimizers():
     """Mean evaluations: joint-archive search > two archives > random arbitration >= payoff."""
     t0 = time.perf_counter()
@@ -142,10 +157,10 @@ def test_runtime_ordering_across_optimizers():
         joint = PseudoBooleanProblem("aoaz", n)
         two = PseudoBooleanProblem("bpaoaz", n)
         goal = common_optimum(two)
-        semo = statistics.fmean(run_semo(joint, s, targets=analytic_fronts(joint)).evaluations for s in seeds)
-        simple = statistics.fmean(run_empmo_simple(two, s, targets=goal).evaluations for s in seeds)
-        rand = statistics.fmean(run_empmo_random(two, 0.5, s, targets=goal).evaluations for s in seeds)
-        payoff = statistics.fmean(run_empmo_payoff(two, s, targets=goal).evaluations for s in seeds)
+        semo = _mean_hit_run(run_semo, joint, targets=analytic_fronts(joint), seeds=seeds)
+        simple = _mean_hit_run(run_empmo_simple, two, targets=goal, seeds=seeds)
+        rand = _mean_hit_run(run_empmo_random, two, 0.5, targets=goal, seeds=seeds)
+        payoff = _mean_hit_run(run_empmo_payoff, two, targets=goal, seeds=seeds)
         assert semo >= 1.2 * simple, (n, semo, simple)
         assert simple >= 1.2 * rand, (n, simple, rand)
         assert rand >= payoff, (n, rand, payoff)
@@ -164,9 +179,7 @@ def test_extreme_party_bias_slows_random_arbitration():
     n, seeds = 60, range(10)
     problem = PseudoBooleanProblem("bpaoaz", n)
     means = {
-        phi: statistics.fmean(
-            run_empmo_random(problem, phi, s, targets=common_optimum(problem)).evaluations for s in seeds
-        )
+        phi: _mean_hit_run(run_empmo_random, problem, phi, targets=common_optimum(problem), seeds=seeds)
         for phi in (0.05, 0.5, 0.95)
     }
     assert means[0.05] > 1.5 * means[0.5], means
@@ -311,10 +324,10 @@ def test_summary_rows_replay_byte_identically():
     """Rerunning any summary row reproduces every column."""
     t0 = time.perf_counter()
     configs = [
-        ExperimentConfig("semo", problem="aoaz", n=12, seeds=(0, 1, 2)),
-        ExperimentConfig("empmo-simple", problem="bpaoaz", n=12, seeds=(0, 1)),
-        ExperimentConfig("empmo-random", problem="bpaoaz", n=12, phi=0.5, seeds=(0, 1)),
-        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=12, seeds=(0, 1)),
+        ExperimentConfig("semo", problem="aoaz", n=12, seeds=(0, 1, 2), budget=HIT_BUDGET),
+        ExperimentConfig("empmo-simple", problem="bpaoaz", n=12, seeds=(0, 1), budget=HIT_BUDGET),
+        ExperimentConfig("empmo-random", problem="bpaoaz", n=12, phi=0.5, seeds=(0, 1), budget=HIT_BUDGET),
+        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=12, seeds=(0, 1), budget=HIT_BUDGET),
         ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, budget=500, seeds=(0,)),
         ExperimentConfig("demo-sp", instance="fixture", eps1=1, eps2=1, budget=500, seeds=(0,)),
         ExperimentConfig("empmo-simple-sp", instance="fixture", eps1=1, eps2=1, eps2max=2, budget=500, seeds=(0,)),
@@ -335,13 +348,15 @@ def test_scaling_slopes_reported():
     """Log-log growth fits, reported for inspection; slope values are not gated."""
     t0 = time.perf_counter()
     configs = [
-        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=n, seeds=tuple(range(5)))
+        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=n, seeds=tuple(range(5)), budget=HIT_BUDGET)
         for n in (50, 100, 200, 400)
     ] + [
-        ExperimentConfig("empmo-random", problem="bpaoaz", n=n, phi=0.5, seeds=tuple(range(5)))
+        ExperimentConfig("empmo-random", problem="bpaoaz", n=n, phi=0.5, seeds=tuple(range(5)), budget=HIT_BUDGET)
         for n in (50, 100, 200)
     ]
-    report = summarize(run_many(configs).summary_rows)
+    rows = run_many(configs).summary_rows
+    assert all(r["hit_time"] and not r["error"] for r in rows), [r["run_id"] for r in rows if not r["hit_time"]]
+    report = summarize(rows)
     assert len(report) == 2
     for label, entry in report.items():
         assert "slope" in entry
@@ -365,7 +380,7 @@ def test_same_event_runtimes_reported():
     cells = []
     for name, (runner, problem) in runs.items():
         for event in (common_optimum, analytic_fronts):
-            hits = [runner(problem, s, targets=event(problem)).hit_evaluations for s in seeds]
+            hits = [runner(problem, s, targets=event(problem), budget=HIT_BUDGET).hit_evaluations for s in seeds]
             assert None not in hits, (name, event.__name__)
             se = statistics.stdev(hits) / len(hits) ** 0.5
             cells.append(f"{name} at {event.__name__} {statistics.fmean(hits):,.0f} ± {se:,.0f}")

@@ -47,6 +47,14 @@ def test_oracle_problem_report(capsys):
     assert "11111111" in out
 
 
+def test_oracle_problem_report_past_enumeration_size(capsys):
+    # the report reads the closed form, so sizes beyond a 2^n enumeration answer too
+    assert run_cli(["oracle", "--problem", "bpaoaz", "--n", "18"]) == 0
+    out = capsys.readouterr().out
+    assert "party 2: front size 10, solutions 512" in out
+    assert "common solutions (1):" in out and "1" * 18 in out
+
+
 def test_oracle_fixture_report(capsys):
     assert run_cli(["oracle", "--instance", "fixture"]) == 0
     out = capsys.readouterr().out

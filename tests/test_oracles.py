@@ -1,15 +1,16 @@
 """Exhaustive oracles, epsilon measures, and the runtime predictor."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from brute import brute_force_pseudoboolean
 from mpmolab.core import weak_ge
 from mpmolab.instances import KIND_PLANTED, InstanceSpec, _build_planted, fixture_graph
 from mpmolab.oracles import (
-    brute_force_pseudoboolean,
     epsilon_of_solution,
     exact_party_fronts,
     exact_path_catalog,
@@ -18,7 +19,7 @@ from mpmolab.oracles import (
     payoff_runtime_predictor,
     pseudoboolean_report,
 )
-from mpmolab.pseudoboolean import BitString, PseudoBooleanProblem
+from mpmolab.pseudoboolean import KINDS, BitString, PseudoBooleanProblem
 from mpmolab.shortestpath import WeightedDigraph
 
 
@@ -280,18 +281,30 @@ def test_payoff_runtime_predictor():
 
 
 def test_pseudoboolean_report_layout():
-    text = pseudoboolean_report(
-        brute_force_pseudoboolean(PseudoBooleanProblem("bpaoaz", 8))
-    )
+    text = pseudoboolean_report(PseudoBooleanProblem("bpaoaz", 8))
     assert text.startswith("problem bpaoaz n=8\n")
     assert "party 1: front size 5, solutions 16" in text
     assert "common solutions (1):" in text
     assert "11111111" in text
 
-    many = pseudoboolean_report(
-        brute_force_pseudoboolean(PseudoBooleanProblem("aoaz", 12))
-    )
+    # aoaz at n=40 has 41 common cells, past the 16 the report shows
+    many = pseudoboolean_report(PseudoBooleanProblem("aoaz", 40))
     assert "... " in many and " more" in many
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_pseudoboolean_report_counts_match_brute_force(kind, n):
+    problem = PseudoBooleanProblem(kind, n)
+    cat = brute_force_pseudoboolean(problem)
+    text = pseudoboolean_report(problem)
+    parties = [tuple(map(int, m)) for m in re.findall(r"^party \d+: front size (\d+), solutions (\d+)$", text, re.M)]
+    assert parties == [(len(f), len(s)) for f, s in zip(cat.party_fronts, cat.party_solutions)]
+    (common,) = re.findall(r"^common solutions \((\d+)\):$", text, re.M)
+    assert int(common) == len(cat.common_solutions)
+    # every word a common cell shows is a common solution
+    shown = re.findall(r"^  cell \(\d+, \d+\), solutions \d+: ([01]+)$", text, re.M)
+    assert shown and {BitString.from01(w).word for w in shown} <= cat.common_solutions
 
 
 def test_path_report_layout():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from brute import brute_force_pseudoboolean
 from mpmolab.core import payoff_component
-from mpmolab.oracles import brute_force_pseudoboolean
 from mpmolab.pseudoboolean import (
     KINDS,
     BitString,
