@@ -19,7 +19,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -223,7 +222,10 @@ def pseudoboolean_report(problem: PseudoBooleanProblem) -> str:
     slab = {(half, j) for j in range(half + 1)} | {(i, half) for i in range(half + 1)}
     words = {c: (1 << c[0]) - 1 | ((1 << c[1]) - 1) << half for c in slab}
     vectors = {c: problem.evaluate(BitString(n, w)) for c, w in words.items()}
-    size = {c: comb(half, c[0]) * comb(half, c[1]) for c in slab}
+    row = [1]  # C(n/2, k) for k = 0..n/2, by a running product
+    for k in range(1, half + 1):
+        row.append(row[-1] * (half - k + 1) // k)
+    size = {c: row[c[0]] * row[c[1]] for c in slab}
     lines = [f"problem {problem.kind} n={n}"]
     common = set(slab)
     for m, front in enumerate(analytic_fronts(problem)):

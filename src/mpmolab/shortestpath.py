@@ -389,6 +389,32 @@ class _BoxArchive:
     moved to the end of the pool, without the scans: an equal vector is
     strictly dominated in no lane and drops only its twin there. The child
     path is built only when it is accepted or compared with a twin.
+
+    Each endpoint keeps a memo of the steps judged there since its member
+    set last changed. The key is (parent, i, sign, v): the parent member by
+    identity, and the edit, which fixes the child's path, vector and
+    endpoint. The value is None for a rejected child, or the member the
+    child left enrolled, which the same child would hand back as its twin. A
+    step looks it up after every draw and the source check, so draws and
+    evaluation counts are unchanged; on a hit it rejects, or moves that
+    member through ``_drop`` and ``_enroll`` as a twin. A step that changes
+    its endpoint's member set (a new record, or a twin that drops others
+    with it) clears that endpoint's memo, and no other. This is exact:
+
+    - a verdict reads only the child's path, vector and endpoint, and the
+      member set of that endpoint's bucket;
+    - the scans are existential, so bucket order does not matter, and the
+      lone-twin test reads ``bucket[0]`` only when it is the one member;
+    - drops happen only in the child's own bucket, so a step changes no
+      other endpoint's verdicts;
+    - a dropped member that is not a twin is never enrolled again, so its
+      stale keys in other endpoints' memos never match; they are dropped
+      with the archive;
+    - coverage (``zero_counts``) never enters a verdict.
+
+    After a change the step's own verdict is stored again: re-judged against
+    the new bucket, the same child is accepted and dooms only the member it
+    left there.
     """
 
     def __init__(
@@ -406,6 +432,8 @@ class _BoxArchive:
         self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
         self.reference_count = sum(map(len, self.targets.values()))
         self._views_of: Dict[Tuple[int, ...], tuple] = {}
+        # per endpoint: (parent, i, sign, v) -> None (rejected) or the member the child hands back
+        self._memos: Dict[int, Dict[tuple, Optional[SpEntry]]] = {}
         k1, k2 = g.k
         zero = (0,) * (k1 + k2)
         src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, ())
@@ -461,6 +489,7 @@ class _BoxArchive:
             raise ValueError("cannot seed a walk that returns to the source")
         if len(path) > 1:
             flat = obj[0] + obj[1]
+            self._memos.pop(path[-1], None)
             self._enroll(self._make_rec(path, flat, self._views(flat), 0))
 
     def step(self, rng: random.Random, generation: int) -> bool:
@@ -484,6 +513,18 @@ class _BoxArchive:
         endpoint = p[-1] if w is not None else v if sign > 0 else u
         if endpoint == SOURCE:
             return False
+        memo = self._memos.get(endpoint)
+        if memo is None:
+            memo = self._memos[endpoint] = {}
+        key = (parent, i, sign, v)
+        twin = memo.get(key, False)
+        if twin is not False:
+            if twin is None:
+                return False
+            self._drop(twin)
+            twin.birth = generation
+            self._enroll(twin)
+            return True
         weights = self.g.flat
         delta = weights[(u, v)]
         if w is not None:
@@ -498,6 +539,7 @@ class _BoxArchive:
                 pool.remove(z)
                 pool.append(z)
                 z.birth = generation
+                memo[key] = z
                 return True
             _, lanes, boxes = self._views_of.get(flat) or self._views(flat)
             # accept at the first lane where no incumbent strictly dominates
@@ -515,6 +557,7 @@ class _BoxArchive:
                 else:
                     break
             else:
+                memo[key] = None
                 return False
             # drop the incumbents whose boxes the child weakly dominates in every lane
             doomed = []
@@ -530,11 +573,15 @@ class _BoxArchive:
             self._drop(z)
             if z.path == child:
                 twin = z
+        if twin is None or len(doomed) > 1:
+            # the endpoint's member set changed, so its earlier verdicts may not hold
+            memo.clear()
         if twin is None:
-            self._enroll(self._make_rec(child, flat, self._views(flat), generation))
+            twin = self._make_rec(child, flat, self._views(flat), generation)
         else:
             twin.birth = generation
-            self._enroll(twin)
+        self._enroll(twin)
+        memo[key] = twin
         return True
 
     @property

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from mpmolab.oracles import (
     payoff_runtime_predictor,
     pseudoboolean_report,
 )
-from mpmolab.pseudoboolean import KINDS, BitString, PseudoBooleanProblem
+from mpmolab.pseudoboolean import KINDS, BitString, PseudoBooleanProblem, analytic_fronts
 from mpmolab.shortestpath import WeightedDigraph
 
 
@@ -305,6 +306,25 @@ def test_pseudoboolean_report_counts_match_brute_force(kind, n):
     # every word a common cell shows is a common solution
     shown = re.findall(r"^  cell \(\d+, \d+\), solutions \d+: ([01]+)$", text, re.M)
     assert shown and {BitString.from01(w).word for w in shown} <= cat.common_solutions
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [100, 402])
+def test_pseudoboolean_report_counts_match_comb(kind, n):
+    # far past the enumeration: every count is a sum of math.comb products over the report's cells
+    problem = PseudoBooleanProblem(kind, n)
+    half = n // 2
+    text = pseudoboolean_report(problem)
+    slab = {(half, j) for j in range(half + 1)} | {(i, half) for i in range(half + 1)}
+    vectors = {(i, j): problem.evaluate(BitString(n, (1 << i) - 1 | ((1 << j) - 1) << half)) for i, j in slab}
+    fronts = [{c for c in slab if vectors[c][m] in front} for m, front in enumerate(analytic_fronts(problem))]
+    size = {(i, j): comb(half, i) * comb(half, j) for i, j in slab}
+    parties = [int(s) for s in re.findall(r"^party \d+: front size \d+, solutions (\d+)$", text, re.M)]
+    assert parties == [sum(size[c] for c in cells) for cells in fronts]
+    (common,) = re.findall(r"^common solutions \((\d+)\):$", text, re.M)
+    assert int(common) == sum(size[c] for c in set.intersection(*fronts))
+    shown = re.findall(r"^  cell \((\d+), (\d+)\), solutions (\d+): [01]+$", text, re.M)
+    assert shown and all(int(s) == size[(int(i), int(j))] for i, j, s in shown)
 
 
 def test_path_report_layout():

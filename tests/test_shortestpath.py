@@ -27,6 +27,8 @@ from mpmolab.shortestpath import (
     ultimatum_consensus,
     WeightedDigraph,
     _BoxArchive,
+    _child,
+    _edit_path,
     SpEntry,
 )
 
@@ -875,16 +877,53 @@ def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations
         assert arch.all_covered == (len(counts) == total)
 
 
+def count_memo_replays(monkeypatch):
+    """Wrap ``_BoxArchive.step`` to count the steps its memo answers, by outcome.
+
+    The wrapper draws the step's parent and edit on a copy of the generator
+    and looks up the outcome the memo holds for them. When there is one, the
+    step must return it: a rejection, or the stored member moved to the end
+    of the pool with the step's generation as its birth.
+    """
+    replays = {"rejected": 0, "twin": 0}
+    step = _BoxArchive.step
+
+    def counted(self, rng, generation):
+        probe = random.Random()
+        probe.setstate(rng.getstate())
+        parent = self.pool[randbelow(probe.getrandbits, len(self.pool))]
+        edit = _edit_path(self.g, parent.path, probe, self.max_len)
+        stored = False
+        if edit is not None:
+            i, sign, _, v, _ = edit
+            memo = self._memos.get(_child(parent.path, i, sign, v)[-1], {})
+            stored = memo.get((parent, i, sign, v), False)
+        accepted = step(self, rng, generation)
+        if stored is None:
+            assert not accepted
+            replays["rejected"] += 1
+        elif stored is not False:
+            assert accepted and self.pool[-1] is stored and stored.birth == generation
+            replays["twin"] += 1
+        return accepted
+
+    monkeypatch.setattr(_BoxArchive, "step", counted)
+    return replays
+
+
 @pytest.mark.parametrize("name", ["fixture", "planted10", "planted12"])
-def test_step_replays_the_new_record_step(property_graphs, name):
+def test_step_replays_the_new_record_step(property_graphs, name, monkeypatch):
     g = property_graphs[name]
     refs = references(g)[0]
     lanes = archive_lanes(g)
+    replays = count_memo_replays(monkeypatch)
     reborn = 0
     for seed in range(12):
         reborn += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000)[0]
     # most accepted children put back a path the archive holds
     assert reborn > 100
+    # and the memo, not a scan, answers both kinds of outcome in these runs
+    assert replays["rejected"] > 1000 and replays["twin"] > 5000, replays
 
 
 def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
@@ -911,3 +950,38 @@ def test_step_replays_an_equal_vector_on_another_path():
     for lanes in archive_lanes(g):
         replaced = sum(replay_side_by_side(g, lanes, refs, seed, 2000)[2] for seed in range(4))
         assert replaced > 400, lanes[0]
+
+
+def test_a_member_set_change_clears_only_its_endpoints_memo(property_graphs):
+    g = property_graphs["fixture"]
+    # a duplicate path and dominated members, so some twins drop others with them
+    seeds = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
+    new_records = crowded = 0
+    for seed, (_, slices, bases, _) in enumerate(archive_lanes(g) * 3):
+        arch = _BoxArchive(g, slices, bases)
+        for path in seeds:
+            arch.seed_path(path)
+        enrolled = set(arch.pool)
+        rng = random.Random(seed)
+        for gen in range(1, 1001):
+            memos = {e: dict(memo) for e, memo in arch._memos.items()}
+            members = {e: set(bucket) for e, bucket in arch.buckets.items()}
+            arch.step(rng, gen)
+            changed = [e for e, bucket in arch.buckets.items() if set(bucket) != members.get(e, set())]
+            assert len(changed) <= 1
+            for e, memo in memos.items():
+                if e not in changed:
+                    # an endpoint whose members stay keeps every verdict it holds
+                    assert memo.items() <= arch._memos[e].items()
+            if changed:
+                (e,) = changed
+                rec = arch.pool[-1]
+                # the changed endpoint forgets every earlier verdict; only the step's own is stored
+                assert list(arch._memos[e].values()) == [rec]
+                if memos.get(e) and any(memos.get(f) for f in memos if f != e):
+                    if rec in enrolled:
+                        crowded += 1
+                    else:
+                        new_records += 1
+            enrolled.update(arch.pool)
+    assert new_records > 10 and crowded > 0, (new_records, crowded)
