@@ -73,10 +73,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     text = Path(args.config).read_text()
     configs = harness.parse_sweep_text(text, base_dir=Path(args.config).parent)
-    result = harness.run_many(configs, jobs=args.jobs)
-    paths = harness.write_result(result, _out_dir(args))
-    errors = sum(1 for r in result.summary_rows if r["error"])
-    print(f"{len(result.summary_rows)} runs ({errors} errors) -> {paths['summary']}")
+    records = harness.run_many(configs, jobs=args.jobs)
+    paths = harness.write_result(records, _out_dir(args))
+    errors = sum(1 for r in records if r.summary["error"])
+    print(f"{len(records)} runs ({errors} errors) -> {paths['summary']}")
     for name in ("metrics", "traces", "aggregates"):
         print(f"{name}: {paths[name]}")
     return EXIT_OK

@@ -339,28 +339,16 @@ def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
     return RunRecord(summary, metrics, {"run_id": run_id, "wall_ms": _cell(wall)})
 
 
-def _run_pair(args: Tuple[ExperimentConfig, int]) -> RunRecord:
-    return run_single(*args)
-
-
-@dataclass
-class ExperimentResult:
-    summary_rows: List[Dict[str, str]]
-    metric_rows: List[Dict[str, str]]
-    trace_rows: List[Dict[str, str]]
-    aggregate_rows: List[Dict[str, str]]
-
-
 def _sort_key(row: Dict[str, str]):
     """Each config cell, then the seed, parsed as its field; a blank cell sorts first."""
     return tuple((_PARSERS[f](row[f]),) if row[f] else () for f in (*CONFIG_FIELDS, "seed"))
 
 
-def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> ExperimentResult:
+def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> List[RunRecord]:
     """Run every (config, seed) pair in at most ``jobs`` worker processes.
 
-    Rows come back in canonical order. No more workers start than there are
-    pairs, since the pool starts all of its workers at once.
+    Records come back in canonical order. No more workers start than there
+    are pairs, since the pool starts all of its workers at once.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -371,14 +359,10 @@ def run_many(configs: Sequence[ExperimentConfig], *, jobs: int = 1) -> Experimen
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_pair, pairs))
+            records = list(pool.map(run_single, *zip(*pairs)))
     else:
         records = [run_single(c, s) for c, s in pairs]
-    order = sorted(range(len(records)), key=lambda i: _sort_key(records[i].summary))
-    summary = [records[i].summary for i in order]
-    metrics = [m for i in order for m in records[i].metrics]
-    traces = [records[i].trace for i in order]
-    return ExperimentResult(summary, metrics, traces, aggregate_rows(summary))
+    return sorted(records, key=lambda r: _sort_key(r.summary))
 
 
 def aggregate_rows(summary_rows: Sequence[Dict[str, str]]) -> List[Dict[str, str]]:
@@ -493,18 +477,18 @@ def read_csv(path) -> List[Dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def write_result(result: ExperimentResult, out_dir) -> Dict[str, FsPath]:
-    out = FsPath(out_dir)
-    paths = {
-        "summary": out / "summary.csv",
-        "metrics": out / "metrics.csv",
-        "traces": out / "traces.csv",
-        "aggregates": out / "aggregates.csv",
-    }
-    write_csv(paths["summary"], SUMMARY_COLUMNS, result.summary_rows)
-    write_csv(paths["metrics"], METRIC_COLUMNS, result.metric_rows)
-    write_csv(paths["traces"], TRACE_COLUMNS, result.trace_rows)
-    write_csv(paths["aggregates"], AGGREGATE_COLUMNS, result.aggregate_rows)
+def write_result(records: Sequence[RunRecord], out_dir) -> Dict[str, FsPath]:
+    """Write a sweep's four CSV files, projected from its records in their order; returns their paths."""
+    summary = [r.summary for r in records]
+    paths = {}
+    for name, columns, rows in (
+        ("summary", SUMMARY_COLUMNS, summary),
+        ("metrics", METRIC_COLUMNS, [m for r in records for m in r.metrics]),
+        ("traces", TRACE_COLUMNS, [r.trace for r in records]),
+        ("aggregates", AGGREGATE_COLUMNS, aggregate_rows(summary)),
+    ):
+        paths[name] = FsPath(out_dir) / f"{name}.csv"
+        write_csv(paths[name], columns, rows)
     return paths
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from operator import add
@@ -209,6 +210,14 @@ def payoff_runtime_predictor(n: int, initial_zero_count: int) -> Fraction:
     return total
 
 
+def _count(c: int) -> str:
+    """``c`` exactly, or in scientific form when it has more digits than ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(c)
+    except ValueError:
+        return f"{Decimal(c):.6e}"
+
+
 def pseudoboolean_report(problem: PseudoBooleanProblem) -> str:
     """Plain-text optimum report, the CLI's oracle output, from the closed form.
 
@@ -231,12 +240,12 @@ def pseudoboolean_report(problem: PseudoBooleanProblem) -> str:
     for m, front in enumerate(analytic_fronts(problem)):
         cells = {c for c in slab if vectors[c][m] in front}
         common &= cells
-        lines.append(f"party {m + 1}: front size {len(front)}, solutions {sum(size[c] for c in cells)}")
+        lines.append(f"party {m + 1}: front size {len(front)}, solutions {_count(sum(size[c] for c in cells))}")
         lines.extend(f"  front vector {vec}" for vec in sorted(front))
     shown = sorted(common)
-    lines.append(f"common solutions ({sum(size[c] for c in shown)}):")
+    lines.append(f"common solutions ({_count(sum(size[c] for c in shown))}):")
     for c in shown[:16]:
-        lines.append(f"  cell {c}, solutions {size[c]}: {BitString(n, words[c]).to01()}")
+        lines.append(f"  cell {c}, solutions {_count(size[c])}: {BitString(n, words[c]).to01()}")
     if len(shown) > 16:
         lines.append(f"  ... {len(shown) - 16} more cells")
     return "\n".join(lines) + "\n"

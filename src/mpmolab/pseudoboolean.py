@@ -18,7 +18,7 @@ lane (party), or None for a budget run. A run hits, and stops, at the
 evaluation by which every lane has accepted every vector of its set, the start
 counted; a lane accepts a vector when its archive (empmo-random's shared one,
 the payoff climb's current solution) takes in a solution with that vector for
-the lane's party. Sets of another arity raise ValueError.
+the lane's party. Sets of another arity raise ValueError at once.
 
 Every runner draws from a single ``random.Random(seed)``; the per-iteration
 draw order is documented on each runner so traces can be reproduced bit for
@@ -52,10 +52,6 @@ class BitString:
             raise ValueError("word out of range for length")
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n, 0)
-
-    @classmethod
     def ones(cls, n: int) -> "BitString":
         return cls(n, (1 << n) - 1)
 
@@ -68,15 +64,6 @@ class BitString:
             if c == "1":
                 word |= 1 << k
         return cls(len(bits), word)
-
-    @classmethod
-    def random(cls, n: int, rng: random.Random) -> "BitString":
-        return cls(n, rng.getrandbits(n))
-
-    def flip(self, k: int) -> "BitString":
-        if not 0 <= k < self.n:
-            raise IndexError(f"bit index {k} out of range")
-        return BitString(self.n, self.word ^ (1 << k))
 
     def to01(self) -> str:
         return "".join("1" if (self.word >> k) & 1 else "0" for k in range(self.n))
@@ -193,15 +180,28 @@ def _accept(left: List[set], vectors: Tuple) -> bool:
     return not any(left)
 
 
-def _start(problem: PseudoBooleanProblem, rng: random.Random, initial: Optional[BitString]) -> Tuple[int, int, int]:
-    """The initial word and its cell (i, j); with no ``initial`` the word is ``rng.getrandbits(n)``."""
+def _start(problem: PseudoBooleanProblem, seed: int, initial: Optional[BitString], targets: Optional[Tuple]) -> tuple:
+    """(rng, word, i, j, vectors, left): the seeded generator, the start word (``initial``, else
+    ``rng.getrandbits(n)``), its cell, its vector per lane, and per lane the target vectors still to
+    accept after the start (None without targets). Wrong-arity targets raise ValueError at once."""
+    if targets is not None and len(targets) != problem.parties:
+        raise ValueError(f"targets hold {len(targets)} sets; {problem.kind} needs one per party, {problem.parties}")
+    rng = random.Random(seed)
     x = initial if initial is not None else BitString(problem.n, rng.getrandbits(problem.n))
-    return (x.word,) + problem.counts(x)
+    vectors = problem.evaluate(x)
+    left = None if targets is None else [set(t) - {v} for t, v in zip(targets, vectors)]
+    return (rng, x.word, *problem.counts(x), vectors, left)
+
+
+def _flip(half: int, word: int, i: int, j: int, b: int) -> Tuple[int, int, int]:
+    """The word and cell (i, j) after bit b of ``word`` flips."""
+    step = -1 if (word >> b) & 1 else 1
+    return (word ^ (1 << b), i + step, j) if b < half else (word ^ (1 << b), i, j + step)
 
 
 def _memo_search(
     problem: PseudoBooleanProblem,
-    rng: random.Random,
+    seed: int,
     initial: Optional[BitString],
     targets: Optional[Tuple[frozenset, ...]],
     budget: int,
@@ -228,13 +228,12 @@ def _memo_search(
     """
     n, half = problem.n, problem.half
     lanes = _LANES[problem.kind]
-    word, i, j = _start(problem, rng, initial)
+    rng, word, i, j, vectors, left = _start(problem, seed, initial, targets)
     stride = half + 1
-    archives = [[(lane(half, i, j), word, i, j, 0)] for lane in lanes]
+    archives = [[(v, word, i, j, 0)] for v in vectors]
     memos = [bytearray(stride * stride) for _ in lanes]
     evaluations, iterations = len(lanes), 0
-    left = None if targets is None else [set(t) for t in targets]
-    hit = evaluations if left is not None and _accept(left, [A[0][0] for A in archives]) else None
+    hit = evaluations if left is not None and not any(left) else None
     order = range(len(lanes))
     getrandbits = rng.getrandbits
     nk = n.bit_length()
@@ -245,7 +244,7 @@ def _memo_search(
             if evaluations >= budget:
                 break
             P = archives[m]
-            # both draws are core.randbelow written inline: randrange(len(P)), randrange(n)
+            # core.randbelow's draws, randrange(len(P)) and randrange(n), then _flip, written inline
             size = len(P)
             kb = size.bit_length()
             k = getrandbits(kb)
@@ -306,8 +305,7 @@ def run_semo(
     """
     if problem.parties != 1:
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
-    rng = random.Random(seed)
-    (archive,), evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
+    (archive,), evaluations, iterations, hit = _memo_search(problem, seed, initial, targets, budget, observer)
     population = [_entry(problem, e[1], e[4]) for e in archive]
     return RunTrace(evaluations, iterations, hit, population)
 
@@ -338,8 +336,7 @@ def run_empmo_simple(
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_simple requires the bi-party problem")
-    rng = random.Random(seed)
-    archives, evaluations, iterations, hit = _memo_search(problem, rng, initial, targets, budget, observer)
+    archives, evaluations, iterations, hit = _memo_search(problem, seed, initial, targets, budget, observer)
     seen = {}
     for P in archives:
         for e in P:
@@ -385,28 +382,20 @@ def run_empmo_random(
         raise ValueError("run_empmo_random requires the bi-party problem")
     if not 0.0 <= phi <= 1.0:
         raise ValueError(f"phi must lie in [0, 1], got {phi}")
-    rng = random.Random(seed)
     n, half = problem.n, problem.half
-    word, i0, j0 = _start(problem, rng, initial)
-    archive = [(_party1(half, i0, j0), _party2(half, i0, j0), word, i0, j0, 0)]
+    rng, word, i0, j0, start, left = _start(problem, seed, initial, targets)
+    archive = [(*start, word, i0, j0, 0)]
     evaluations, iterations = 1, 0
     pruned = [True, True]
-    left = None if targets is None else [set(t) for t in targets]
-    hit = evaluations if left is not None and _accept(left, archive[0][:2]) else None
+    hit = evaluations if left is not None and not any(left) else None
     getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
         iterations += 1
-        k = randbelow(getrandbits, len(archive))
+        e = archive[randbelow(getrandbits, len(archive))]
         b = randbelow(getrandbits, n)
         m = 0 if rng.random() < phi else 1
-        e = archive[k]
-        pw, pi, pj = e[2], e[3], e[4]
-        if b < half:
-            i2, j2 = pi + (1 if not (pw >> b) & 1 else -1), pj
-        else:
-            i2, j2 = pi, pj + (1 if not (pw >> b) & 1 else -1)
-        w2 = pw ^ (1 << b)
+        w2, i2, j2 = _flip(half, e[2], e[3], e[4], b)
         v2 = (_party1(half, i2, j2), _party2(half, i2, j2))
         evaluations += 1
         vm = v2[m]
@@ -458,29 +447,21 @@ def run_empmo_payoff(
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_payoff requires the bi-party problem")
-    rng = random.Random(seed)
     n, half = problem.n, problem.half
-    word, i, j = _start(problem, rng, initial)
-    v1, v2 = _party1(half, i, j), _party2(half, i, j)
+    rng, word, i, j, (v1, v2), left = _start(problem, seed, initial, targets)
     evaluations = 1
     iterations = born = 0  # born: the generation of the last accepted move
-    left = None if targets is None else [set(t) for t in targets]
-    hit = evaluations if left is not None and _accept(left, (v1, v2)) else None
+    hit = evaluations if left is not None and not any(left) else None
     getrandbits = rng.getrandbits
 
     while hit is None and evaluations < budget:
         iterations += 1
-        b = randbelow(getrandbits, n)
-        if b < half:
-            i2, j2 = i + (1 if not (word >> b) & 1 else -1), j
-        else:
-            i2, j2 = i, j + (1 if not (word >> b) & 1 else -1)
+        w2, i2, j2 = _flip(half, word, i, j, randbelow(getrandbits, n))
         nv1, nv2 = _party1(half, i2, j2), _party2(half, i2, j2)
         evaluations += 1
         total = payoff_component(v1, nv1) + payoff_component(v2, nv2)
         if total > 0:
-            word ^= 1 << b
-            i, j, v1, v2, born = i2, j2, nv1, nv2, iterations
+            word, i, j, v1, v2, born = w2, i2, j2, nv1, nv2, iterations
             if left is not None and _accept(left, (v1, v2)):
                 hit = evaluations
         if observer is not None:

@@ -121,7 +121,7 @@ def test_payoff_hitting_time_matches_harmonic_prediction():
     t0 = time.perf_counter()
     n, seeds = 50, 500
     problem = PseudoBooleanProblem("bpaoaz", n)
-    start = BitString.zeros(n)
+    start = BitString(n, 0)
     hits = []
     for seed in range(seeds):
         trace = run_empmo_payoff(problem, seed, targets=common_optimum(problem), initial=start, budget=HIT_BUDGET)
@@ -332,8 +332,7 @@ def test_summary_rows_replay_byte_identically():
         ExperimentConfig("demo-sp", instance="fixture", eps1=1, eps2=1, budget=500, seeds=(0,)),
         ExperimentConfig("empmo-simple-sp", instance="fixture", eps1=1, eps2=1, eps2max=2, budget=500, seeds=(0,)),
     ]
-    result = run_many(configs)
-    rows = result.summary_rows
+    rows = [r.summary for r in run_many(configs)]
     assert len(rows) == 12
     assert len({r["run_id"] for r in rows}) == len(rows)
     for row in rows:
@@ -354,7 +353,7 @@ def test_scaling_slopes_reported():
         ExperimentConfig("empmo-random", problem="bpaoaz", n=n, phi=0.5, seeds=tuple(range(5)), budget=HIT_BUDGET)
         for n in (50, 100, 200)
     ]
-    rows = run_many(configs).summary_rows
+    rows = [r.summary for r in run_many(configs)]
     assert all(r["hit_time"] and not r["error"] for r in rows), [r["run_id"] for r in rows if not r["hit_time"]]
     report = summarize(rows)
     assert len(report) == 2

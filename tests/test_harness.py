@@ -204,9 +204,9 @@ def test_run_many_builds_each_graph_setup_once(tmp_path, monkeypatch, fresh_grap
         for instance in ("fixture", str(path))
         for algorithm in ("empmo-cons-sp", "demo-sp", "empmo-simple-sp")
     ]
-    result = run_many(configs)
-    assert len(result.summary_rows) == 18
-    assert all(row["error"] == "" for row in result.summary_rows)
+    records = run_many(configs)
+    assert len(records) == 18
+    assert all(r.summary["error"] == "" for r in records)
     # the planted file's references come from the certificate; only the fixture needs the catalog
     assert built == [5]
     assert certified == [5, 10]
@@ -417,16 +417,16 @@ def test_run_many_orders_rows_and_aggregates():
         ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, seeds=(0, 1, 2)),
         ExperimentConfig("empmo-simple", problem="bpaoaz", n=8, seeds=(0,)),
     ]
-    result = run_many(configs)
-    keys = [(r["algorithm"], int(r["n"]), int(r["seed"])) for r in result.summary_rows]
+    summary = [r.summary for r in run_many(configs)]
+    keys = [(r["algorithm"], int(r["n"]), int(r["seed"])) for r in summary]
     assert keys == sorted(keys)
 
-    by_cfg = [r for r in result.aggregate_rows if r["algorithm"] == "empmo-payoff" and r["n"] == "8"]
+    by_cfg = [r for r in aggregate_rows(summary) if r["algorithm"] == "empmo-payoff" and r["n"] == "8"]
     assert len(by_cfg) == 1
     agg = by_cfg[0]
     evals = [
         int(r["evaluations"])
-        for r in result.summary_rows
+        for r in summary
         if r["algorithm"] == "empmo-payoff" and r["n"] == "8"
     ]
     assert agg["runs"] == "3" and agg["errors"] == "0" and agg["hits"] == "3"
@@ -442,9 +442,10 @@ def test_parallel_jobs_match_serial_rows():
     ]
     serial = run_many(configs, jobs=1)
     parallel = run_many(configs, jobs=2)
-    assert parallel.summary_rows == serial.summary_rows
-    assert parallel.metric_rows == serial.metric_rows
-    assert parallel.aggregate_rows == serial.aggregate_rows
+    summaries = [[r.summary for r in records] for records in (serial, parallel)]
+    assert summaries[1] == summaries[0]
+    assert [r.metrics for r in parallel] == [r.metrics for r in serial]
+    assert aggregate_rows(summaries[1]) == aggregate_rows(summaries[0])
 
 
 def test_run_many_starts_no_more_workers_than_pairs(monkeypatch):
@@ -461,14 +462,14 @@ def test_run_many_starts_no_more_workers_than_pairs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     two = [ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=200, seeds=(0, 1))]
-    serial = run_many(two)
-    assert run_many(two, jobs=64).summary_rows == serial.summary_rows
-    assert run_many(two, jobs=2).summary_rows == serial.summary_rows
+    serial = [r.summary for r in run_many(two)]
+    assert [r.summary for r in run_many(two, jobs=64)] == serial
+    assert [r.summary for r in run_many(two, jobs=2)] == serial
     one = [ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, budget=200)]
     run_many(one, jobs=8)
     assert started == [2, 2]
@@ -520,12 +521,25 @@ def test_write_csv_atomic_and_roundtrip(tmp_path):
 
 
 def test_write_result_emits_four_files(tmp_path):
-    result = run_many([ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, seeds=(0, 1))])
-    paths = write_result(result, tmp_path)
+    records = run_many([
+        ExperimentConfig("empmo-payoff", problem="bpaoaz", n=8, seeds=(0, 1)),
+        ExperimentConfig("empmo-cons-sp", instance="fixture", eps1=1, eps2=1, budget=250, seeds=(0, 1)),
+    ])
+    paths = write_result(records, tmp_path / "out")
     assert sorted(paths) == ["aggregates", "metrics", "summary", "traces"]
-    for p in paths.values():
-        assert p.exists()
-    assert read_csv(paths["summary"]) == result.summary_rows
+    for name, p in paths.items():
+        assert p == tmp_path / "out" / f"{name}.csv"
+    # each file is its projection of the records, in record order
+    summary = [r.summary for r in records]
+    assert read_csv(paths["summary"]) == summary
+    metrics = read_csv(paths["metrics"])
+    assert metrics == [m for r in records for m in r.metrics]
+    graph_ids = {r["run_id"] for r in summary if r["algorithm"] == "empmo-cons-sp"}
+    assert len(graph_ids) == 2 and {m["run_id"] for m in metrics} == graph_ids
+    assert read_csv(paths["traces"]) == [r.trace for r in records]
+    assert [t["run_id"] for t in read_csv(paths["traces"])] == [r["run_id"] for r in summary]
+    assert read_csv(paths["aggregates"]) == aggregate_rows(summary)
+    assert len(read_csv(paths["aggregates"])) == 2
 
 
 def test_rows_sort_numerically_on_every_config_column(tmp_path):
@@ -634,13 +648,14 @@ def test_graph_sweep_metric_rows_replay_from_their_summary_rows(tmp_path, fresh_
             f"instance={instance}\neps=1\neps2max=2\nseeds=0:2\nbudget=450\n"
         )
         configs += parse_sweep_text(text, base_dir=tmp_path)
-    result = run_many(configs)
-    assert len(result.summary_rows) == 12
+    records = run_many(configs)
+    assert len(records) == 12
     by_run: dict = {}
-    for m in result.metric_rows:
-        by_run.setdefault(m["run_id"], []).append(m)
+    for r in records:
+        for m in r.metrics:
+            by_run.setdefault(m["run_id"], []).append(m)
     harness._graph_setup.cache_clear()
-    for row in result.summary_rows:
+    for row in (r.summary for r in records):
         assert row["error"] == ""
         recorded = by_run.get(row["run_id"], [])
         assert recorded, row["run_id"]

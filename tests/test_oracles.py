@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -325,6 +327,23 @@ def test_pseudoboolean_report_counts_match_comb(kind, n):
     assert int(common) == sum(size[c] for c in set.intersection(*fronts))
     shown = re.findall(r"^  cell \((\d+), (\d+)\), solutions (\d+): [01]+$", text, re.M)
     assert shown and all(int(s) == size[(int(i), int(j))] for i, j, s in shown)
+
+
+def test_pseudoboolean_report_prints_counts_past_the_str_limit_in_scientific_form():
+    # party 1's count is 2^2200, 663 digits: exact at the default limit, scientific past a 640-digit one
+    problem, exact = PseudoBooleanProblem("bpaoaz", 4400), 2**2200
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        short = pseudoboolean_report(problem)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    full = pseudoboolean_report(problem)
+    assert f"party 1: front size 2201, solutions {exact}\n" in full
+    assert "party 1: front size 2201, solutions 1.844975e+662\n" in short
+    # every count short enough for str() prints as before
+    assert short.replace(f"{Decimal(exact):.6e}", str(exact)) == full
+    assert "common solutions (1):" in short
 
 
 def test_path_report_layout():
