@@ -364,47 +364,44 @@ class _BoxArchive:
     child's objectives from its parent's: the parent's flat vector (both
     parties' objectives, concatenated) plus or minus the weights of the one
     or three edges the edit changed, with exactly the sums ``eval_path``
-    would give. The per-party objectives, lanes and box tuples of a flat
-    vector are memoised per archive (one entry per distinct vector
-    evaluated), so ``floor_log`` runs only for vectors not seen before.
-    Since ``floor_log`` is monotone, an incumbent whose objectives weakly
-    dominate a lane also does so in boxes, so the rejection scan compares
-    boxes first and objectives only where the boxes are equal.
+    would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
+    is computed once per distinct objective value and base. Since
+    ``floor_log`` is monotone, an incumbent whose objectives weakly dominate a
+    lane also does so in boxes, so the rejection scan compares boxes first
+    and objectives only where the boxes are equal.
 
     ``targets`` maps each endpoint to its references, as ``make_metric_fn``
     takes them. A member covers each reference it weakly dominates in both
     parties' objectives, and records their indices. An endpoint is covered
     when each of its references is, so vacuously when it has none.
     ``zero_counts`` counts the covering members per covered (endpoint,
-    index), so ``covered`` is its length. An empty map or None never hits.
+    index). An empty map or None never hits.
 
     An accepted child whose path a member already holds drops that member
     (its twin: same vector, so same boxes) with the others it dominates, and
     the twin is then enrolled again with the child's birth generation instead
     of a new record. This is exact: a new record would carry the same path,
     vector, views and target verdict, and a drop followed by an append leaves
-    pool order, bucket order, ``zero_counts`` and ``covered`` as a new record
-    would. The verdict reads only the endpoint, the vector and ``targets``,
-    so the twin's verdict is the child's. A twin alone at its endpoint is just
-    moved to the end of the pool, without the scans: an equal vector is
-    strictly dominated in no lane and drops only its twin there. The child
-    path is built only when it is accepted or compared with a twin.
+    pool order, bucket order and ``zero_counts`` as a new record would. The
+    verdict reads only the endpoint, the vector and ``targets``, so the twin's
+    verdict is the child's. The child path is built only once the child is
+    accepted.
 
-    Each endpoint keeps a memo of the steps judged there since its member
-    set last changed. The key is (parent, i, sign, v): the parent member by
-    identity, and the edit, which fixes the child's path, vector and
-    endpoint. The value is None for a rejected child, or the member the
-    child left enrolled, which the same child would hand back as its twin. A
-    step looks it up after every draw and the source check, so draws and
-    evaluation counts are unchanged; on a hit it rejects, or moves that
-    member through ``_drop`` and ``_enroll`` as a twin. A step that changes
-    its endpoint's member set (a new record, or a twin that drops others
-    with it) clears that endpoint's memo, and no other. This is exact:
+    The step memo is the step's one fast path. Each endpoint keeps a memo of
+    the steps judged there since its member set last changed. The key is
+    (parent, i, sign, v): the parent member by identity, and the edit, which
+    fixes the child's path, vector and endpoint. The value is None for a
+    rejected child, or the member the child left enrolled, which the same
+    child would hand back as its twin. A step looks it up after every draw
+    and the source check, so draws and evaluation counts are unchanged; on a
+    hit it rejects, or moves that member through ``_drop`` and ``_enroll`` as
+    a twin. A step that changes its endpoint's member set (a new record, or a
+    twin that drops others with it) clears that endpoint's memo, and no
+    other. This is exact:
 
     - a verdict reads only the child's path, vector and endpoint, and the
       member set of that endpoint's bucket;
-    - the scans are existential, so bucket order does not matter, and the
-      lone-twin test reads ``bucket[0]`` only when it is the one member;
+    - the scans are existential, so bucket order does not matter;
     - drops happen only in the child's own bucket, so a step changes no
       other endpoint's verdicts;
     - a dropped member that is not a twin is never enrolled again, so its
@@ -431,7 +428,6 @@ class _BoxArchive:
         # each endpoint's references as flat vectors, party 1's objectives first
         self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
         self.reference_count = sum(map(len, self.targets.values()))
-        self._views_of: Dict[Tuple[int, ...], tuple] = {}
         # per endpoint: (parent, i, sign, v) -> None (rejected) or the member the child hands back
         self._memos: Dict[int, Dict[tuple, Optional[SpEntry]]] = {}
         k1, k2 = g.k
@@ -445,16 +441,11 @@ class _BoxArchive:
         self.zero_counts: Dict[Tuple[int, int], int] = {}
 
     def _views(self, flat: Tuple[int, ...]):
-        """The (objectives, lanes, boxes) of a flat vector, memoised."""
-        views = self._views_of.get(flat)
-        if views is None:
-            k1 = self.g.k[0]
-            lanes = tuple([flat[a:b] for a, b in self.slices])
-            boxes = tuple(
-                [tuple([base.floor_log(c) for c in lane]) for lane, base in zip(lanes, self.bases)]
-            )
-            views = self._views_of[flat] = ((flat[:k1], flat[k1:]), lanes, boxes)
-        return views
+        """The (objectives, lanes, boxes) of a flat vector."""
+        k1 = self.g.k[0]
+        lanes = tuple([flat[a:b] for a, b in self.slices])
+        boxes = tuple([tuple([base.floor_log(c) for c in lane]) for lane, base in zip(lanes, self.bases)])
+        return (flat[:k1], flat[k1:]), lanes, boxes
 
     def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> SpEntry:
         obj, lanes, boxes = views
@@ -530,18 +521,11 @@ class _BoxArchive:
         if w is not None:
             delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
         flat = tuple(map(add if sign > 0 else sub, parent.flat, delta))
+        views = self._views(flat)
         bucket = self.buckets.get(endpoint)
         doomed = ()
         if bucket:
-            z = bucket[0]
-            if len(bucket) == 1 and z.flat == flat and z.path == _child(p, i, sign, v):
-                # a twin alone at its endpoint only moves to the end of the pool
-                pool.remove(z)
-                pool.append(z)
-                z.birth = generation
-                memo[key] = z
-                return True
-            _, lanes, boxes = self._views_of.get(flat) or self._views(flat)
+            _, lanes, boxes = views
             # accept at the first lane where no incumbent strictly dominates
             # the child in boxes or, with equal boxes, in objectives
             for li in range(len(lanes)):
@@ -577,16 +561,12 @@ class _BoxArchive:
             # the endpoint's member set changed, so its earlier verdicts may not hold
             memo.clear()
         if twin is None:
-            twin = self._make_rec(child, flat, self._views(flat), generation)
+            twin = self._make_rec(child, flat, views, generation)
         else:
             twin.birth = generation
         self._enroll(twin)
         memo[key] = twin
         return True
-
-    @property
-    def covered(self) -> int:
-        return len(self.zero_counts)
 
     @property
     def all_covered(self) -> bool:

@@ -767,7 +767,6 @@ def archive_state(arch):
         arch.no_change,
         arch.max_size,
         arch.zero_counts,
-        arch.covered,
     )
 
 
@@ -873,7 +872,7 @@ def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations
         arch.step(rng, gen)
         counts = recount_coverage(arch, targets)
         assert arch.zero_counts == counts
-        assert arch.covered == len(counts)
+        assert len(arch.zero_counts) == len(counts)
         assert arch.all_covered == (len(counts) == total)
 
 
@@ -883,9 +882,11 @@ def count_memo_replays(monkeypatch):
     The wrapper draws the step's parent and edit on a copy of the generator
     and looks up the outcome the memo holds for them. When there is one, the
     step must return it: a rejection, or the stored member moved to the end
-    of the pool with the step's generation as its birth.
+    of the pool with the step's generation as its birth. It also counts, as
+    ``lone_twin``, the steps the memo did not answer that put back the one
+    member their endpoint held before the step.
     """
-    replays = {"rejected": 0, "twin": 0}
+    replays = {"rejected": 0, "twin": 0, "lone_twin": 0}
     step = _BoxArchive.step
 
     def counted(self, rng, generation):
@@ -894,10 +895,13 @@ def count_memo_replays(monkeypatch):
         parent = self.pool[randbelow(probe.getrandbits, len(self.pool))]
         edit = _edit_path(self.g, parent.path, probe, self.max_len)
         stored = False
+        lone = None
         if edit is not None:
             i, sign, _, v, _ = edit
-            memo = self._memos.get(_child(parent.path, i, sign, v)[-1], {})
-            stored = memo.get((parent, i, sign, v), False)
+            endpoint = _child(parent.path, i, sign, v)[-1]
+            stored = self._memos.get(endpoint, {}).get((parent, i, sign, v), False)
+            bucket = self.buckets.get(endpoint, ())
+            lone = bucket[0] if len(bucket) == 1 else None
         accepted = step(self, rng, generation)
         if stored is None:
             assert not accepted
@@ -905,6 +909,8 @@ def count_memo_replays(monkeypatch):
         elif stored is not False:
             assert accepted and self.pool[-1] is stored and stored.birth == generation
             replays["twin"] += 1
+        elif accepted and self.pool[-1] is lone:
+            replays["lone_twin"] += 1
         return accepted
 
     monkeypatch.setattr(_BoxArchive, "step", counted)
@@ -924,6 +930,8 @@ def test_step_replays_the_new_record_step(property_graphs, name, monkeypatch):
     assert reborn > 100
     # and the memo, not a scan, answers both kinds of outcome in these runs
     assert replays["rejected"] > 1000 and replays["twin"] > 5000, replays
+    # the scans also put back a member alone at its endpoint, and the state still matches a new record
+    assert replays["lone_twin"] > 0, replays
 
 
 def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
