@@ -9,7 +9,8 @@ Observer contract of all seven runners: ``observer(generation, archives)``
 runs once after each generation 1..G, G being the result's ``generations``,
 the last included, hit or budget. ``archives`` is a tuple of live lists, one
 per archive in the runner's order (party 1's first); the payoff climb's one
-list holds the current solution, laid out as an empmo-random member.
+list holds the current solution, laid out as an empmo-random member. A
+result's ``archives`` are the lists the observer saw last.
 """
 
 from .core import payoff_component

@@ -149,28 +149,16 @@ def common_optimum(problem: PseudoBooleanProblem) -> Tuple[frozenset, ...]:
     return tuple(frozenset({v}) for v in problem.evaluate(BitString.ones(problem.n)))
 
 
-@dataclass(frozen=True)
-class PopulationEntry:
-    solution: BitString
-    objectives: MultiPartyObjectives
-    birth_iteration: int
-
-
 @dataclass
 class RunTrace:
     """Outcome of one optimizer run: its evaluations, its generations (loop
-    iterations), and the evaluation count at its hit, None without one."""
+    iterations), the evaluation count at its hit (None without one), and its
+    ``archives``, the lists of member tuples its observer saw last."""
 
     evaluations: int
     generations: int
     hit_evaluations: Optional[int]
-    final_population: List[PopulationEntry]
-    archives: Optional[Tuple[List[PopulationEntry], ...]] = None
-
-
-def _entry(problem: PseudoBooleanProblem, word: int, birth: int) -> PopulationEntry:
-    x = BitString(problem.n, word)
-    return PopulationEntry(x, problem.evaluate(x), birth)
+    archives: Tuple[list, ...]
 
 
 def _accept(left: List[set], vectors: Tuple) -> bool:
@@ -206,7 +194,7 @@ def _memo_search(
     targets: Optional[Tuple[frozenset, ...]],
     budget: int,
     observer: Optional[Callable],
-) -> Tuple[List[list], int, int, Optional[int]]:
+) -> RunTrace:
     """One archive per lane of the kind, evolved side by side.
 
     Every archive starts from the initial word, evaluated once per lane. Each
@@ -217,7 +205,7 @@ def _memo_search(
     member it weakly dominates is removed.
 
     ``targets`` sets the stop (module docstring). Members are ``(vector, word,
-    i, j, birth)`` tuples. Returns (archives, evaluations, iterations, hit).
+    i, j, birth)`` tuples.
 
     The vector is a function of the cell, so each archive remembers the cells
     whose offspring it rejected and skips the scan when one comes back. This
@@ -278,7 +266,7 @@ def _memo_search(
                         break
         if observer is not None:
             observer(iterations, tuple(archives))
-    return archives, evaluations, iterations, hit
+    return RunTrace(evaluations, iterations, hit, tuple(archives))
 
 
 def run_semo(
@@ -305,9 +293,7 @@ def run_semo(
     """
     if problem.parties != 1:
         raise ValueError("run_semo handles single-party problems; use the bi-party runners for bpaoaz")
-    (archive,), evaluations, iterations, hit = _memo_search(problem, seed, initial, targets, budget, observer)
-    population = [_entry(problem, e[1], e[4]) for e in archive]
-    return RunTrace(evaluations, iterations, hit, population)
+    return _memo_search(problem, seed, initial, targets, budget, observer)
 
 
 def run_empmo_simple(
@@ -336,15 +322,7 @@ def run_empmo_simple(
     """
     if problem.kind != "bpaoaz":
         raise ValueError("run_empmo_simple requires the bi-party problem")
-    archives, evaluations, iterations, hit = _memo_search(problem, seed, initial, targets, budget, observer)
-    seen = {}
-    for P in archives:
-        for e in P:
-            if e[1] not in seen or e[4] < seen[e[1]]:
-                seen[e[1]] = e[4]
-    population = [_entry(problem, w, birth) for w, birth in sorted(seen.items())]
-    per_party = tuple([_entry(problem, e[1], e[4]) for e in P] for P in archives)
-    return RunTrace(evaluations, iterations, hit, population, per_party)
+    return _memo_search(problem, seed, initial, targets, budget, observer)
 
 
 def run_empmo_random(
@@ -422,9 +400,7 @@ def run_empmo_random(
             pruned[m] = True
         if observer is not None:
             observer(iterations, (archive,))
-
-    population = [_entry(problem, z[2], z[5]) for z in archive]
-    return RunTrace(evaluations, iterations, hit, population)
+    return RunTrace(evaluations, iterations, hit, (archive,))
 
 
 def run_empmo_payoff(
@@ -466,6 +442,4 @@ def run_empmo_payoff(
                 hit = evaluations
         if observer is not None:
             observer(iterations, ([(v1, v2, word, i, j, born)],))
-
-    population = [_entry(problem, word, born)]
-    return RunTrace(evaluations, iterations, hit, population)
+    return RunTrace(evaluations, iterations, hit, ([(v1, v2, word, i, j, born)],))

@@ -773,6 +773,8 @@ def ultimatum_consensus(
             continue
         scored = [(path_epsilon(obj[1], fronts), path, obj) for path, obj in props]
         scored = [s for s in scored if s[0] <= eps_2_max]
+        if not scored:
+            continue
         for rung, base in zip(rungs, bases):
             member_boxes = {tuple([base.floor_log(c) for c in obj[1]]) for _, obj in members}
             boxed = [(ratio, path, obj, tuple([base.floor_log(c) for c in obj[1]])) for ratio, path, obj in scored]

@@ -245,6 +245,18 @@ def test_common_paths_are_prefix_closed():
     )
 
 
+def no_twins(gen, pools):
+    """Observer: every 1,000 generations, no pool holds one member twice.
+
+    A step that enrolls a member again grows its pool each time, and each
+    drop's scan of the pool slows with it, so a 10^6-generation run under such
+    a fault ends late instead of failing.
+    """
+    if gen % 1000 == 0:
+        for pool in pools:
+            assert len(set(map(id, pool))) == len(pool), gen
+
+
 def test_epsilon_convergence_per_algorithm():
     """Consensus searches reach slack zero; the joint-objective baseline does not."""
     t0 = time.perf_counter()
@@ -258,7 +270,7 @@ def test_epsilon_convergence_per_algorithm():
         params = ApproxParams(1, 1)
         res = run_empmo_cons_sp(
             g, params, budget, seed=5,
-            metric_fn=make_metric_fn(refs), targets=refs,
+            metric_fn=make_metric_fn(refs), targets=refs, observer=no_twins,
         )
         assert res.hit_evaluations is not None, name
         assert res.metrics[-1].mean_eps_endpoints == 0.0, name
@@ -266,7 +278,7 @@ def test_epsilon_convergence_per_algorithm():
 
         relax = ApproxParams(1, 1, 2)
         sp = run_empmo_simple_sp(
-            g, relax, budget, seed=5, party2_fronts=exact_party_fronts(g, 1)
+            g, relax, budget, seed=5, party2_fronts=exact_party_fronts(g, 1), observer=no_twins
         )
         assert all(not o.failed for o in sp.outcomes.values()), name
         worst = max(o.eps2_prime for o in sp.outcomes.values())
@@ -276,7 +288,7 @@ def test_epsilon_convergence_per_algorithm():
     refs = references(fixture)[0]
     demo = run_demo_sp(
         fixture, ApproxParams(1, 1), budget, seed=5,
-        metric_fn=make_metric_fn(refs),
+        metric_fn=make_metric_fn(refs), observer=no_twins,
     )
     assert demo.metrics[-1].max_eps > 0.0
     vecs5 = {e.objectives for e in demo.archives[0] if e.path and e.path[-1] == 5}

@@ -4,9 +4,10 @@ For a given (config, seed) the draw order (parent index, then bit, then the
 party draw of empmo-random) and every accept and remove decision are part of
 a run's contract, so a faster archive loop must give the same rows. Summary
 rows are pinned as whole CSV lines in column order. Direct runner calls are
-pinned by the sha256 of their evaluation count, iteration count, hit time,
-final population and per-party archives, each member as ``word:birth`` in
-archive order. The values were recorded before the rejection memo of
+pinned by the sha256 of their evaluation count, iteration count, hit time
+and archives, each member as ``word:birth`` in archive order; empmo-simple's
+two archives are preceded by their word-sorted union at each word's least
+birth, as its text was recorded when the result held that union. The values were recorded before the rejection memo of
 ``run_semo`` and ``run_empmo_simple`` landed; re-recording them to make a
 change pass defeats the test.
 """
@@ -345,14 +346,23 @@ def csv_line(row) -> str:
     return buf.getvalue()
 
 
-def members(entries) -> str:
-    return ";".join(f"{e.solution.word}:{e.birth_iteration}" for e in entries)
+def members(archive) -> str:
+    # a member tuple holds its word fourth from the end and its birth last
+    return ";".join(f"{e[-4]}:{e[-1]}" for e in archive)
 
 
 def outcome_text(trace) -> str:
-    parts = [f"{trace.evaluations},{trace.generations},{trace.hit_evaluations}", members(trace.final_population)]
-    for archive in trace.archives or ():
-        parts.append(members(archive))
+    parts = [f"{trace.evaluations},{trace.generations},{trace.hit_evaluations}"]
+    if len(trace.archives) == 1:
+        parts.append(members(trace.archives[0]))
+    else:
+        # two archives: the word-sorted union at each word's least birth, then each archive
+        union = {}
+        for archive in trace.archives:
+            for e in archive:
+                union[e[-4]] = min(e[-1], union.get(e[-4], e[-1]))
+        parts.append(";".join(f"{w}:{birth}" for w, birth in sorted(union.items())))
+        parts.extend(members(archive) for archive in trace.archives)
     return "|".join(parts)
 
 

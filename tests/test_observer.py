@@ -69,14 +69,6 @@ RUNS = {
 }
 
 
-def result_members(res):
-    """The result's archives as (path, birth) on graphs, (word, birth) on bit strings."""
-    if hasattr(res, "max_archive_size"):
-        return [[(e.path, e.birth) for e in P] for P in res.archives]
-    archives = res.archives if res.archives is not None else (res.final_population,)
-    return [[(e.solution.word, e.birth_iteration) for e in P] for P in archives]
-
-
 def live_members(archives):
     # graph members are SpEntry records; a bit-string member tuple holds its
     # word fourth from the end and its birth last
@@ -104,6 +96,6 @@ def test_observer_contract(name, mode):
     assert (res.hit_evaluations is not None) == (mode == "hit")
     assert res.generations > 0
     assert gens == list(range(1, res.generations + 1))
-    assert last == result_members(res)
+    assert last == live_members(res.archives)
     if hasattr(res, "max_archive_size"):
         assert max(sizes) == res.max_archive_size

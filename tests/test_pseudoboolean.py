@@ -113,7 +113,7 @@ def test_semo_hits_and_archive_equals_front():
     trace = run_semo(p, seed=11, budget=HIT_BUDGET, targets=analytic_fronts(p))
     assert trace.hit_evaluations is not None
     assert trace.evaluations == trace.generations + 1
-    got = {e.objectives[0] for e in trace.final_population}
+    got = {e[0] for e in trace.archives[0]}
     assert got == analytic_fronts(p)[0]
 
     again = run_semo(p, seed=11, budget=HIT_BUDGET, targets=analytic_fronts(p))
@@ -161,15 +161,13 @@ def test_empmo_simple_hit_exposes_common_member():
     p = PseudoBooleanProblem("bpaoaz", 10)
     trace = run_empmo_simple(p, seed=2, budget=HIT_BUDGET, targets=common_optimum(p))
     assert trace.hit_evaluations is not None
-    # the objective-level intersection: members of either archive whose party-1
+    # the objective-level intersection: words in either archive whose party-1
     # vector party 1's archive holds and whose party-2 vector party 2's holds
-    objs1 = {e.objectives[0] for e in trace.archives[0]}
-    objs2 = {e.objectives[1] for e in trace.archives[1]}
-    members = [
-        e for e in trace.archives[0] + trace.archives[1] if e.objectives[0] in objs1 and e.objectives[1] in objs2
-    ]
-    ones = BitString.ones(10)
-    assert any(e.solution.word == ones.word for e in members)
+    objs1 = {e[0] for e in trace.archives[0]}
+    objs2 = {e[0] for e in trace.archives[1]}
+    vectors = {e[1]: p.evaluate(BitString(10, e[1])) for P in trace.archives for e in P}
+    common = [w for w, (v1, v2) in vectors.items() if v1 in objs1 and v2 in objs2]
+    assert BitString.ones(10).word in common
 
 
 def test_empmo_simple_fronts_stop_covers_both_parties():
@@ -177,8 +175,8 @@ def test_empmo_simple_fronts_stop_covers_both_parties():
     trace = run_empmo_simple(p, seed=9, budget=HIT_BUDGET, targets=analytic_fronts(p))
     assert trace.hit_evaluations is not None
     f1, f2 = analytic_fronts(p)
-    assert {e.objectives[0] for e in trace.archives[0]} == f1
-    assert {e.objectives[1] for e in trace.archives[1]} == f2
+    assert {e[0] for e in trace.archives[0]} == f1
+    assert {e[0] for e in trace.archives[1]} == f2
 
 
 def test_empmo_simple_budget_accounting():
@@ -213,7 +211,7 @@ def test_empmo_random_hits_and_keeps_distinct_words():
     trace = run_empmo_random(p, 0.5, seed=6, budget=HIT_BUDGET, targets=common_optimum(p), observer=watch)
     assert trace.hit_evaluations is not None
     ones = BitString.ones(8)
-    assert any(e.solution.word == ones.word for e in trace.final_population)
+    assert any(e[-4] == ones.word for e in trace.archives[0])
 
     again = run_empmo_random(p, 0.5, seed=6, budget=HIT_BUDGET, targets=common_optimum(p))
     assert again.hit_evaluations == trace.hit_evaluations
@@ -269,7 +267,7 @@ def test_empmo_payoff_hit_is_all_ones():
     assert trace.hit_evaluations is not None
     assert trace.hit_evaluations == trace.evaluations
     assert trace.evaluations == trace.generations + 1
-    assert trace.final_population[0].solution.word == BitString.ones(10).word
+    assert trace.archives[0][0][-4] == BitString.ones(10).word
 
 
 def test_runners_respect_explicit_initial():
@@ -359,7 +357,7 @@ def test_initial_word_replaces_the_first_draw():
         for initial, want in ((x, x), (None, drawn)):
             trace = runner(problem, 9, budget=budget, initial=initial, targets=None)
             assert trace.generations == 0
-            assert [e.solution for e in trace.final_population] == [want]
+            assert all([e[-4] for e in P] == [want.word] for P in trace.archives)
 
 
 def test_runs_of_one_seed_return_equal_traces():
@@ -387,4 +385,4 @@ def test_empmo_payoff_final_birth_is_the_last_accepted_move():
         )
         changed = [it for (it, w), (_, prev) in zip(words[1:], words) if w != prev]
         assert trace.generations == len(words) - 1 == 2999
-        assert trace.final_population[0].birth_iteration == (changed[-1] if changed else 0) < 2999
+        assert trace.archives[0][0][-1] == (changed[-1] if changed else 0) < 2999

@@ -18,7 +18,6 @@ from mpmolab.core import weak_ge as _weak_ge
 from mpmolab.pseudoboolean import (
     PseudoBooleanProblem,
     RunTrace,
-    _entry,
     _joint,
     _party1,
     _party2,
@@ -66,10 +65,7 @@ def full_scan_semo(problem, seed, *, budget, targets, observer):
             if covers(accepted, targets):
                 hit = evaluations
         observer(iterations, (archive,))
-    return RunTrace(
-        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
-        final_population=[_entry(problem, e[1], e[4]) for e in archive],
-    )
+    return RunTrace(evaluations=evaluations, generations=iterations, hit_evaluations=hit, archives=(archive,))
 
 
 def full_scan_empmo_simple(problem, seed, *, budget, targets, observer):
@@ -107,16 +103,7 @@ def full_scan_empmo_simple(problem, seed, *, budget, targets, observer):
                 hit = evaluations
                 break
         observer(iterations, (archives[0], archives[1]))
-    seen = {}
-    for P in archives:
-        for e in P:
-            if e[1] not in seen or e[4] < seen[e[1]]:
-                seen[e[1]] = e[4]
-    return RunTrace(
-        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
-        final_population=[_entry(problem, w, birth) for w, birth in sorted(seen.items())],
-        archives=tuple([_entry(problem, e[1], e[4]) for e in P] for P in archives),
-    )
+    return RunTrace(evaluations=evaluations, generations=iterations, hit_evaluations=hit, archives=tuple(archives))
 
 
 def all_pairs_empmo_random(problem, phi, seed, *, budget, targets, observer):
@@ -169,10 +156,7 @@ def all_pairs_empmo_random(problem, phi, seed, *, budget, targets, observer):
             archive = kept
             pruned[m] = True
         observer(iterations, (archive,))
-    return RunTrace(
-        evaluations=evaluations, generations=iterations, hit_evaluations=hit,
-        final_population=[_entry(problem, z[2], z[5]) for z in archive],
-    )
+    return RunTrace(evaluations=evaluations, generations=iterations, hit_evaluations=hit, archives=(archive,))
 
 
 def recorded(runner, problem, seed, budget, targets):

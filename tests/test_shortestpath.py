@@ -337,6 +337,25 @@ def test_ultimatum_unique_path_endpoint_agrees_immediately():
     assert out.accepted[0].eps2 == 0
 
 
+def test_ultimatum_skips_the_ladder_when_no_proposal_passes_the_filter(monkeypatch):
+    g = fixture_graph()
+    fronts = references(g)[1]
+    params = ApproxParams(1, 1, 2)
+    res = run_empmo_simple_sp(g, params, 300, 0, party2_fronts=fronts)
+    proposals, responders = ([(e.path, e.objectives) for e in P[1:]] for P in res.archives)
+    # fronts of all ones: each proposal's ratio is its largest party-2 cost less one
+    ones = {e: ((1,) * g.k[1],) for e in fronts}
+    assert proposals and all(path_epsilon(obj[1], ones[path[-1]]) > params.eps_2_max for path, obj in proposals)
+    calls = []
+    real = BoxBase.floor_log
+    monkeypatch.setattr(BoxBase, "floor_log", lambda self, c: calls.append(c) or real(self, c))
+    assert all(o.failed for o in ultimatum_consensus(g, proposals, responders, params, ones).values())
+    assert calls == []
+    # the true fronts let every endpoint agree, so the patched count does see the ladder
+    assert not any(o.failed for o in ultimatum_consensus(g, proposals, responders, params, fronts).values())
+    assert calls
+
+
 def test_path_epsilon_refuses_a_zero_reference_component():
     with pytest.raises(ValueError, match="below 1"):
         path_epsilon((1, 2), [(1, 0)])
