@@ -395,35 +395,22 @@ def aggregate_rows(summary_rows: Sequence[Dict[str, str]]) -> List[Dict[str, str
 
 
 def summarize(summary_rows: Sequence[Dict[str, str]]) -> Dict[str, dict]:
-    """Per-config statistics plus a log-log slope of mean evaluations versus n.
+    """``aggregate_rows`` grouped across n, with a log-log slope of mean evaluations versus n.
 
-    Rows with errors are left out. Groups collapse the size column, so a group
-    with at least two sizes (and nonzero spread in log n) gets a least-squares
-    slope with its intercept and root-mean-square residual; smaller groups
-    report means only.
+    Each entry holds the aggregate rows that differ only in n, labelled by
+    their other nonblank config cells, as ``per_n``. Error rows count in no
+    mean, so an n whose runs all failed joins no fit. An entry with at least
+    two sizes (and nonzero spread in log n) gets a least-squares slope with
+    its intercept and root-mean-square residual.
     """
-    key_fields = [f for f in CONFIG_FIELDS if f not in ("n", "budget")]
-    groups: Dict[Tuple, Dict[int, List[int]]] = {}
-    for row in summary_rows:
-        if row["error"]:
-            continue
-        key = tuple(row[f] for f in key_fields)
-        groups.setdefault(key, {}).setdefault(int(row["n"]), []).append(int(row["evaluations"]))
+    label_fields = [f for f in CONFIG_FIELDS if f != "n"]
     report: Dict[str, dict] = {}
-    for key, by_n in sorted(groups.items()):
-        label = " ".join(f"{f}={v}" for f, v in zip(key_fields, key) if v)
-        per_n = {
-            n: {
-                "runs": len(vals),
-                "mean": statistics.fmean(vals),
-                "std": statistics.pstdev(vals),
-                "min": min(vals),
-                "max": max(vals),
-            }
-            for n, vals in sorted(by_n.items())
-        }
-        entry: dict = {"per_n": per_n}
-        points = [(math.log(n), math.log(st["mean"])) for n, st in per_n.items() if st["mean"] > 0]
+    for agg in aggregate_rows(summary_rows):
+        label = " ".join(f"{f}={agg[f]}" for f in label_fields if agg[f])
+        report.setdefault(label, {"per_n": {}})["per_n"][int(agg["n"])] = agg
+    for entry in report.values():
+        means = [(n, float(agg["mean_evaluations"])) for n, agg in entry["per_n"].items() if agg["mean_evaluations"]]
+        points = [(math.log(n), math.log(mean)) for n, mean in means if mean > 0]
         if len(points) >= 2:
             xbar = statistics.fmean(x for x, _ in points)
             ybar = statistics.fmean(y for _, y in points)
@@ -437,7 +424,6 @@ def summarize(summary_rows: Sequence[Dict[str, str]]) -> Dict[str, dict]:
                 entry["slope"] = slope
                 entry["intercept"] = intercept
                 entry["rmse"] = rmse
-        report[label] = entry
     return report
 
 

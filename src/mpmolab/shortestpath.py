@@ -311,11 +311,11 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
 
 
 class SpEntry:
-    """Archive member; ``birth`` is the generation that last enrolled it, ``zero`` the references it covers."""
+    """Archive member; ``birth`` is the generation that last enrolled it."""
 
-    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "zero")
+    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth")
 
-    def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth, zero):
+    def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth):
         self.path = path
         self.endpoint = endpoint
         self.flat = flat
@@ -323,7 +323,6 @@ class SpEntry:
         self.lanes = lanes
         self.boxes = boxes
         self.birth = birth
-        self.zero = zero
 
 
 @dataclass(frozen=True)
@@ -371,21 +370,23 @@ class _BoxArchive:
     and objectives only where the boxes are equal.
 
     ``targets`` maps each endpoint to its references, as ``make_metric_fn``
-    takes them. A member covers each reference it weakly dominates in both
-    parties' objectives, and records their indices. An endpoint is covered
-    when each of its references is, so vacuously when it has none.
-    ``zero_counts`` counts the covering members per covered (endpoint,
-    index). An empty map or None never hits.
+    takes them. An endpoint is covered when each of its references is weakly
+    dominated in both parties' objectives by some member there, so vacuously
+    when it has none. ``uncovered`` holds the endpoints not covered; it is
+    None without targets, so an empty map or None never hits.
 
     An accepted child whose path a member already holds drops that member
     (its twin: same vector, so same boxes) with the others it dominates, and
     the twin is then enrolled again with the child's birth generation instead
     of a new record. This is exact: a new record would carry the same path,
-    vector, views and target verdict, and a drop followed by an append leaves
-    pool order, bucket order and ``zero_counts`` as a new record would. The
-    verdict reads only the endpoint, the vector and ``targets``, so the twin's
-    verdict is the child's. The child path is built only once the child is
-    accepted.
+    vector and views, and a drop followed by an append leaves pool order and
+    bucket order as a new record would. The child path is built only once
+    the child is accepted.
+
+    An endpoint's member set changes only in ``seed_path``, at a new record,
+    and at a twin that drops others with it; a twin moved alone leaves it as
+    it was. There, and only there, ``_changed`` clears that endpoint's step
+    memo, recounts its coverage and updates the peak pool size ``max_size``.
 
     The step memo is the step's one fast path. Each endpoint keeps a memo of
     the steps judged there since its member set last changed. The key is
@@ -395,9 +396,8 @@ class _BoxArchive:
     child would hand back as its twin. A step looks it up after every draw
     and the source check, so draws and evaluation counts are unchanged; on a
     hit it rejects, or moves that member through ``_drop`` and ``_enroll`` as
-    a twin. A step that changes its endpoint's member set (a new record, or a
-    twin that drops others with it) clears that endpoint's memo, and no
-    other. This is exact:
+    a twin. A change of an endpoint's member set clears that endpoint's
+    memo, and no other. This is exact:
 
     - a verdict reads only the child's path, vector and endpoint, and the
       member set of that endpoint's bucket;
@@ -407,7 +407,7 @@ class _BoxArchive:
     - a dropped member that is not a twin is never enrolled again, so its
       stale keys in other endpoints' memos never match; they are dropped
       with the archive;
-    - coverage (``zero_counts``) never enters a verdict.
+    - coverage never enters a verdict.
 
     After a change the step's own verdict is stored again: re-judged against
     the new bucket, the same child is accepted and dooms only the member it
@@ -427,18 +427,17 @@ class _BoxArchive:
         self.max_len = 2 * g.n
         # each endpoint's references as flat vectors, party 1's objectives first
         self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
-        self.reference_count = sum(map(len, self.targets.values()))
+        self.uncovered = {e for e, refs in self.targets.items() if refs} if self.targets else None
         # per endpoint: (parent, i, sign, v) -> None (rejected) or the member the child hands back
         self._memos: Dict[int, Dict[tuple, Optional[SpEntry]]] = {}
         k1, k2 = g.k
         zero = (0,) * (k1 + k2)
-        src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0, ())
+        src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0)
         self.pool: List[SpEntry] = [src]
         self.buckets: Dict[int, List[SpEntry]] = {}
         self.evaluations = 0
         self.no_change = 0
         self.max_size = 1
-        self.zero_counts: Dict[Tuple[int, int], int] = {}
 
     def _views(self, flat: Tuple[int, ...]):
         """The (objectives, lanes, boxes) of a flat vector."""
@@ -447,29 +446,28 @@ class _BoxArchive:
         boxes = tuple([tuple([base.floor_log(c) for c in lane]) for lane, base in zip(lanes, self.bases)])
         return (flat[:k1], flat[k1:]), lanes, boxes
 
-    def _make_rec(self, path: Path, flat: Tuple[int, ...], views: tuple, birth: int) -> SpEntry:
-        obj, lanes, boxes = views
-        endpoint = path[-1]
-        zero = tuple([j for j, ref in enumerate(self.targets.get(endpoint, ())) if weak_ge(ref, flat)])
-        return SpEntry(path, endpoint, flat, obj, lanes, boxes, birth, zero)
-
     def _enroll(self, rec: SpEntry) -> None:
         self.buckets.setdefault(rec.endpoint, []).append(rec)
         self.pool.append(rec)
-        for j in rec.zero:
-            key = (rec.endpoint, j)
-            self.zero_counts[key] = self.zero_counts.get(key, 0) + 1
-        if len(self.pool) > self.max_size:
-            self.max_size = len(self.pool)
 
     def _drop(self, rec: SpEntry) -> None:
         self.buckets[rec.endpoint].remove(rec)
         self.pool.remove(rec)
-        for j in rec.zero:
-            key = (rec.endpoint, j)
-            c = self.zero_counts.pop(key) - 1
-            if c:
-                self.zero_counts[key] = c
+
+    def _changed(self, endpoint: int) -> None:
+        """Bring the endpoint's memo and coverage, and the peak, up to date with its new member set."""
+        memo = self._memos.get(endpoint)
+        if memo:
+            memo.clear()
+        refs = self.targets.get(endpoint)
+        if refs:
+            bucket = self.buckets[endpoint]
+            if all(any(weak_ge(ref, z.flat) for z in bucket) for ref in refs):
+                self.uncovered.discard(endpoint)
+            else:
+                self.uncovered.add(endpoint)
+        if len(self.pool) > self.max_size:
+            self.max_size = len(self.pool)
 
     def seed_path(self, path: Sequence[int]) -> None:
         """Insert a given path as-is (evaluated, counted, no acceptance test)."""
@@ -480,8 +478,8 @@ class _BoxArchive:
             raise ValueError("cannot seed a walk that returns to the source")
         if len(path) > 1:
             flat = obj[0] + obj[1]
-            self._memos.pop(path[-1], None)
-            self._enroll(self._make_rec(path, flat, self._views(flat), 0))
+            self._enroll(SpEntry(path, path[-1], flat, *self._views(flat), 0))
+            self._changed(path[-1])
 
     def step(self, rng: random.Random, generation: int) -> bool:
         # the parent draw is core.randbelow written inline: randrange(len(pool))
@@ -557,20 +555,21 @@ class _BoxArchive:
             self._drop(z)
             if z.path == child:
                 twin = z
-        if twin is None or len(doomed) > 1:
-            # the endpoint's member set changed, so its earlier verdicts may not hold
-            memo.clear()
+        # a new record, or a twin that drops others with it, changes the endpoint's member set
+        changed = twin is None or len(doomed) > 1
         if twin is None:
-            twin = self._make_rec(child, flat, views, generation)
+            twin = SpEntry(child, endpoint, flat, *views, generation)
         else:
             twin.birth = generation
         self._enroll(twin)
+        if changed:
+            self._changed(endpoint)
         memo[key] = twin
         return True
 
     @property
     def all_covered(self) -> bool:
-        return bool(self.targets) and len(self.zero_counts) == self.reference_count
+        return self.uncovered is not None and not self.uncovered
 
     def real_entries(self) -> List[SpEntry]:
         return self.pool[1:]

@@ -35,7 +35,15 @@ from mpmolab.instances import (
     parse_instance,
     write_instance,
 )
-from mpmolab.shortestpath import ApproxParams, BoxBase, WeightedDigraph, _BoxArchive, run_demo_sp, run_empmo_cons_sp
+from mpmolab.shortestpath import (
+    ApproxParams,
+    BoxBase,
+    SpEntry,
+    WeightedDigraph,
+    _BoxArchive,
+    run_demo_sp,
+    run_empmo_cons_sp,
+)
 
 
 def test_config_validation():
@@ -337,27 +345,32 @@ def test_archive_covers_an_endpoint_by_weak_dominance_of_all_common():
     refs = oracles.references(g)[0]
     r = BoxBase.power(2, g.n - 1)
 
-    def verdict(targets):
+    def uncovered(targets, endpoint, *objs):
+        """The archive's uncovered endpoints once ``endpoint`` holds members with these objectives."""
         arch = _BoxArchive(g, ((0, 2), (2, 4)), (r, r), targets)
-
-        def target(endpoint, obj):
+        for obj in objs:
             flat = obj[0] + obj[1]
-            return arch._make_rec((1, endpoint), flat, arch._views(flat), 0).zero
+            arch._enroll(SpEntry((1, endpoint), endpoint, flat, *arch._views(flat), 0))
+        arch._changed(endpoint)
+        return arch.uncovered
 
-        return target
+    def covered(targets, endpoint, *objs):
+        return endpoint not in uncovered(targets, endpoint, *objs)
 
-    target = verdict(refs)
-    assert target(5, ((7, 4), (5, 7))) == (0,)
-    assert target(5, ((10, 4), (8, 5))) == ()
-    assert target(2, ((1, 2), (2, 4))) == (0,)
+    assert covered(refs, 5, ((7, 4), (5, 7)))
+    assert not covered(refs, 5, ((10, 4), (8, 5)))
+    assert covered(refs, 2, ((1, 2), (2, 4)))
     # with two references at endpoint 5 a member covers each one it weakly dominates, in both parties
-    target = verdict({**refs, 5: refs[5] + (((6, 5), (6, 6)),)})
-    assert target(5, ((6, 4), (5, 6))) == (0, 1)
-    assert target(5, ((7, 4), (5, 7))) == (0,)
-    assert target(5, ((6, 4), (5, 8))) == ()
-    assert target(5, ((8, 4), (5, 6))) == ()
+    two = {**refs, 5: refs[5] + (((6, 5), (6, 6)),)}
+    assert covered(two, 5, ((6, 4), (5, 6)))
+    assert not covered(two, 5, ((7, 4), (5, 7)))
+    assert not covered(two, 5, ((6, 4), (5, 8)))
+    assert not covered(two, 5, ((8, 4), (5, 6)))
+    # two members that each cover one of the two references cover the endpoint together
+    assert not covered(two, 5, ((6, 5), (6, 6)))
+    assert covered(two, 5, ((7, 4), (5, 7)), ((6, 5), (6, 6)))
     # a member at an endpoint without references covers none
-    assert verdict({2: refs[2]})(3, ((3, 2), (3, 5))) == ()
+    assert uncovered({2: refs[2]}, 3, ((3, 2), (3, 5))) == {2}
 
 
 def two_reference_graph():
@@ -496,7 +509,9 @@ def test_summarize_recovers_power_law():
     entry = next(iter(report.values()))
     assert entry["slope"] == pytest.approx(2.0, abs=1e-12)
     assert entry["rmse"] == pytest.approx(0.0, abs=1e-9)
-    assert entry["per_n"][8]["runs"] == 1  # the error row is not counted
+    # the error row is counted apart, and in no mean
+    assert (entry["per_n"][8]["runs"], entry["per_n"][8]["errors"]) == ("2", "1")
+    assert entry["per_n"][8]["mean_evaluations"] == "64.0"
 
     flat = summarize([synthetic_row(8, 64), synthetic_row(8, 100)])
     assert "slope" not in next(iter(flat.values()))

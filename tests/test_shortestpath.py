@@ -719,23 +719,23 @@ def randbelow_edit(g, p, rng, max_len):
 class NewRecordArchive(_BoxArchive):
     """The archive step with ``core.randbelow`` draws and a new record per accept.
 
-    Its coverage verdict comes from the references as given, through its own
-    comparison, not from the archive's flattened copy.
+    After each seed and each accepted step it recounts its coverage from
+    scratch, from the references as given, through its own comparison, and
+    its peak from the pool.
     """
 
     def __init__(self, g, slices, bases, targets=None):
         super().__init__(g, slices, bases, targets)
         self.refs = targets
 
-    def covers(self, endpoint, obj):
-        """The indices of the references at ``endpoint`` that ``obj`` weakly dominates."""
-        if self.refs is None or endpoint not in self.refs:
-            return ()
-        return tuple(
-            j
-            for j, m in enumerate(self.refs[endpoint])
-            if all(a <= b for a, b in zip(obj[0], m[0])) and all(a <= b for a, b in zip(obj[1], m[1]))
-        )
+    def recount(self):
+        if self.refs:
+            self.uncovered = recount_uncovered(self, self.refs)
+        self.max_size = max(self.max_size, len(self.pool))
+
+    def seed_path(self, path):
+        super().seed_path(path)
+        self.recount()
 
     def step(self, rng, generation):
         parent = self.pool[randbelow(rng.getrandbits, len(self.pool))]
@@ -773,19 +773,19 @@ class NewRecordArchive(_BoxArchive):
             doomed = [z for z in bucket if all(a <= b for box, zb in zip(boxes, z.boxes) for a, b in zip(box, zb))]
             for z in doomed:
                 self._drop(z)
-        zero = self.covers(endpoint, obj)
-        self._enroll(SpEntry(child, endpoint, flat, obj, lanes, boxes, generation, zero))
+        self._enroll(SpEntry(child, endpoint, flat, obj, lanes, boxes, generation))
+        self.recount()
         return True
 
 
 def archive_state(arch):
     return (
-        [(r.path, r.flat, r.birth, r.zero) for r in arch.pool],
+        [(r.path, r.flat, r.birth) for r in arch.pool],
         [(e, [r.path for r in bucket]) for e, bucket in arch.buckets.items()],
         arch.evaluations,
         arch.no_change,
         arch.max_size,
-        arch.zero_counts,
+        arch.uncovered,
     )
 
 
@@ -861,15 +861,26 @@ def joint_targets(g):
 FIXTURE_JOINT = joint_targets(fixture_graph())
 
 
-def recount_coverage(arch, targets):
-    """(endpoint, reference index) -> covering members, counted from the pool."""
-    counts = {}
-    for rec in arch.real_entries():
-        x = rec.objectives[0] + rec.objectives[1]
-        for j, ref in enumerate(targets.get(rec.endpoint, ())):
-            if all(a <= b for a, b in zip(x, ref[0] + ref[1])):
-                counts[(rec.endpoint, j)] = counts.get((rec.endpoint, j), 0) + 1
-    return counts
+def recount_uncovered(arch, targets):
+    """The endpoints with a reference no member there weakly dominates in both parties, from the pool."""
+    members = [(rec.endpoint, rec.objectives) for rec in arch.real_entries()]
+    return {
+        e
+        for e, refs in targets.items()
+        if not all(
+            any(
+                f == e
+                and all(a <= b for a, b in zip(obj[0], m[0]))
+                and all(a <= b for a, b in zip(obj[1], m[1]))
+                for f, obj in members
+            )
+            for m in refs
+        )
+    }
+
+
+# a duplicate path, and (1, 3) strictly dominating (1, 2, 3) in both parties
+FIXTURE_SEEDS = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -878,21 +889,31 @@ def recount_coverage(arch, targets):
     lane=st.integers(0, 3),
     emptied=st.sets(st.sampled_from(sorted(FIXTURE_JOINT))),
     generations=st.integers(1, 400),
+    seeded=st.booleans(),
 )
-def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations):
+def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations, seeded):
     assert any(len(refs) > 1 for refs in FIXTURE_JOINT.values())
     g = fixture_graph()
     targets = {e: () if e in emptied else refs for e, refs in FIXTURE_JOINT.items()}
-    total = sum(map(len, targets.values()))
     _, slices, bases, _ = archive_lanes(g)[lane]
     arch = _BoxArchive(g, slices, bases, targets)
+    peak = len(arch.pool)
+
+    def check():
+        uncovered = recount_uncovered(arch, targets)
+        assert arch.uncovered == uncovered
+        assert arch.all_covered == (not uncovered)
+        assert arch.max_size == peak
+
+    for path in FIXTURE_SEEDS if seeded else ():
+        arch.seed_path(path)
+        peak = max(peak, len(arch.pool))
+        check()
     rng = random.Random(seed)
     for gen in range(1, generations + 1):
         arch.step(rng, gen)
-        counts = recount_coverage(arch, targets)
-        assert arch.zero_counts == counts
-        assert len(arch.zero_counts) == len(counts)
-        assert arch.all_covered == (len(counts) == total)
+        peak = max(peak, len(arch.pool))
+        check()
 
 
 def count_memo_replays(monkeypatch):
@@ -956,12 +977,10 @@ def test_step_replays_the_new_record_step(property_graphs, name, monkeypatch):
 def test_step_replays_the_new_record_step_on_seeded_archives(property_graphs):
     g = property_graphs["fixture"]
     refs = references(g)[0]
-    # a duplicate path, and (1, 3) strictly dominating (1, 2, 3) in both parties
-    seeds = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
     lanes = archive_lanes(g)
     crowded = 0
     for seed in range(12):
-        crowded += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000, seeds)[1]
+        crowded += replay_side_by_side(g, lanes[seed % len(lanes)], refs, seed, 2000, FIXTURE_SEEDS)[1]
     # a reborn twin drops other members with it
     assert crowded > 0
 
@@ -982,11 +1001,10 @@ def test_step_replays_an_equal_vector_on_another_path():
 def test_a_member_set_change_clears_only_its_endpoints_memo(property_graphs):
     g = property_graphs["fixture"]
     # a duplicate path and dominated members, so some twins drop others with them
-    seeds = [(1, 2), (1, 2), (1, 3), (1, 2, 3), (1, 3, 4, 5)]
     new_records = crowded = 0
     for seed, (_, slices, bases, _) in enumerate(archive_lanes(g) * 3):
         arch = _BoxArchive(g, slices, bases)
-        for path in seeds:
+        for path in FIXTURE_SEEDS:
             arch.seed_path(path)
         enrolled = set(arch.pool)
         rng = random.Random(seed)
