@@ -234,6 +234,8 @@ def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) ->
     """The draws of ``mutate_path`` on a valid tuple path, as an edit.
 
     Each integer draw is ``core.randbelow`` written inline: randrange(size).
+    ``_BoxArchive.step`` holds a copy of these draws; the replay tests of
+    ``tests/test_shortestpath.py`` draw with this function and pin that copy.
     """
     getrandbits = rng.getrandbits
     size = len(p)
@@ -298,7 +300,7 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
     vertices returns None before the position draw.
 
     It is the edit core ``_edit_path`` followed by ``_child``; the archive
-    step makes the same draws through the same core.
+    step makes the same draws from its own copy of that core.
     """
     p = tuple(p)
     if not p or p[0] != SOURCE:
@@ -359,11 +361,13 @@ class _BoxArchive:
     it takes part in parent selection only, and walks that return to the
     source are rejected outright since the empty path already dominates them.
 
-    ``step`` mutates through the edit core of ``mutate_path`` and computes the
-    child's objectives from its parent's: the parent's flat vector (both
-    parties' objectives, concatenated) plus or minus the weights of the one
-    or three edges the edit changed, with exactly the sums ``eval_path``
-    would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
+    ``step`` makes the draws of ``mutate_path``'s edit core ``_edit_path``
+    from a copy of it held inline, which the replay tests pin to it, so a
+    step that ends at a no-change or at the memo is one Python frame. It
+    computes the child's objectives from its parent's: the parent's flat
+    vector (both parties' objectives, concatenated) plus or minus the weights
+    of the one or three edges the edit changed, with exactly the sums
+    ``eval_path`` would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
     is computed once per distinct objective value and base. Since
     ``floor_log`` is monotone, an incumbent whose objectives weakly dominate a
     lane also does so in boxes, so the rejection scan compares boxes first
@@ -395,9 +399,10 @@ class _BoxArchive:
     rejected child, or the member the child left enrolled, which the same
     child would hand back as its twin. A step looks it up after every draw
     and the source check, so draws and evaluation counts are unchanged; on a
-    hit it rejects, or moves that member through ``_drop`` and ``_enroll`` as
-    a twin. A change of an endpoint's member set clears that endpoint's
-    memo, and no other. This is exact:
+    hit it rejects, or moves that member as a twin to the end of its bucket
+    and the pool, as ``_drop`` and ``_enroll`` would. A change of an
+    endpoint's member set clears that endpoint's memo, and no other. This is
+    exact:
 
     - a verdict reads only the child's path, vector and endpoint, and the
       member set of that endpoint's bucket;
@@ -482,7 +487,7 @@ class _BoxArchive:
             self._changed(path[-1])
 
     def step(self, rng: random.Random, generation: int) -> bool:
-        # the parent draw is core.randbelow written inline: randrange(len(pool))
+        # the parent draw, then a copy of _edit_path's draws; each is core.randbelow written inline
         getrandbits = rng.getrandbits
         pool = self.pool
         size = len(pool)
@@ -492,11 +497,50 @@ class _BoxArchive:
             i = getrandbits(k)
         parent = pool[i]
         p = parent.path
-        edit = _edit_path(self.g, p, rng, self.max_len)
-        if edit is None:
+        g = self.g
+        size = len(p)
+        last = size - 1
+        v = None
+        if rng.random() < 0.5:
+            sign = 1
+            if size < self.max_len:
+                k = size.bit_length()
+                i = getrandbits(k)
+                while i >= size:
+                    i = getrandbits(k)
+                u = p[i]
+                if i == last:
+                    options = g._succ.get(u)
+                    w = None
+                else:
+                    w = p[i + 1]
+                    options = g._bridges.get((u, w))
+                    if options is None:
+                        options = g.bridges(u, w)
+                if options:
+                    size = len(options)
+                    k = size.bit_length()
+                    j = getrandbits(k)
+                    while j >= size:
+                        j = getrandbits(k)
+                    v = options[j]
+        elif last >= 2:
+            sign = -1
+            size = last - 1
+            k = size.bit_length()
+            i = getrandbits(k)
+            while i >= size:
+                i = getrandbits(k)
+            i += 1
+            if i == last - 1:
+                u, v, w = p[i], p[last], None
+            else:
+                u, w = p[i], p[i + 2]
+                if (u, w) in g._edges:
+                    v = p[i + 1]
+        if v is None:
             self.no_change += 1
             return False
-        i, sign, u, v, w = edit
         self.evaluations += 1
         # an interior edit keeps the endpoint; an end edit appends v or falls back to u
         endpoint = p[-1] if w is not None else v if sign > 0 else u
@@ -510,11 +554,14 @@ class _BoxArchive:
         if twin is not False:
             if twin is None:
                 return False
-            self._drop(twin)
+            bucket = self.buckets[endpoint]
+            bucket.remove(twin)
+            bucket.append(twin)
+            pool.remove(twin)
+            pool.append(twin)
             twin.birth = generation
-            self._enroll(twin)
             return True
-        weights = self.g.flat
+        weights = g.flat
         delta = weights[(u, v)]
         if w is not None:
             delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
@@ -598,16 +645,22 @@ def _search(
     hit_evals: Optional[int] = None
     pools = tuple(a.pool for a in archs)
     steps = tuple((a, a.step) for a in archs)
+    # whether coverage is still to test: an archive without targets is never covered
+    watch = all(a.uncovered is not None for a in archs)
+    # the generation of the next metric sample; never, without metric_fn
+    due = min(METRIC_CADENCE, budget) if metric_fn is not None else 0
 
     gen = 0
     for gen in range(1, budget + 1):
         for arch, step in steps:
             # only an accepted offspring can complete the coverage, and only in its own archive
-            if step(rng, gen) and hit_evals is None and arch.all_covered and all(a.all_covered for a in archs):
+            if step(rng, gen) and watch and arch.all_covered and all(a.all_covered for a in archs):
                 hit_evals = sum(a.evaluations for a in archs)
+                watch = False
         if observer is not None:
             observer(gen, pools)
-        if metric_fn is not None and (gen % METRIC_CADENCE == 0 or hit_evals is not None or gen == budget):
+        if gen == due or (hit_evals is not None and metric_fn is not None):
+            due = min(gen + METRIC_CADENCE, budget)
             recs = [r for a in archs for r in a.real_entries()]
             if recs:
                 mx, mm, me = metric_fn([(r.endpoint, r.objectives) for r in recs])

@@ -176,23 +176,39 @@ class ScriptedRng:
 
 def test_mutate_path_scripted_edits():
     g = fixture_graph()
-    # Delete at i=1: shortcut (3,5) exists
-    assert mutate_path(g, (1, 3, 4, 5), ScriptedRng([0.9], [0])) == (1, 3, 5)
-    # Delete at i=l-1 drops the endpoint
-    assert mutate_path(g, (1, 3, 4, 5), ScriptedRng([0.9], [1])) == (1, 3, 4)
-    # Add at the end appends a successor of the endpoint
-    assert mutate_path(g, (1,), ScriptedRng([0.1], [0, 0])) == (1, 2)
-    assert mutate_path(g, (1,), ScriptedRng([0.1], [0, 1])) == (1, 3)
-    # Add in the interior inserts a bridging vertex: 1 -> 3 -> 2? no such. 1->2->5 via nothing.
-    # (1, 3, 5) with insertion position 1 has candidates {4}: 3->4 and 4->5
-    assert mutate_path(g, (1, 3, 5), ScriptedRng([0.1], [1, 0])) == (1, 3, 4, 5)
-    # Delete from a two-vertex path has no interior: no change
-    assert mutate_path(g, (1, 2), ScriptedRng([0.9], [])) is None
-    # Add on a walk of 2n vertices: no change before any position draw; one
-    # vertex shorter, Add still appends
     loop = WeightedDigraph(2, {(1, 2): ((1,), (1,)), (2, 1): ((1,), (1,))})
-    assert mutate_path(loop, (1, 2, 1, 2), ScriptedRng([0.1], [])) is None
-    assert mutate_path(loop, (1, 2, 1), ScriptedRng([0.1], [2, 0])) == (1, 2, 1, 2)
+    cases = [
+        # Delete at i=1: shortcut (3,5) exists
+        (g, (1, 3, 4, 5), [0.9], [0], (1, 3, 5)),
+        # Delete at i=l-1 drops the endpoint
+        (g, (1, 3, 4, 5), [0.9], [1], (1, 3, 4)),
+        # Add at the end appends a successor of the endpoint
+        (g, (1,), [0.1], [0, 0], (1, 2)),
+        (g, (1,), [0.1], [0, 1], (1, 3)),
+        # Add in the interior inserts a bridging vertex: (1, 3, 5) with
+        # insertion position 1 has candidates {4}: 3->4 and 4->5
+        (g, (1, 3, 5), [0.1], [1, 0], (1, 3, 4, 5)),
+        # Delete from a two-vertex path has no interior: no change
+        (g, (1, 2), [0.9], [], None),
+        # Add on a walk of 2n vertices: no change before any position draw;
+        # one vertex shorter, Add still appends
+        (loop, (1, 2, 1, 2), [0.1], [], None),
+        (loop, (1, 2, 1), [0.1], [2, 0], (1, 2, 1, 2)),
+    ]
+    for graph, p, floats, ints, want in cases:
+        assert mutate_path(graph, p, ScriptedRng(floats, ints)) == want, p
+        if p[-1] == 1 and len(p) > 1:
+            continue  # seed_path refuses a walk back to the source
+        # the archive step's own copy of the draws, after its parent draw, takes the same script
+        k1, k2 = graph.k
+        arch = _BoxArchive(graph, ((0, k1), (k1, k1 + k2)), (box_base(graph.n, 1),) * 2)
+        arch.seed_path(p)
+        rng = ScriptedRng(floats, [len(arch.pool) - 1] + ints)
+        accepted = arch.step(rng, 1)
+        assert rng.floats == rng.ints == [], p
+        assert arch.no_change == (want is None), p
+        if accepted:
+            assert arch.pool[-1].path == want
     with pytest.raises(ValueError):
         mutate_path(g, (2, 5), random.Random(0))
 
@@ -922,9 +938,10 @@ def count_memo_replays(monkeypatch):
     The wrapper draws the step's parent and edit on a copy of the generator
     and looks up the outcome the memo holds for them. When there is one, the
     step must return it: a rejection, or the stored member moved to the end
-    of the pool with the step's generation as its birth. It also counts, as
-    ``lone_twin``, the steps the memo did not answer that put back the one
-    member their endpoint held before the step.
+    of the pool with the step's generation as its birth. Every step must
+    leave the generator where the copy is, and count a no-change edit as one.
+    It also counts, as ``lone_twin``, the steps the memo did not answer that
+    put back the one member their endpoint held before the step.
     """
     replays = {"rejected": 0, "twin": 0, "lone_twin": 0}
     step = _BoxArchive.step
@@ -942,7 +959,12 @@ def count_memo_replays(monkeypatch):
             stored = self._memos.get(endpoint, {}).get((parent, i, sign, v), False)
             bucket = self.buckets.get(endpoint, ())
             lone = bucket[0] if len(bucket) == 1 else None
+        no_change = self.no_change
         accepted = step(self, rng, generation)
+        # the step's own copy of the draws takes exactly the draws of _edit_path
+        assert rng.getstate() == probe.getstate()
+        if edit is None:
+            assert not accepted and self.no_change == no_change + 1
         if stored is None:
             assert not accepted
             replays["rejected"] += 1
