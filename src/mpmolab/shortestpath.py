@@ -361,12 +361,13 @@ class _BoxArchive:
     it takes part in parent selection only, and walks that return to the
     source are rejected outright since the empty path already dominates them.
 
-    ``step`` makes the draws of ``mutate_path``'s edit core ``_edit_path``
-    from a copy of it held inline, which the replay tests pin to it, so a
-    step that ends at a no-change or at the memo is one Python frame. It
-    computes the child's objectives from its parent's: the parent's flat
-    vector (both parties' objectives, concatenated) plus or minus the weights
-    of the one or three edges the edit changed, with exactly the sums
+    ``step`` takes the generator's ``getrandbits`` and ``random``, bound once
+    per run by ``_search``, and makes the draws of ``mutate_path``'s edit core
+    ``_edit_path`` from a copy of it held inline, which the replay tests pin
+    to it, so a step that ends at a no-change or at the memo is one Python
+    frame. It computes the child's objectives from its parent's: the parent's
+    flat vector (both parties' objectives, concatenated) plus or minus the
+    weights of the one or three edges the edit changed, with exactly the sums
     ``eval_path`` would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
     is computed once per distinct objective value and base. Since
     ``floor_log`` is monotone, an incumbent whose objectives weakly dominate a
@@ -486,9 +487,8 @@ class _BoxArchive:
             self._enroll(SpEntry(path, path[-1], flat, *self._views(flat), 0))
             self._changed(path[-1])
 
-    def step(self, rng: random.Random, generation: int) -> bool:
+    def step(self, getrandbits: Callable[[int], int], random: Callable[[], float], generation: int) -> bool:
         # the parent draw, then a copy of _edit_path's draws; each is core.randbelow written inline
-        getrandbits = rng.getrandbits
         pool = self.pool
         size = len(pool)
         k = size.bit_length()
@@ -501,7 +501,7 @@ class _BoxArchive:
         size = len(p)
         last = size - 1
         v = None
-        if rng.random() < 0.5:
+        if random() < 0.5:
             sign = 1
             if size < self.max_len:
                 k = size.bit_length()
@@ -634,31 +634,43 @@ def _search(
 ) -> SpRunResult:
     """Step the archives in order once per generation, for up to ``budget``.
 
-    Draws come from ``random.Random(seed)``. The run ends after the first
-    generation at which every archive covers its targets (never, if one has
-    none). ``metric_fn`` is sampled over the real members of all archives
-    every ``METRIC_CADENCE`` generations and once at the last. ``observer``
-    follows the package's observer contract, with each archive's pool.
+    Draws come from ``random.Random(seed)``, whose ``getrandbits`` and
+    ``random`` are bound here once per run and passed to every step. The run
+    ends after the first generation at which every archive covers its targets
+    (never, if one has none). ``metric_fn`` is sampled over the real members
+    of all archives every ``METRIC_CADENCE`` generations and once at the last.
+    ``observer`` follows the package's observer contract, with each archive's
+    pool. A run with neither coverage to test nor an observer steps straight
+    from one sample to the next.
     """
     rng = random.Random(seed)
+    getrandbits, rand = rng.getrandbits, rng.random
     metrics: List[MetricSample] = []
     hit_evals: Optional[int] = None
     pools = tuple(a.pool for a in archs)
     steps = tuple((a, a.step) for a in archs)
+    bare_steps = tuple(a.step for a in archs)
     # whether coverage is still to test: an archive without targets is never covered
     watch = all(a.uncovered is not None for a in archs)
+    bare = not watch and observer is None
     # the generation of the next metric sample; never, without metric_fn
     due = min(METRIC_CADENCE, budget) if metric_fn is not None else 0
 
     gen = 0
-    for gen in range(1, budget + 1):
-        for arch, step in steps:
-            # only an accepted offspring can complete the coverage, and only in its own archive
-            if step(rng, gen) and watch and arch.all_covered and all(a.all_covered for a in archs):
-                hit_evals = sum(a.evaluations for a in archs)
-                watch = False
-        if observer is not None:
-            observer(gen, pools)
+    while gen < budget:
+        if bare:
+            for gen in range(gen + 1, (due or budget) + 1):
+                for step in bare_steps:
+                    step(getrandbits, rand, gen)
+        else:
+            gen += 1
+            for arch, step in steps:
+                # only an accepted offspring can complete the coverage, and only in its own archive
+                if step(getrandbits, rand, gen) and watch and arch.all_covered and all(a.all_covered for a in archs):
+                    hit_evals = sum(a.evaluations for a in archs)
+                    watch = False
+            if observer is not None:
+                observer(gen, pools)
         if gen == due or (hit_evals is not None and metric_fn is not None):
             due = min(gen + METRIC_CADENCE, budget)
             recs = [r for a in archs for r in a.real_entries()]

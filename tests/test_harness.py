@@ -777,7 +777,7 @@ def test_simple_sp_row_above_the_oracle_limit_fails_before_searching(tmp_path, m
     steps = []
     step = shortestpath._BoxArchive.step
     monkeypatch.setattr(
-        shortestpath._BoxArchive, "step", lambda self, rng, gen: steps.append(gen) or step(self, rng, gen)
+        shortestpath._BoxArchive, "step", lambda self, *args: steps.append(args[-1]) or step(self, *args)
     )
     path = tmp_path / "planted13.txt"
     path.write_text(write_instance(generate_planted_uav(InstanceSpec(KIND_PLANTED, 13, seed=0))))

@@ -3,12 +3,14 @@
 ``observer(generation, archives)`` is called once after each generation
 1..G, G being the result's ``generations``, the last one included whether the
 run ends at its hit or at its budget. ``archives`` is a tuple of live lists,
-one per archive in the runner's order.
+one per archive in the runner's order. An observer only watches: a graph run
+with one equals the same run without.
 """
 
 import pytest
 
-from mpmolab.instances import fixture_graph
+from mpmolab.harness import make_metric_fn
+from mpmolab.instances import KIND_PLANTED, InstanceSpec, fixture_graph, generate_planted_uav
 from mpmolab.oracles import references
 from mpmolab.pseudoboolean import (
     PseudoBooleanProblem,
@@ -19,7 +21,7 @@ from mpmolab.pseudoboolean import (
     run_empmo_simple,
     run_semo,
 )
-from mpmolab.shortestpath import ApproxParams, run_demo_sp, run_empmo_cons_sp, run_empmo_simple_sp
+from mpmolab.shortestpath import METRIC_CADENCE, ApproxParams, run_demo_sp, run_empmo_cons_sp, run_empmo_simple_sp
 
 AOAZ, BPAOAZ = PseudoBooleanProblem("aoaz", 10), PseudoBooleanProblem("bpaoaz", 10)
 G = fixture_graph()
@@ -99,3 +101,42 @@ def test_observer_contract(name, mode):
     assert last == live_members(res.archives)
     if hasattr(res, "max_archive_size"):
         assert max(sizes) == res.max_archive_size
+
+
+PLANTED12 = generate_planted_uav(InstanceSpec(KIND_PLANTED, 12, seed=5))
+GRAPH_RUNNERS = {
+    "cons-sp": lambda g, fronts, **kw: run_empmo_cons_sp(g, PARAMS, **kw),
+    "demo-sp": lambda g, fronts, **kw: run_demo_sp(g, PARAMS, **kw),
+    "simple-sp": lambda g, fronts, **kw: run_empmo_simple_sp(g, PARAMS, party2_fronts=fronts, **kw),
+}
+
+
+def graph_run_record(res):
+    archives = [[(e.path, e.birth) for e in P] for P in res.archives]
+    return (
+        res.generations,
+        res.evaluations,
+        res.no_change,
+        archives,
+        res.metrics,
+        res.hit_evaluations,
+        res.max_archive_size,
+        res.outcomes,
+    )
+
+
+@pytest.mark.parametrize("graph", ["fixture", "planted12"])
+@pytest.mark.parametrize("name", list(GRAPH_RUNNERS))
+def test_an_observer_never_changes_a_graph_run(name, graph):
+    # a run without targets or observer steps from sample to sample; a budget
+    # off the metric cadence asks it for a last sample between two of them
+    g = G if graph == "fixture" else PLANTED12
+    refs, fronts = (REFS, FRONTS) if graph == "fixture" else references(g)
+    budget = 1250
+    bare, watched = (
+        GRAPH_RUNNERS[name](g, fronts, budget=budget, seed=3, metric_fn=make_metric_fn(refs), observer=observer)
+        for observer in (None, lambda gen, archives: None)
+    )
+    assert graph_run_record(bare) == graph_run_record(watched)
+    assert bare.generations == budget
+    assert [m.generation for m in bare.metrics] == [*range(METRIC_CADENCE, budget, METRIC_CADENCE), budget]

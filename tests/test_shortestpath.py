@@ -204,7 +204,7 @@ def test_mutate_path_scripted_edits():
         arch = _BoxArchive(graph, ((0, k1), (k1, k1 + k2)), (box_base(graph.n, 1),) * 2)
         arch.seed_path(p)
         rng = ScriptedRng(floats, [len(arch.pool) - 1] + ints)
-        accepted = arch.step(rng, 1)
+        accepted = arch.step(rng.getrandbits, rng.random, 1)
         assert rng.floats == rng.ints == [], p
         assert arch.no_change == (want is None), p
         if accepted:
@@ -836,7 +836,7 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
     for gen in range(1, generations + 1):
         size = len(new.pool)
         alone = {e: bucket[0] for e, bucket in new.buckets.items() if len(bucket) == 1}
-        accepted = new.step(a, gen)
+        accepted = new.step(a.getrandbits, a.random, gen)
         assert accepted == old.step(b, gen)
         assert archive_state(new) == archive_state(old), (seed, gen)
         assert a.getstate() == b.getstate()
@@ -927,7 +927,7 @@ def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations
         check()
     rng = random.Random(seed)
     for gen in range(1, generations + 1):
-        arch.step(rng, gen)
+        arch.step(rng.getrandbits, rng.random, gen)
         peak = max(peak, len(arch.pool))
         check()
 
@@ -936,17 +936,20 @@ def count_memo_replays(monkeypatch):
     """Wrap ``_BoxArchive.step`` to count the steps its memo answers, by outcome.
 
     The wrapper draws the step's parent and edit on a copy of the generator
-    and looks up the outcome the memo holds for them. When there is one, the
-    step must return it: a rejection, or the stored member moved to the end
-    of the pool with the step's generation as its birth. Every step must
-    leave the generator where the copy is, and count a no-change edit as one.
-    It also counts, as ``lone_twin``, the steps the memo did not answer that
-    put back the one member their endpoint held before the step.
+    that both of the step's draw methods are bound to, and looks up the
+    outcome the memo holds for them. When there is one, the step must return
+    it: a rejection, or the stored member moved to the end of the pool with
+    the step's generation as its birth. Every step must leave the generator
+    where the copy is, and count a no-change edit as one. It also counts, as
+    ``lone_twin``, the steps the memo did not answer that put back the one
+    member their endpoint held before the step.
     """
     replays = {"rejected": 0, "twin": 0, "lone_twin": 0}
     step = _BoxArchive.step
 
-    def counted(self, rng, generation):
+    def counted(self, getrandbits, random_, generation):
+        rng = getrandbits.__self__
+        assert random_.__self__ is rng
         probe = random.Random()
         probe.setstate(rng.getstate())
         parent = self.pool[randbelow(probe.getrandbits, len(self.pool))]
@@ -960,7 +963,7 @@ def count_memo_replays(monkeypatch):
             bucket = self.buckets.get(endpoint, ())
             lone = bucket[0] if len(bucket) == 1 else None
         no_change = self.no_change
-        accepted = step(self, rng, generation)
+        accepted = step(self, getrandbits, random_, generation)
         # the step's own copy of the draws takes exactly the draws of _edit_path
         assert rng.getstate() == probe.getstate()
         if edit is None:
@@ -1033,7 +1036,7 @@ def test_a_member_set_change_clears_only_its_endpoints_memo(property_graphs):
         for gen in range(1, 1001):
             memos = {e: dict(memo) for e, memo in arch._memos.items()}
             members = {e: set(bucket) for e, bucket in arch.buckets.items()}
-            arch.step(rng, gen)
+            arch.step(rng.getrandbits, rng.random, gen)
             changed = [e for e, bucket in arch.buckets.items() if set(bucket) != members.get(e, set())]
             assert len(changed) <= 1
             for e, memo in memos.items():
