@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add, gt, sub
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .core import MultiPartyObjectives, approx_degree, weak_ge
+from .core import MultiPartyObjectives, approx_degree, randbelow, weak_ge
 
 SOURCE = 1
 # graph runs sample their metric every this many generations, and at the last
@@ -223,63 +223,6 @@ class ApproxParams:
             raise ValueError("eps_2_max must be at least eps_2")
 
 
-# An edit is (i, sign, u, v, w): the position it acts after, +1 for an Add or
-# -1 for a Delete, and the edges it changes. With w set, v was inserted between
-# u and w or cut from between them; with w None, the end edge u->v was appended
-# or dropped. ``_child`` builds the path it makes.
-_Edit = Tuple[int, int, int, int, Optional[int]]
-
-
-def _edit_path(g: WeightedDigraph, p: Path, rng: random.Random, max_len: int) -> Optional[_Edit]:
-    """The draws of ``mutate_path`` on a valid tuple path, as an edit.
-
-    Each integer draw is ``core.randbelow`` written inline: randrange(size).
-    ``_BoxArchive.step`` holds a copy of these draws; the replay tests of
-    ``tests/test_shortestpath.py`` draw with this function and pin that copy.
-    """
-    getrandbits = rng.getrandbits
-    size = len(p)
-    last = size - 1
-    if rng.random() < 0.5:
-        if size >= max_len:
-            return None
-        k = size.bit_length()
-        i = getrandbits(k)
-        while i >= size:
-            i = getrandbits(k)
-        u = p[i]
-        if i == last:
-            options = g._succ.get(u)
-            w = None
-        else:
-            w = p[i + 1]
-            options = g._bridges.get((u, w))
-            if options is None:
-                options = g.bridges(u, w)
-        if not options:
-            return None
-        size = len(options)
-        k = size.bit_length()
-        j = getrandbits(k)
-        while j >= size:
-            j = getrandbits(k)
-        return i, 1, u, options[j], w
-    if last < 2:
-        return None
-    size = last - 1
-    k = size.bit_length()
-    i = getrandbits(k)
-    while i >= size:
-        i = getrandbits(k)
-    i += 1
-    if i == last - 1:
-        return i, -1, p[i], p[last], None
-    u, w = p[i], p[i + 2]
-    if (u, w) in g._edges:
-        return i, -1, u, p[i + 1], w
-    return None
-
-
 def _child(p: Path, i: int, sign: int, v: int) -> Path:
     """The path an edit makes: v inserted after position i, or the vertex after i cut."""
     if sign > 0:
@@ -297,19 +240,31 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
     i <= l-2 the vertex after position i is cut if the shortcut edge exists,
     i = l-1 drops the last vertex. A draw with no valid completion returns
     None without consuming further randomness; Add on a walk already at 2n
-    vertices returns None before the position draw.
+    vertices returns None before the position draw. Integer draws are
+    ``core.randbelow``. A path that is not a walk of ``g`` from the source
+    raises ValueError, as ``eval_path`` does, before any draw.
 
-    It is the edit core ``_edit_path`` followed by ``_child``; the archive
-    step makes the same draws from its own copy of that core.
+    ``_BoxArchive.step`` makes the same draws from its own inline copy;
+    ``tests/test_shortestpath.py`` pins both to reference edits of its own.
     """
     p = tuple(p)
-    if not p or p[0] != SOURCE:
-        raise ValueError("path must start at the source vertex")
-    edit = _edit_path(g, p, rng, 2 * g.n)
-    if edit is None:
+    eval_path(g, p)
+    getrandbits = rng.getrandbits
+    last = len(p) - 1
+    if rng.random() < 0.5:
+        if len(p) >= 2 * g.n:
+            return None
+        i = randbelow(getrandbits, last + 1)
+        options = g.successors(p[i]) if i == last else g.bridges(p[i], p[i + 1])
+        if not options:
+            return None
+        return _child(p, i, 1, options[randbelow(getrandbits, len(options))])
+    if last < 2:
         return None
-    i, sign, _, v, _ = edit
-    return _child(p, i, sign, v)
+    i = 1 + randbelow(getrandbits, last - 1)
+    if i < last - 1 and not g.has_edge(p[i], p[i + 2]):
+        return None
+    return _child(p, i, -1, p[i + 1])
 
 
 class SpEntry:
@@ -362,11 +317,11 @@ class _BoxArchive:
     source are rejected outright since the empty path already dominates them.
 
     ``step`` takes the generator's ``getrandbits`` and ``random``, bound once
-    per run by ``_search``, and makes the draws of ``mutate_path``'s edit core
-    ``_edit_path`` from a copy of it held inline, which the replay tests pin
-    to it, so a step that ends at a no-change or at the memo is one Python
-    frame. It computes the child's objectives from its parent's: the parent's
-    flat vector (both parties' objectives, concatenated) plus or minus the
+    per run by ``_search``, and makes ``mutate_path``'s draws from its own
+    copy held inline, which the replay tests pin to a reference edit of the
+    tests' own, so a step that ends at a no-change or at the memo is one
+    Python frame. It computes the child's objectives from its parent's: the
+    parent's flat vector (both parties' objectives, concatenated) plus or minus the
     weights of the one or three edges the edit changed, with exactly the sums
     ``eval_path`` would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
     is computed once per distinct objective value and base. Since
@@ -488,7 +443,7 @@ class _BoxArchive:
             self._changed(path[-1])
 
     def step(self, getrandbits: Callable[[int], int], random: Callable[[], float], generation: int) -> bool:
-        # the parent draw, then a copy of _edit_path's draws; each is core.randbelow written inline
+        # the parent draw, then mutate_path's draws; each is core.randbelow written inline
         pool = self.pool
         size = len(pool)
         k = size.bit_length()
@@ -683,7 +638,7 @@ def _search(
         generations=gen,
         evaluations=sum(a.evaluations for a in archs),
         no_change=sum(a.no_change for a in archs),
-        archives=tuple(list(a.pool) for a in archs),
+        archives=pools,
         metrics=metrics,
         hit_evaluations=hit_evals,
         max_archive_size=max(a.max_size for a in archs),

@@ -27,8 +27,6 @@ from mpmolab.shortestpath import (
     ultimatum_consensus,
     WeightedDigraph,
     _BoxArchive,
-    _child,
-    _edit_path,
     SpEntry,
 )
 
@@ -209,8 +207,20 @@ def test_mutate_path_scripted_edits():
         assert arch.no_change == (want is None), p
         if accepted:
             assert arch.pool[-1].path == want
+
+
+@pytest.mark.parametrize("path", [(1, 5), (1, 99), (2, 5), ()], ids=str)
+def test_mutate_path_refuses_a_path_that_is_no_walk_before_any_draw(path):
+    # the fixture has no edge 1->5 and no vertex 99; (2, 5) leaves the source out
+    g = fixture_graph()
     with pytest.raises(ValueError):
-        mutate_path(g, (2, 5), random.Random(0))
+        eval_path(g, path)
+    for seed in range(20):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            mutate_path(g, path, rng)
+        assert rng.getstate() == state
 
 
 def test_mutate_path_outputs_are_walks():
@@ -608,14 +618,17 @@ def randrange_edit(g, p, rng, max_len):
 def test_mutate_path_replays_the_randrange_edit(property_graphs, name):
     g = property_graphs[name]
     picker = random.Random(7)
-    a, b = random.Random(11), random.Random(11)
+    a, b, c = random.Random(11), random.Random(11), random.Random(11)
     frontier = [(1,)]
     changed = 0
     for _ in range(3000):
         p = frontier[picker.randrange(len(frontier))]
         q = mutate_path(g, p, a)
         assert q == randrange_edit(g, p, b, 2 * g.n), p
-        assert a.getstate() == b.getstate()
+        # the step's reference edit draws the same child
+        edit = randbelow_edit(g, p, c, 2 * g.n)
+        assert q == (edit and edit[0]), p
+        assert a.getstate() == b.getstate() == c.getstate()
         if q is not None:
             changed += 1
             frontier.append(q)
@@ -702,7 +715,13 @@ def test_graph_runners_take_no_sampling_or_stopping_setting(keyword):
 
 
 def randbelow_edit(g, p, rng, max_len):
-    """The path edit with its changed edges, drawn through ``core.randbelow``."""
+    """The path edit drawn through ``core.randbelow``: (child, i, sign, u, v, w).
+
+    ``i`` is the position the edit acts after and ``sign`` +1 for an Add, -1
+    for a Delete; with ``w`` set, ``v`` was inserted between ``u`` and ``w`` or
+    cut from between them, and with ``w`` None the end edge u->v was appended
+    or dropped.
+    """
     last = len(p) - 1
     if rng.random() < 0.5:
         if len(p) >= max_len:
@@ -714,21 +733,21 @@ def randbelow_edit(g, p, rng, max_len):
             if not succ:
                 return None
             v = succ[randbelow(rng.getrandbits, len(succ))]
-            return p + (v,), 1, u, v, None
+            return p + (v,), i, 1, u, v, None
         w = p[i + 1]
         candidates = g.bridges(u, w)
         if not candidates:
             return None
         v = candidates[randbelow(rng.getrandbits, len(candidates))]
-        return p[: i + 1] + (v,) + p[i + 1 :], 1, u, v, w
+        return p[: i + 1] + (v,) + p[i + 1 :], i, 1, u, v, w
     if last < 2:
         return None
     i = 1 + randbelow(rng.getrandbits, last - 1)
     if i == last - 1:
-        return p[:-1], -1, p[i], p[last], None
+        return p[:-1], i, -1, p[i], p[last], None
     u, w = p[i], p[i + 2]
     if g.has_edge(u, w):
-        return p[: i + 1] + p[i + 2 :], -1, u, p[i + 1], w
+        return p[: i + 1] + p[i + 2 :], i, -1, u, p[i + 1], w
     return None
 
 
@@ -759,7 +778,7 @@ class NewRecordArchive(_BoxArchive):
         if edit is None:
             self.no_change += 1
             return False
-        child, sign, u, v, w = edit
+        child, _, sign, u, v, w = edit
         self.evaluations += 1
         endpoint = child[-1]
         if endpoint == 1:
@@ -935,9 +954,9 @@ def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations
 def count_memo_replays(monkeypatch):
     """Wrap ``_BoxArchive.step`` to count the steps its memo answers, by outcome.
 
-    The wrapper draws the step's parent and edit on a copy of the generator
-    that both of the step's draw methods are bound to, and looks up the
-    outcome the memo holds for them. When there is one, the step must return
+    The wrapper draws the step's parent and, with ``randbelow_edit``, its
+    edit on a copy of the generator that both of the step's draw methods are
+    bound to, and looks up the outcome the memo holds for them. When there is one, the step must return
     it: a rejection, or the stored member moved to the end of the pool with
     the step's generation as its birth. Every step must leave the generator
     where the copy is, and count a no-change edit as one. It also counts, as
@@ -953,18 +972,18 @@ def count_memo_replays(monkeypatch):
         probe = random.Random()
         probe.setstate(rng.getstate())
         parent = self.pool[randbelow(probe.getrandbits, len(self.pool))]
-        edit = _edit_path(self.g, parent.path, probe, self.max_len)
+        edit = randbelow_edit(self.g, parent.path, probe, self.max_len)
         stored = False
         lone = None
         if edit is not None:
-            i, sign, _, v, _ = edit
-            endpoint = _child(parent.path, i, sign, v)[-1]
+            child, i, sign, _, v, _ = edit
+            endpoint = child[-1]
             stored = self._memos.get(endpoint, {}).get((parent, i, sign, v), False)
             bucket = self.buckets.get(endpoint, ())
             lone = bucket[0] if len(bucket) == 1 else None
         no_change = self.no_change
         accepted = step(self, getrandbits, random_, generation)
-        # the step's own copy of the draws takes exactly the draws of _edit_path
+        # the step's own copy of the draws takes exactly the draws of the reference edit
         assert rng.getstate() == probe.getstate()
         if edit is None:
             assert not accepted and self.no_change == no_change + 1
