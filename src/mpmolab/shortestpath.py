@@ -244,8 +244,10 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
     ``core.randbelow``. A path that is not a walk of ``g`` from the source
     raises ValueError, as ``eval_path`` does, before any draw.
 
-    ``_BoxArchive.step`` makes the same draws from its own inline copy;
-    ``tests/test_shortestpath.py`` pins both to reference edits of its own.
+    ``_BoxArchive.step`` makes the same draws inline and reads their
+    outcome from the parent's edit table (``_BoxArchive._table``), which
+    holds this operator's outcomes per draw; ``tests/test_shortestpath.py``
+    pins both to reference edits of its own, and the table to this function.
     """
     p = tuple(p)
     eval_path(g, p)
@@ -270,7 +272,7 @@ def mutate_path(g: WeightedDigraph, p: Sequence[int], rng: random.Random) -> Opt
 class SpEntry:
     """Archive member; ``birth`` is the generation that last enrolled it."""
 
-    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth")
+    __slots__ = ("path", "endpoint", "flat", "objectives", "lanes", "boxes", "birth", "table")
 
     def __init__(self, path, endpoint, flat, objectives, lanes, boxes, birth):
         self.path = path
@@ -280,6 +282,7 @@ class SpEntry:
         self.lanes = lanes
         self.boxes = boxes
         self.birth = birth
+        self.table = None  # the edit table, built by ``_BoxArchive._table`` when first drawn as a parent
 
 
 @dataclass(frozen=True)
@@ -317,14 +320,17 @@ class _BoxArchive:
     source are rejected outright since the empty path already dominates them.
 
     ``step`` takes the generator's ``getrandbits`` and ``random``, bound once
-    per run by ``_search``, and makes ``mutate_path``'s draws from its own
-    copy held inline, which the replay tests pin to a reference edit of the
-    tests' own, so a step that ends at a no-change or at the memo is one
-    Python frame. It computes the child's objectives from its parent's: the
-    parent's flat vector (both parties' objectives, concatenated) plus or minus the
-    weights of the one or three edges the edit changed, with exactly the sums
-    ``eval_path`` would give. ``BoxBase`` caches ``floor_log`` per value, so each box index
-    is computed once per distinct objective value and base. Since
+    per run by ``_search``, and makes ``mutate_path``'s draws inline, reading
+    the operator from the parent's edit table: each member builds its table
+    (``_table``) the first time it is drawn as a parent, and a draw indexes
+    it to an outcome, or to None or an empty slot for no change. The replay
+    tests pin the step to a reference edit of the tests' own, so a step that
+    ends at a no-change or at the memo is one Python frame. On a scan it
+    computes the child's objectives from its parent's: the parent's flat
+    vector (both parties' objectives, concatenated) plus or minus the weights
+    of the one or three edges the edit changed, with exactly the sums
+    ``eval_path`` would give. ``BoxBase`` caches ``floor_log`` per value, so
+    each box index is computed once per distinct objective value and base. Since
     ``floor_log`` is monotone, an incumbent whose objectives weakly dominate a
     lane also does so in boxes, so the rejection scan compares boxes first
     and objectives only where the boxes are equal.
@@ -345,34 +351,33 @@ class _BoxArchive:
 
     An endpoint's member set changes only in ``seed_path``, at a new record,
     and at a twin that drops others with it; a twin moved alone leaves it as
-    it was. There, and only there, ``_changed`` clears that endpoint's step
-    memo, recounts its coverage and updates the peak pool size ``max_size``.
+    it was. There, and only there, ``_changed`` bumps that endpoint's change
+    count, which ages its step memo, recounts its coverage and updates the
+    peak pool size ``max_size``.
 
-    The step memo is the step's one fast path. Each endpoint keeps a memo of
-    the steps judged there since its member set last changed. The key is
-    (parent, i, sign, v): the parent member by identity, and the edit, which
-    fixes the child's path, vector and endpoint. The value is None for a
-    rejected child, or the member the child left enrolled, which the same
-    child would hand back as its twin. A step looks it up after every draw
-    and the source check, so draws and evaluation counts are unchanged; on a
-    hit it rejects, or moves that member as a twin to the end of its bucket
-    and the pool, as ``_drop`` and ``_enroll`` would. A change of an
-    endpoint's member set clears that endpoint's memo, and no other. This is
-    exact:
+    The step memo is the step's one fast path. It lives in the edit tables:
+    each outcome, which fixes the child's path, vector and endpoint, holds
+    its last verdict, None for a rejected child or the member the child left
+    enrolled, which the same child would hand back as its twin, stamped with
+    its endpoint's change count at the time. A step reads it after every
+    draw and the source check, so draws and evaluation counts are unchanged;
+    when the stamp equals the endpoint's count it rejects, or moves that
+    member as a twin to the end of its bucket and the pool, as ``_drop`` and
+    ``_enroll`` would. A change of an endpoint's member set ages that
+    endpoint's verdicts, and no other. This is exact:
 
     - a verdict reads only the child's path, vector and endpoint, and the
       member set of that endpoint's bucket;
     - the scans are existential, so bucket order does not matter;
     - drops happen only in the child's own bucket, so a step changes no
       other endpoint's verdicts;
-    - a dropped member that is not a twin is never enrolled again, so its
-      stale keys in other endpoints' memos never match; they are dropped
-      with the archive;
+    - a dropped member that is not a twin is never enrolled again, so it is
+      never drawn as a parent again, and its table is never read again;
     - coverage never enters a verdict.
 
-    After a change the step's own verdict is stored again: re-judged against
-    the new bucket, the same child is accepted and dooms only the member it
-    left there.
+    After a change the step's own verdict is stamped with the new count:
+    re-judged against the new bucket, the same child is accepted and dooms
+    only the member it left there.
     """
 
     def __init__(
@@ -389,8 +394,8 @@ class _BoxArchive:
         # each endpoint's references as flat vectors, party 1's objectives first
         self.targets = {e: [m[0] + m[1] for m in refs] for e, refs in (targets or {}).items()}
         self.uncovered = {e for e, refs in self.targets.items() if refs} if self.targets else None
-        # per endpoint: (parent, i, sign, v) -> None (rejected) or the member the child hands back
-        self._memos: Dict[int, Dict[tuple, Optional[SpEntry]]] = {}
+        # per endpoint: how often its member set changed; a verdict stamped with an older count is stale
+        self._counts = [0] * (g.n + 1)
         k1, k2 = g.k
         zero = (0,) * (k1 + k2)
         src = SpEntry((SOURCE,), SOURCE, zero, (zero[:k1], zero[k1:]), (), (), 0)
@@ -416,10 +421,8 @@ class _BoxArchive:
         self.pool.remove(rec)
 
     def _changed(self, endpoint: int) -> None:
-        """Bring the endpoint's memo and coverage, and the peak, up to date with its new member set."""
-        memo = self._memos.get(endpoint)
-        if memo:
-            memo.clear()
+        """Age the endpoint's step memo, and bring its coverage and the peak up to date with its new member set."""
+        self._counts[endpoint] += 1
         refs = self.targets.get(endpoint)
         if refs:
             bucket = self.buckets[endpoint]
@@ -442,8 +445,31 @@ class _BoxArchive:
             self._enroll(SpEntry(path, path[-1], flat, *self._views(flat), 0))
             self._changed(path[-1])
 
+    def _table(self, rec: SpEntry) -> tuple:
+        """Build ``rec``'s edit table: (adds, dels, add position bits, delete position bits).
+
+        ``adds[i]`` lists the Add outcomes after position i, ``dels[i - 1]`` the
+        Delete outcome at interior position i (None where the shortcut edge is
+        missing); ``adds`` is None for a walk already at ``max_len``. An
+        outcome is [v, endpoint, stamp, verdict]: the step memo's verdict, valid
+        while ``stamp`` equals the endpoint's change count.
+        """
+        p = rec.path
+        g = self.g
+        last = len(p) - 1
+        end = p[last]
+        adds = None
+        if len(p) < self.max_len:
+            adds = [[[v, end, -1, None] for v in g.bridges(p[i], p[i + 1])] for i in range(last)]
+            adds.append([[v, v, -1, None] for v in g.successors(end)])
+        dels = [[p[i + 1], end, -1, None] if g.has_edge(p[i], p[i + 2]) else None for i in range(1, last - 1)]
+        if last >= 2:
+            dels.append([end, p[last - 1], -1, None])
+        rec.table = table = (adds, dels, len(p).bit_length(), (last - 1).bit_length())
+        return table
+
     def step(self, getrandbits: Callable[[int], int], random: Callable[[], float], generation: int) -> bool:
-        # the parent draw, then mutate_path's draws; each is core.randbelow written inline
+        # the parent draw, then mutate_path's draws off the parent's edit table; each is core.randbelow inline
         pool = self.pool
         size = len(pool)
         k = size.bit_length()
@@ -451,62 +477,45 @@ class _BoxArchive:
         while i >= size:
             i = getrandbits(k)
         parent = pool[i]
-        p = parent.path
-        g = self.g
-        size = len(p)
-        last = size - 1
-        v = None
+        table = parent.table or self._table(parent)
+        out = None
         if random() < 0.5:
             sign = 1
-            if size < self.max_len:
-                k = size.bit_length()
+            adds = table[0]
+            if adds is not None:
+                size = len(adds)
+                k = table[2]
                 i = getrandbits(k)
                 while i >= size:
                     i = getrandbits(k)
-                u = p[i]
-                if i == last:
-                    options = g._succ.get(u)
-                    w = None
-                else:
-                    w = p[i + 1]
-                    options = g._bridges.get((u, w))
-                    if options is None:
-                        options = g.bridges(u, w)
+                options = adds[i]
                 if options:
                     size = len(options)
                     k = size.bit_length()
                     j = getrandbits(k)
                     while j >= size:
                         j = getrandbits(k)
-                    v = options[j]
-        elif last >= 2:
+                    out = options[j]
+        else:
             sign = -1
-            size = last - 1
-            k = size.bit_length()
-            i = getrandbits(k)
-            while i >= size:
+            dels = table[1]
+            if dels:
+                size = len(dels)
+                k = table[3]
                 i = getrandbits(k)
-            i += 1
-            if i == last - 1:
-                u, v, w = p[i], p[last], None
-            else:
-                u, w = p[i], p[i + 2]
-                if (u, w) in g._edges:
-                    v = p[i + 1]
-        if v is None:
+                while i >= size:
+                    i = getrandbits(k)
+                out = dels[i]
+                i += 1
+        if out is None:
             self.no_change += 1
             return False
         self.evaluations += 1
-        # an interior edit keeps the endpoint; an end edit appends v or falls back to u
-        endpoint = p[-1] if w is not None else v if sign > 0 else u
+        v, endpoint, stamp, twin = out
         if endpoint == SOURCE:
             return False
-        memo = self._memos.get(endpoint)
-        if memo is None:
-            memo = self._memos[endpoint] = {}
-        key = (parent, i, sign, v)
-        twin = memo.get(key, False)
-        if twin is not False:
+        counts = self._counts
+        if stamp == counts[endpoint]:
             if twin is None:
                 return False
             bucket = self.buckets[endpoint]
@@ -516,7 +525,12 @@ class _BoxArchive:
             pool.append(twin)
             twin.birth = generation
             return True
-        weights = g.flat
+        # an Add puts v between u and w, a Delete cuts it from there; w is None at the path's end
+        p = parent.path
+        u = p[i]
+        j = i + 1 if sign > 0 else i + 2
+        w = p[j] if j < len(p) else None
+        weights = self.g.flat
         delta = weights[(u, v)]
         if w is not None:
             delta = tuple(map(sub, map(add, delta, weights[(v, w)]), weights[(u, w)]))
@@ -541,7 +555,8 @@ class _BoxArchive:
                 else:
                     break
             else:
-                memo[key] = None
+                out[2] = counts[endpoint]
+                out[3] = None
                 return False
             # drop the incumbents whose boxes the child weakly dominates in every lane
             doomed = []
@@ -566,7 +581,8 @@ class _BoxArchive:
         self._enroll(twin)
         if changed:
             self._changed(endpoint)
-        memo[key] = twin
+        out[2] = counts[endpoint]
+        out[3] = twin
         return True
 
     @property

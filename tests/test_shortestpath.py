@@ -27,6 +27,7 @@ from mpmolab.shortestpath import (
     ultimatum_consensus,
     WeightedDigraph,
     _BoxArchive,
+    _child,
     SpEntry,
 )
 
@@ -635,6 +636,53 @@ def test_mutate_path_replays_the_randrange_edit(property_graphs, name):
     assert changed > 1000
 
 
+def walks_to_test(g, count, seed):
+    """Walks that ``mutate_path`` reaches from the source, and walks of 2n - 1 and 2n vertices where ``g`` has them."""
+    rng = random.Random(seed)
+    walks = [(1,)]
+    while len(walks) < count:
+        q = mutate_path(g, walks[rng.randrange(len(walks))], rng)
+        if q is not None:
+            walks.append(q)
+    for _ in range(1000):
+        p = (1,)
+        while len(p) < 2 * g.n and g.successors(p[-1]):
+            p += (rng.choice(g.successors(p[-1])),)
+        if len(p) == 2 * g.n:
+            return walks + [p[:-1], p]
+    return walks
+
+
+@pytest.mark.parametrize("name", ["fixture", "planted10", "planted30"])
+def test_the_edit_table_is_mutate_paths_operator(property_graphs, name):
+    g = property_graphs[name]
+    arch = _BoxArchive(g, ((0, sum(g.k)),), (box_base(g.n, 1),))
+    walks = walks_to_test(g, 300, 5)
+    assert name == "fixture" or {2 * g.n - 1, 2 * g.n} <= {len(p) for p in walks}
+    for p in walks:
+        adds, dels, add_bits, del_bits = arch._table(SpEntry(p, p[-1], (), (), (), (), 0))
+        assert (add_bits, del_bits) == (len(p).bit_length(), (len(p) - 2).bit_length())
+        # each slot is one draw, (coin, position draws[, outcome]); the coin's 0.1 picks Add and 0.9 Delete
+        assert (adds is None) == (len(p) >= 2 * g.n)
+        slots = [((0.1,), ())] if adds is None else []
+        for i, options in enumerate(adds or ()):
+            slots += [((0.1,), (i, j), out) for j, out in enumerate(options)] or [((0.1,), (i,))]
+        assert len(dels) == max(len(p) - 2, 0)
+        slots += [((0.9,), (i,), out) for i, out in enumerate(dels)] or [((0.9,), ())]
+        for floats, ints, *out in slots:
+            rng = ScriptedRng(floats, ints)
+            q = mutate_path(g, p, rng)
+            assert rng.floats == rng.ints == [], (p, floats, ints)
+            if not out or out[0] is None:
+                # an empty or None slot is exactly a draw with no change
+                assert q is None, (p, floats, ints)
+                continue
+            edit = randbelow_edit(g, p, ScriptedRng(floats, ints), 2 * g.n)
+            child, i, sign, _, v, _ = edit
+            assert out[0] == [v, child[-1], -1, None], (p, floats, ints)
+            assert q == child == _child(p, i, sign, v), (p, floats, ints)
+
+
 def check_members(g, members, lane_bases):
     """Stored objectives and boxes equal a full evaluation of the path."""
     for m in members:
@@ -951,6 +999,26 @@ def test_incremental_coverage_matches_a_recount(seed, lane, emptied, generations
         check()
 
 
+def live_verdicts(arch, parents):
+    """Each endpoint's live step-memo verdicts held in the edit tables of ``parents``.
+
+    Maps endpoint -> {(parent, i, sign, v): None for a rejected child, or the
+    member it hands back}. A verdict is live when its stamp equals its
+    endpoint's change count.
+    """
+    live = {}
+    for parent in parents:
+        if parent.table is None:
+            continue
+        adds, dels, _, _ = parent.table
+        edits = [(i, 1, out) for i, options in enumerate(adds or ()) for out in options]
+        edits += [(i, -1, out) for i, out in enumerate(dels, 1) if out is not None]
+        for i, sign, (v, endpoint, stamp, verdict) in edits:
+            if stamp == arch._counts[endpoint]:
+                live.setdefault(endpoint, {})[(parent, i, sign, v)] = verdict
+    return live
+
+
 def count_memo_replays(monkeypatch):
     """Wrap ``_BoxArchive.step`` to count the steps its memo answers, by outcome.
 
@@ -978,7 +1046,7 @@ def count_memo_replays(monkeypatch):
         if edit is not None:
             child, i, sign, _, v, _ = edit
             endpoint = child[-1]
-            stored = self._memos.get(endpoint, {}).get((parent, i, sign, v), False)
+            stored = live_verdicts(self, [parent]).get(endpoint, {}).get((parent, i, sign, v), False)
             bucket = self.buckets.get(endpoint, ())
             lone = bucket[0] if len(bucket) == 1 else None
         no_change = self.no_change
@@ -1053,20 +1121,21 @@ def test_a_member_set_change_clears_only_its_endpoints_memo(property_graphs):
         enrolled = set(arch.pool)
         rng = random.Random(seed)
         for gen in range(1, 1001):
-            memos = {e: dict(memo) for e, memo in arch._memos.items()}
+            memos = live_verdicts(arch, enrolled)
             members = {e: set(bucket) for e, bucket in arch.buckets.items()}
             arch.step(rng.getrandbits, rng.random, gen)
             changed = [e for e, bucket in arch.buckets.items() if set(bucket) != members.get(e, set())]
             assert len(changed) <= 1
+            live = live_verdicts(arch, enrolled)
             for e, memo in memos.items():
                 if e not in changed:
                     # an endpoint whose members stay keeps every verdict it holds
-                    assert memo.items() <= arch._memos[e].items()
+                    assert memo.items() <= live.get(e, {}).items()
             if changed:
                 (e,) = changed
                 rec = arch.pool[-1]
                 # the changed endpoint forgets every earlier verdict; only the step's own is stored
-                assert list(arch._memos[e].values()) == [rec]
+                assert list(live.get(e, {}).values()) == [rec]
                 if memos.get(e) and any(memos.get(f) for f in memos if f != e):
                     if rec in enrolled:
                         crowded += 1
