@@ -13,6 +13,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -145,7 +146,9 @@ def cmd_replay(args) -> int:
     return EXIT_OK if bad == 0 else EXIT_RUNTIME
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = _Parser(prog="mpmolab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -296,7 +296,10 @@ class MetricSample:
 
 @dataclass
 class SpRunResult:
-    """One graph run: one pool per archive, source entry first; ``outcomes`` is simple-sp's round."""
+    """One graph run: one pool per archive, source entry first; ``outcomes`` is simple-sp's round.
+
+    ``no_change`` counts the steps whose draw made no change, as ``_search`` derives it.
+    """
 
     generations: int
     evaluations: int
@@ -345,26 +348,32 @@ class _BoxArchive:
     (its twin: same vector, so same boxes) with the others it dominates, and
     the twin is then enrolled again with the child's birth generation instead
     of a new record. This is exact: a new record would carry the same path,
-    vector and views, and a drop followed by an append leaves pool order and
-    bucket order as a new record would. The child path is built only once
-    the child is accepted.
+    vector and views, and a drop followed by an append leaves the pool order
+    as a new record would. The pool order is kept, since the parent draw
+    reads it; bucket order is not, since nothing reads it (the scans, the
+    drops and the coverage recount treat a bucket as a set). The child path
+    is built only once the child is accepted.
 
     An endpoint's member set changes only in ``seed_path``, at a new record,
     and at a twin that drops others with it; a twin moved alone leaves it as
     it was. There, and only there, ``_changed`` bumps that endpoint's change
     count, which ages its step memo, recounts its coverage and updates the
-    peak pool size ``max_size``.
+    pool size the parent draw reads and the peak ``max_size``. These are
+    also the only places the pool changes size.
 
     The step memo is the step's one fast path. It lives in the edit tables:
     each outcome, which fixes the child's path, vector and endpoint, holds
     its last verdict, None for a rejected child or the member the child left
     enrolled, which the same child would hand back as its twin, stamped with
     its endpoint's change count at the time. A step reads it after every
-    draw and the source check, so draws and evaluation counts are unchanged;
-    when the stamp equals the endpoint's count it rejects, or moves that
-    member as a twin to the end of its bucket and the pool, as ``_drop`` and
-    ``_enroll`` would. A change of an endpoint's member set ages that
-    endpoint's verdicts, and no other. This is exact:
+    draw, so draws and evaluation counts are unchanged; when the stamp
+    equals the endpoint's count it rejects, or moves that member as a twin
+    to the end of the pool, as ``_drop`` and ``_enroll`` would, and leaves
+    its bucket as it is. A change of an endpoint's member set ages that
+    endpoint's verdicts, and no other. A walk back to the source is decided
+    when the table is built: its outcome is stamped 0 with no twin, and the
+    source's count never leaves 0, since ``seed_path`` refuses such walks
+    and steps reject them. This is exact:
 
     - a verdict reads only the child's path, vector and endpoint, and the
       member set of that endpoint's bucket;
@@ -402,7 +411,8 @@ class _BoxArchive:
         self.pool: List[SpEntry] = [src]
         self.buckets: Dict[int, List[SpEntry]] = {}
         self.evaluations = 0
-        self.no_change = 0
+        # the pool's size and its bit length, for the parent draw; ``_changed`` keeps them
+        self.size, self.size_bits = 1, 1
         self.max_size = 1
 
     def _views(self, flat: Tuple[int, ...]):
@@ -421,7 +431,7 @@ class _BoxArchive:
         self.pool.remove(rec)
 
     def _changed(self, endpoint: int) -> None:
-        """Age the endpoint's step memo, and bring its coverage and the peak up to date with its new member set."""
+        """Age the endpoint's step memo; bring its coverage, the pool size and the peak up to date."""
         self._counts[endpoint] += 1
         refs = self.targets.get(endpoint)
         if refs:
@@ -430,8 +440,10 @@ class _BoxArchive:
                 self.uncovered.discard(endpoint)
             else:
                 self.uncovered.add(endpoint)
-        if len(self.pool) > self.max_size:
-            self.max_size = len(self.pool)
+        self.size = size = len(self.pool)
+        self.size_bits = size.bit_length()
+        if size > self.max_size:
+            self.max_size = size
 
     def seed_path(self, path: Sequence[int]) -> None:
         """Insert a given path as-is (evaluated, counted, no acceptance test)."""
@@ -452,27 +464,30 @@ class _BoxArchive:
         Delete outcome at interior position i (None where the shortcut edge is
         missing); ``adds`` is None for a walk already at ``max_len``. An
         outcome is [v, endpoint, stamp, verdict]: the step memo's verdict, valid
-        while ``stamp`` equals the endpoint's change count.
+        while ``stamp`` equals the endpoint's change count. An outcome that
+        ends at the source is built judged: stamp 0, verdict None.
         """
         p = rec.path
         g = self.g
         last = len(p) - 1
         end = p[last]
+        # an outcome ending at the source is built rejected: the source's change count stays 0
+        here = 0 if end == SOURCE else -1
         adds = None
         if len(p) < self.max_len:
-            adds = [[[v, end, -1, None] for v in g.bridges(p[i], p[i + 1])] for i in range(last)]
-            adds.append([[v, v, -1, None] for v in g.successors(end)])
-        dels = [[p[i + 1], end, -1, None] if g.has_edge(p[i], p[i + 2]) else None for i in range(1, last - 1)]
+            adds = [[[v, end, here, None] for v in g.bridges(p[i], p[i + 1])] for i in range(last)]
+            adds.append([[v, v, 0 if v == SOURCE else -1, None] for v in g.successors(end)])
+        dels = [[p[i + 1], end, here, None] if g.has_edge(p[i], p[i + 2]) else None for i in range(1, last - 1)]
         if last >= 2:
-            dels.append([end, p[last - 1], -1, None])
+            dels.append([end, p[last - 1], 0 if p[last - 1] == SOURCE else -1, None])
         rec.table = table = (adds, dels, len(p).bit_length(), (last - 1).bit_length())
         return table
 
     def step(self, getrandbits: Callable[[int], int], random: Callable[[], float], generation: int) -> bool:
         # the parent draw, then mutate_path's draws off the parent's edit table; each is core.randbelow inline
         pool = self.pool
-        size = len(pool)
-        k = size.bit_length()
+        size = self.size
+        k = self.size_bits
         i = getrandbits(k)
         while i >= size:
             i = getrandbits(k)
@@ -508,19 +523,13 @@ class _BoxArchive:
                 out = dels[i]
                 i += 1
         if out is None:
-            self.no_change += 1
             return False
         self.evaluations += 1
         v, endpoint, stamp, twin = out
-        if endpoint == SOURCE:
-            return False
         counts = self._counts
         if stamp == counts[endpoint]:
             if twin is None:
                 return False
-            bucket = self.buckets[endpoint]
-            bucket.remove(twin)
-            bucket.append(twin)
             pool.remove(twin)
             pool.append(twin)
             twin.birth = generation
@@ -613,6 +622,12 @@ def _search(
     ``observer`` follows the package's observer contract, with each archive's
     pool. A run with neither coverage to test nor an observer steps straight
     from one sample to the next.
+
+    No step counts its no-change draws. Every archive steps once per
+    generation, the hit generation included, and a step evaluates exactly
+    when its draw changes the path, so the run's ``no_change`` is
+    ``len(archs) * generations`` minus the evaluations the loop made (those
+    after seeding).
     """
     rng = random.Random(seed)
     getrandbits, rand = rng.getrandbits, rng.random
@@ -627,6 +642,7 @@ def _search(
     # the generation of the next metric sample; never, without metric_fn
     due = min(METRIC_CADENCE, budget) if metric_fn is not None else 0
 
+    seeded = sum(a.evaluations for a in archs)
     gen = 0
     while gen < budget:
         if bare:
@@ -650,10 +666,11 @@ def _search(
                 metrics.append(MetricSample(gen, sum(a.evaluations for a in archs), mx, mm, me))
         if hit_evals is not None:
             break
+    evaluations = sum(a.evaluations for a in archs)
     return SpRunResult(
         generations=gen,
-        evaluations=sum(a.evaluations for a in archs),
-        no_change=sum(a.no_change for a in archs),
+        evaluations=evaluations,
+        no_change=len(archs) * gen - (evaluations - seeded),
         archives=pools,
         metrics=metrics,
         hit_evaluations=hit_evals,

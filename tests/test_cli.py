@@ -40,6 +40,35 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout == "[]\n"
 
 
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    commands = [
+        ["run", "--alg", "semo", "--problem", "aoaz", "--n", "6", "--seed", "1", "--out", "run"],
+        ["run", "--alg", "semo", "--bogus"],
+        ["sweep", "mini.cfg", "--out", "sweep"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    for d in (here, fresh):
+        d.mkdir()
+        (d / "mini.cfg").write_text("algorithm = empmo-payoff\nproblem = bpaoaz\nn = 8\nseeds = 0:2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    monkeypatch.chdir(here)
+    codes = []
+    for argv in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        cmd = [sys.executable, "-m", "mpmolab.cli", *argv]
+        done = subprocess.run(cmd, cwd=fresh, env=env, capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr), argv
+        codes.append(code)
+    assert codes == [0, 1, 0]
+    # the files both wrote, but for the sweep's wall times
+    written = [p.relative_to(here) for p in sorted(here.rglob("*.csv")) if p.name != "traces.csv"]
+    assert len(written) == 4
+    for rel in written:
+        assert (here / rel).read_text() == (fresh / rel).read_text(), rel
+
+
 def test_oracle_problem_report(capsys):
     assert run_cli(["oracle", "--problem", "bpaoaz", "--n", "8"]) == 0
     out = capsys.readouterr().out

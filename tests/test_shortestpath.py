@@ -28,6 +28,7 @@ from mpmolab.shortestpath import (
     WeightedDigraph,
     _BoxArchive,
     _child,
+    _search,
     SpEntry,
 )
 
@@ -205,7 +206,8 @@ def test_mutate_path_scripted_edits():
         rng = ScriptedRng(floats, [len(arch.pool) - 1] + ints)
         accepted = arch.step(rng.getrandbits, rng.random, 1)
         assert rng.floats == rng.ints == [], p
-        assert arch.no_change == (want is None), p
+        # seeding counted one evaluation; a draw with no change counts none
+        assert arch.evaluations == 1 + (want is not None), p
         if accepted:
             assert arch.pool[-1].path == want
 
@@ -679,7 +681,8 @@ def test_the_edit_table_is_mutate_paths_operator(property_graphs, name):
                 continue
             edit = randbelow_edit(g, p, ScriptedRng(floats, ints), 2 * g.n)
             child, i, sign, _, v, _ = edit
-            assert out[0] == [v, child[-1], -1, None], (p, floats, ints)
+            # a walk back to the source is judged at build: a live rejection, since the source's count stays 0
+            assert out[0] == [v, child[-1], 0 if child[-1] == 1 else -1, None], (p, floats, ints)
             assert q == child == _child(p, i, sign, v), (p, floats, ints)
 
 
@@ -804,12 +807,13 @@ class NewRecordArchive(_BoxArchive):
 
     After each seed and each accepted step it recounts its coverage from
     scratch, from the references as given, through its own comparison, and
-    its peak from the pool.
+    its peak from the pool. It counts its no-change draws one by one.
     """
 
     def __init__(self, g, slices, bases, targets=None):
         super().__init__(g, slices, bases, targets)
         self.refs = targets
+        self.no_change = 0
 
     def recount(self):
         if self.refs:
@@ -862,11 +866,11 @@ class NewRecordArchive(_BoxArchive):
 
 
 def archive_state(arch):
+    """What a trajectory shows: the pool in order, each bucket as a set, and the counts."""
     return (
         [(r.path, r.flat, r.birth) for r in arch.pool],
-        [(e, [r.path for r in bucket]) for e, bucket in arch.buckets.items()],
+        {e: sorted(r.path for r in bucket) for e, bucket in arch.buckets.items()},
         arch.evaluations,
-        arch.no_change,
         arch.max_size,
         arch.uncovered,
     )
@@ -890,6 +894,8 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
 
     Counts rebirths, those that shrink the pool, and new records that replace
     the lone member of their endpoint with an equal vector on another path.
+    The copy's counted no-change draws must equal the ones ``_search``
+    derives from the generations and the evaluations.
     """
     _, slices, bases, targeted = lanes
     targets = refs if targeted else None
@@ -906,6 +912,7 @@ def replay_side_by_side(g, lanes, refs, seed, generations, seeds=()):
         accepted = new.step(a.getrandbits, a.random, gen)
         assert accepted == old.step(b, gen)
         assert archive_state(new) == archive_state(old), (seed, gen)
+        assert old.no_change == gen - (new.evaluations - len(seeds)), (seed, gen)
         assert a.getstate() == b.getstate()
         if accepted:
             rec = new.pool[-1]
@@ -1020,18 +1027,23 @@ def live_verdicts(arch, parents):
 
 
 def count_memo_replays(monkeypatch):
-    """Wrap ``_BoxArchive.step`` to count the steps its memo answers, by outcome.
+    """Wrap ``_BoxArchive.step`` to sort its steps by outcome and count them.
 
     The wrapper draws the step's parent and, with ``randbelow_edit``, its
     edit on a copy of the generator that both of the step's draw methods are
-    bound to, and looks up the outcome the memo holds for them. When there is one, the step must return
-    it: a rejection, or the stored member moved to the end of the pool with
-    the step's generation as its birth. Every step must leave the generator
-    where the copy is, and count a no-change edit as one. It also counts, as
-    ``lone_twin``, the steps the memo did not answer that put back the one
+    bound to, and looks up the outcome the memo holds for them. Every step
+    must leave the generator where the copy is, and count one evaluation
+    unless its edit makes no change (``no_change``). A walk back to the
+    source (``source``) must be rejected, and its outcome must then hold a
+    live rejection. Otherwise, when the memo holds an outcome, the step must
+    return it: a rejection (``rejected``), or the stored member moved to the
+    end of the pool with the step's generation as its birth (``twin``). The
+    rest are scanned (``scan_rejected``, ``scan_accepted``). Among these it
+    also counts, as ``lone_twin``, the accepted steps that put back the one
     member their endpoint held before the step.
     """
-    replays = {"rejected": 0, "twin": 0, "lone_twin": 0}
+    kinds = ("no_change", "source", "rejected", "twin", "scan_rejected", "scan_accepted", "lone_twin")
+    replays = dict.fromkeys(kinds, 0)
     step = _BoxArchive.step
 
     def counted(self, getrandbits, random_, generation):
@@ -1046,23 +1058,30 @@ def count_memo_replays(monkeypatch):
         if edit is not None:
             child, i, sign, _, v, _ = edit
             endpoint = child[-1]
-            stored = live_verdicts(self, [parent]).get(endpoint, {}).get((parent, i, sign, v), False)
+            key = (parent, i, sign, v)
+            stored = live_verdicts(self, [parent]).get(endpoint, {}).get(key, False)
             bucket = self.buckets.get(endpoint, ())
             lone = bucket[0] if len(bucket) == 1 else None
-        no_change = self.no_change
+        evaluations = self.evaluations
         accepted = step(self, getrandbits, random_, generation)
         # the step's own copy of the draws takes exactly the draws of the reference edit
         assert rng.getstate() == probe.getstate()
+        assert self.evaluations == evaluations + (edit is not None)
         if edit is None:
-            assert not accepted and self.no_change == no_change + 1
-        if stored is None:
+            assert not accepted
+            replays["no_change"] += 1
+        elif endpoint == 1:
+            assert not accepted and live_verdicts(self, [parent])[1][key] is None
+            replays["source"] += 1
+        elif stored is None:
             assert not accepted
             replays["rejected"] += 1
         elif stored is not False:
             assert accepted and self.pool[-1] is stored and stored.birth == generation
             replays["twin"] += 1
-        elif accepted and self.pool[-1] is lone:
-            replays["lone_twin"] += 1
+        else:
+            replays["scan_accepted" if accepted else "scan_rejected"] += 1
+            replays["lone_twin"] += accepted and self.pool[-1] is lone
         return accepted
 
     monkeypatch.setattr(_BoxArchive, "step", counted)
@@ -1143,3 +1162,71 @@ def test_a_member_set_change_clears_only_its_endpoints_memo(property_graphs):
                         new_records += 1
             enrolled.update(arch.pool)
     assert new_records > 10 and crowded > 0, (new_records, crowded)
+
+
+@pytest.mark.parametrize("seeds", [(), FIXTURE_SEEDS], ids=["bare", "seeded"])
+def test_bucket_order_is_unobservable(seeds):
+    # the scans, the coverage recount and the drops treat a bucket as a set; the
+    # fixture's archives hold a bucket of several members (planted ones mostly do not)
+    g = fixture_graph()
+    refs = references(g)[0]
+    for seed, (_, slices, bases, targeted) in enumerate(archive_lanes(g)):
+        a, b = (_BoxArchive(g, slices, bases, refs if targeted else None) for _ in range(2))
+        for path in seeds:
+            a.seed_path(path)
+            b.seed_path(path)
+        ra, rb = random.Random(seed), random.Random(seed)
+        for gen in range(1, 2001):
+            if gen == 1000:
+                assert any(len(bucket) > 1 for bucket in b.buckets.values())
+                for bucket in b.buckets.values():
+                    bucket.reverse()
+            assert a.step(ra.getrandbits, ra.random, gen) == b.step(rb.getrandbits, rb.random, gen)
+            assert [(r.path, r.birth) for r in a.pool] == [(r.path, r.birth) for r in b.pool], (seed, gen)
+            assert (a.evaluations, a.uncovered, a.max_size) == (b.evaluations, b.uncovered, b.max_size)
+            assert ra.getstate() == rb.getstate()
+
+
+def test_no_change_counts_the_draws_that_evaluate_nothing(monkeypatch):
+    g = fixture_graph()
+    params = ApproxParams(1, 1)
+    refs = references(g)[0]
+    replays = count_memo_replays(monkeypatch)
+    # each archive steps once per generation, the hit generation included; seeding evaluates without a step
+    for run in (run_empmo_cons_sp, run_demo_sp):
+        replays["no_change"] = 0
+        res = run(g, params, 100_000, 0, targets=refs)
+        assert res.hit_evaluations is not None and res.generations < 100_000
+        assert res.no_change == replays["no_change"] > 0
+        assert res.no_change + res.evaluations == res.generations
+    replays["no_change"] = 0
+    res = run_empmo_simple_sp(g, params, 500, 0, initial_archives=(FIXTURE_SEEDS, FIXTURE_SEEDS[:2]), party2_fronts={})
+    assert res.no_change == replays["no_change"] > 0
+    assert res.no_change + res.evaluations == 2 * res.generations + len(FIXTURE_SEEDS) + 2
+
+
+def test_the_step_outcome_mix_is_pinned(property_graphs, monkeypatch):
+    # ROADMAP item 6's step traffic, on one short budget-bound cons-sp run
+    g = property_graphs["planted12"]
+    params = ApproxParams(1, 1)
+    want = run_empmo_cons_sp(g, params, 3000, 0)
+    replays = count_memo_replays(monkeypatch)
+    k1, k2 = g.k
+    r = box_base(g.n, params.eps_1, params.eps_2)
+    arch = _BoxArchive(g, ((0, k1), (k1, k1 + k2)), (r, r))
+    res = _search((arch,), 3000, 0, None, None)
+    assert [(e.path, e.birth) for e in res.archives[0]] == [(e.path, e.birth) for e in want.archives[0]]
+    assert (res.evaluations, res.no_change) == (want.evaluations, want.no_change)
+    assert res.no_change == replays["no_change"]
+    # the tables reject walks back to the source, so the source's member set never changes
+    assert arch._counts[1] == 0
+    # a memo that stops answering moves steps from "rejected" and "twin" to the scans, and costs only speed
+    assert replays == {
+        "no_change": 1721,
+        "source": 46,
+        "rejected": 202,
+        "twin": 977,
+        "scan_rejected": 27,
+        "scan_accepted": 27,
+        "lone_twin": 12,
+    }, replays
